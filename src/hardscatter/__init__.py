@@ -36,7 +36,7 @@ _EXPORTS = {
     "lowfreq": (
         "AmplitudeExpansion", "LowFreqFunctionals", "SphereQuadrature",
         "TrustRegionError", "amplitude_expansion", "cross_sections_lowfreq",
-        "d2_direct", "d2_formula", "functionals", "make_quadrature",
+        "d2_direct", "functionals", "make_quadrature",
         "solve_expansion_densities", "theorem1_check",
     ),
     "sphere_oracle": (

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import write_csv
 from .geometry import CappedCylinder, Ellipsoid, Sphere, TriMesh
 from .sphere_oracle import cross_sections, phase_shifts
 
@@ -298,7 +299,6 @@ def trace(
     body,
     grid: int = 1024,
     bounce_cap: int = DEFAULT_BOUNCE_CAP,
-    bins: tuple[int, int] = DEFAULT_BINS,
 ) -> RayTraceResult:
     """Trace one ray per grid cell through the shadow bounding box.
 
@@ -307,7 +307,9 @@ def trace(
     body : TriMesh or analytic body (Sphere, Ellipsoid, CappedCylinder)
     grid : rays per side of the shadow bounding box (>= 64)
     bounce_cap : bounce budget per ray before a TrappingError is raised
-    bins : (n_cos, n_phi) for the default outgoing-direction histogram
+
+    The attached histogram uses ``DEFAULT_BINS``; :func:`fcl_histogram`
+    rebins the stored outgoing directions.
     """
     if grid < 64:
         raise ValueError("grid must be >= 64")
@@ -387,7 +389,7 @@ def trace(
         max_bounces_seen=max_bounces,
         cell_area=cell,
         outgoing=outgoing,
-        histogram=_bin_directions(outgoing, cell, bins[0], bins[1]),
+        histogram=_bin_directions(outgoing, cell, *DEFAULT_BINS),
     )
     return result
 
@@ -474,28 +476,21 @@ def theorem2_check(radius: float, ka_values, grid: int = 1024) -> Theorem2Report
 
 def trace_to_csv(result: RayTraceResult, path, header_lines=()) -> None:
     """One-row summary CSV for a trace."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("sigma_cl,R_cl,R_cl_cos_weighted,rays_total,rays_hit,max_bounces\n")
-        fh.write(
-            f"{result.sigma_cl:.17g},{result.r_cl:.17g},"
-            f"{result.r_cl_cos_weighted:.17g},{result.rays_total},"
-            f"{result.rays_hit},{result.max_bounces_seen}\n"
-        )
+    write_csv(path, header_lines, {
+        "sigma_cl": [result.sigma_cl],
+        "R_cl": [result.r_cl],
+        "R_cl_cos_weighted": [result.r_cl_cos_weighted],
+        "rays_total": [result.rays_total],
+        "rays_hit": [result.rays_hit],
+        "max_bounces": [result.max_bounces_seen],
+    })
 
 
 def histogram_to_csv(hist: FclHistogram, path, header_lines=()) -> None:
     """Per-bin CSV: cos_theta_center, phi_center, fcl_sq, ray_count."""
-    cts = hist.cos_centers()
-    phis = hist.phi_centers()
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("cos_theta_center,phi_center,fcl_sq,ray_count\n")
-        for i in range(hist.n_cos):
-            for j in range(hist.n_phi):
-                fh.write(
-                    f"{cts[i]:.17g},{phis[j]:.17g},"
-                    f"{hist.values[i, j]:.17g},{hist.counts[i, j]}\n"
-                )
+    write_csv(path, header_lines, {
+        "cos_theta_center": np.repeat(hist.cos_centers(), hist.n_phi),
+        "phi_center": np.tile(hist.phi_centers(), hist.n_cos),
+        "fcl_sq": hist.values.ravel(),
+        "ray_count": hist.counts.ravel(),
+    })

@@ -172,29 +172,28 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_lowfreq(args) -> int:
     from . import lowfreq
+    from ._table import write_csv
 
+    # config errors and the trust region are checked before any file is written
+    k_values = None
+    if args.k_min is not None:
+        if args.k_max is None:
+            raise ConfigError("--k-max is required when --k-min is given")
+        k_values = _k_grid(args)
     mesh = _resolve_mesh(args)
     quad = lowfreq.make_quadrature(args.quad_theta, args.quad_phi)
     densities = lowfreq.solve_expansion_densities(mesh)
     fn = lowfreq.functionals(mesh, quad, densities)
     thm = lowfreq.theorem1_check(fn)
-    payload = {"meta": _meta(args), **lowfreq.report_dict(fn, thm)}
-    _write_json(args.out, payload)
     amp = lowfreq.amplitude_expansion(mesh, quad, densities)
+    if k_values is not None:
+        sigma, sigma_t = zip(*[lowfreq.cross_sections_lowfreq(amp, k)
+                               for k in k_values.tolist()])
+    _write_json(args.out, {"meta": _meta(args), **lowfreq.report_dict(fn, thm)})
     lowfreq.amplitude_to_csv(amp, _sibling(args.out, "_f12"), _headers(args))
-    if args.k_min is not None:
-        if args.k_max is None:
-            raise ConfigError("--k-max is required when --k-min is given")
-        rows = []
-        for k in _k_grid(args):
-            sigma, sigma_t = lowfreq.cross_sections_lowfreq(amp, float(k))
-            rows.append((float(k), sigma, sigma_t))
-        with open(_sibling(args.out, "_sigma"), "w", encoding="utf-8") as fh:
-            for line in _headers(args):
-                fh.write(f"# {line}\n")
-            fh.write("k,sigma,sigma_T\n")
-            for k, s, st in rows:
-                fh.write(f"{k:.17g},{s:.17g},{st:.17g}\n")
+    if k_values is not None:
+        write_csv(_sibling(args.out, "_sigma"), _headers(args),
+                  {"k": k_values, "sigma": sigma, "sigma_T": sigma_t})
     return 0
 
 

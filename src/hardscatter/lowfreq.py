@@ -23,10 +23,10 @@ sphere densities and the partial-wave series confirm the 8 pi / 3 form).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
+from ._table import write_csv
 from .geometry import TriMesh, mesh_volume
 from .potential import (
     SingleLayerOperator,
@@ -49,8 +49,6 @@ __all__ = [
     "amplitude_expansion",
     "cross_sections_lowfreq",
     "d2_direct",
-    "D2Closed",
-    "d2_formula",
     "Theorem1Report",
     "theorem1_check",
     "report_dict",
@@ -120,16 +118,14 @@ class ExpansionDensities:
         return SurfaceDensity(self.mu1s.values + self.mu1a.values, self.mesh)
 
 
-def solve_expansion_densities(
-    mesh: TriMesh, operator: SingleLayerOperator | None = None
-) -> ExpansionDensities:
-    """Assemble (unless given) and solve mu0, mu1s, mu1a, mu2."""
-    operator = operator or assemble_single_layer(mesh)
+def solve_expansion_densities(mesh: TriMesh) -> ExpansionDensities:
+    """Assemble the operator once and solve mu0, mu1s, mu1a, mu2 with it."""
+    operator = assemble_single_layer(mesh)
     density0 = mu0(mesh, operator)
     cap = -density0.integral()
-    mu1s, mu1a = mu1_parts(mesh, cap, density0, operator)
+    mu1s, mu1a = mu1_parts(operator, cap, density0)
     combined = SurfaceDensity(mu1s.values + mu1a.values, mesh)
-    density2 = mu2(mesh, density0, combined, operator)
+    density2 = mu2(operator, density0, combined)
     return ExpansionDensities(mesh, operator, density0, mu1s, mu1a, density2, cap)
 
 
@@ -141,8 +137,10 @@ class LowFreqFunctionals:
     ``z1_moment`` is ``integral z mu1a``, and ``exterior_energy`` is the
     Dirichlet energy of the exterior field with boundary value -z, namely
     ``-4 pi z1_moment - volume``.  ``d2`` is the quadrature (authoritative)
-    order-k^2 coefficient of sigma - sigma_T; the closed-form variants are
-    kept alongside for comparison.
+    order-k^2 coefficient of sigma - sigma_T; the closed forms
+    ``d2_formula_corrected = -(8 pi / 3) (C Z1 + K^2)`` and
+    ``d2_formula_paper = -(4 pi / 3) (C Z1 + K^2)`` (reported only) are kept
+    alongside for comparison.
     """
 
     capacity: float
@@ -153,16 +151,6 @@ class LowFreqFunctionals:
     d2: float
     d2_formula_corrected: float
     d2_formula_paper: float
-
-
-class D2Closed(NamedTuple):
-    corrected: float       # -(8 pi / 3) (C Z1 + K^2)
-    paper_constant: float  # -(4 pi / 3) (C Z1 + K^2), reported only
-
-
-def _closed_forms(cap: float, k_moment: float, z1_moment: float) -> D2Closed:
-    base = cap * z1_moment + k_moment**2
-    return D2Closed(-(8.0 * np.pi / 3.0) * base, -(4.0 * np.pi / 3.0) * base)
 
 
 def functionals(
@@ -181,7 +169,7 @@ def functionals(
     energy = -4.0 * np.pi * z1_moment - volume
     amp = amplitude_expansion(mesh, quad, densities)
     d2 = d2_direct(amp)
-    closed = _closed_forms(cap, k_moment, z1_moment)
+    base = cap * z1_moment + k_moment**2
     return LowFreqFunctionals(
         capacity=cap,
         k_moment=k_moment,
@@ -189,8 +177,8 @@ def functionals(
         volume=volume,
         exterior_energy=energy,
         d2=d2,
-        d2_formula_corrected=closed.corrected,
-        d2_formula_paper=closed.paper_constant,
+        d2_formula_corrected=-(8.0 * np.pi / 3.0) * base,
+        d2_formula_paper=-(4.0 * np.pi / 3.0) * base,
     )
 
 
@@ -269,11 +257,6 @@ def d2_direct(amp: AmplitudeExpansion) -> float:
     return amp.quad.integrate(ct * (amp.f1**2 - 2.0 * amp.f0 * amp.f2))
 
 
-def d2_formula(fn: LowFreqFunctionals) -> D2Closed:
-    """Closed forms of the d2 coefficient, corrected and paper-constant."""
-    return _closed_forms(fn.capacity, fn.k_moment, fn.z1_moment)
-
-
 @dataclass(frozen=True)
 class Theorem1Report:
     """Outcome of the forward-exceeds-backscattering checks at order k^2.
@@ -331,12 +314,5 @@ def amplitude_to_csv(amp: AmplitudeExpansion, path, header_lines=()) -> None:
     """CSV of the sampled coefficients: cos_theta, phi, f1, f2."""
     q = amp.quad.nodes
     phi = np.arctan2(q[:, 1], q[:, 0])
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("cos_theta,phi,f1,f2\n")
-        for i in range(len(q)):
-            fh.write(
-                f"{q[i, 2]:.17g},{phi[i]:.17g},"
-                f"{amp.f1[i]:.17g},{amp.f2[i]:.17g}\n"
-            )
+    write_csv(path, header_lines,
+              {"cos_theta": q[:, 2], "phi": phi, "f1": amp.f1, "f2": amp.f2})

@@ -17,7 +17,6 @@ Densities solved here:
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -39,9 +38,6 @@ __all__ = [
     "mu1_parts",
     "mu2",
     "distance_moment",
-    "dump_operator",
-    "load_operator",
-    "density_to_csv",
 ]
 
 # Residual bound for every density solve, relative max-norm.
@@ -160,26 +156,40 @@ def _near_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([i, j]), np.concatenate([j, i])
 
 
+def _centroid_distances(mesh: TriMesh):
+    """Yield ``(i0, i1, dist)`` with ``dist`` the distances from centroids
+    ``i0:i1`` to every centroid, one row block at a time."""
+    cent = mesh.centroids
+    n = mesh.n_triangles
+    for i0 in range(0, n, _ASSEMBLY_BLOCK):
+        i1 = min(i0 + _ASSEMBLY_BLOCK, n)
+        yield i0, i1, np.linalg.norm(cent[i0:i1, None, :] - cent[None, :, :], axis=2)
+
+
+def _near_rule_sums(mesh: TriMesh, kernel):
+    """Near pairs ``(i, j)`` and, per pair, the sum of ``kernel(|q - c_i|)``
+    over the three nodes q of the near rule on triangle j."""
+    ii, jj = _near_pairs(mesh)
+    cent = mesh.centroids
+    p0, p1, p2 = mesh.corners()
+    acc = np.zeros(len(ii))
+    for w0, w1, w2 in _NEAR_RULE:
+        q = w0 * p0[jj] + w1 * p1[jj] + w2 * p2[jj]
+        acc += kernel(np.linalg.norm(q - cent[ii], axis=1))
+    return ii, jj, acc
+
+
 def assemble_single_layer(mesh: TriMesh) -> SingleLayerOperator:
     """Assemble the dense collocation matrix for the 1/r kernel."""
     n = mesh.n_triangles
-    cent = mesh.centroids
     areas = mesh.areas
     matrix = np.empty((n, n))
-    for i0 in range(0, n, _ASSEMBLY_BLOCK):
-        i1 = min(i0 + _ASSEMBLY_BLOCK, n)
-        dist = np.linalg.norm(cent[i0:i1, None, :] - cent[None, :, :], axis=2)
+    for i0, i1, dist in _centroid_distances(mesh):
         with np.errstate(divide="ignore"):
             matrix[i0:i1] = areas[None, :] / dist
 
-    ii, jj = _near_pairs(mesh)
-    if len(ii):
-        p0, p1, p2 = mesh.corners()
-        acc = np.zeros(len(ii))
-        for w0, w1, w2 in _NEAR_RULE:
-            q = w0 * p0[jj] + w1 * p1[jj] + w2 * p2[jj]
-            acc += 1.0 / np.linalg.norm(q - cent[ii], axis=1)
-        matrix[ii, jj] = (areas[jj] / 3.0) * acc
+    ii, jj, acc = _near_rule_sums(mesh, lambda r: 1.0 / r)
+    matrix[ii, jj] = (areas[jj] / 3.0) * acc
 
     diag = _triangle_self_integral(mesh)
     if np.any(diag <= 0.0):
@@ -229,10 +239,9 @@ def capacity(mesh: TriMesh, operator: SingleLayerOperator | None = None) -> floa
 
 
 def mu1_parts(
-    mesh: TriMesh,
+    operator: SingleLayerOperator,
     capacity_value: float,
     mu0_density: SurfaceDensity,
-    operator: SingleLayerOperator | None = None,
 ) -> tuple[SurfaceDensity, SurfaceDensity]:
     """First-order densities (symmetric part, antisymmetric part).
 
@@ -240,7 +249,7 @@ def mu1_parts(
     symmetric part is ``-capacity * mu0`` pointwise, so that their sum
     carries the combined first-order data ``-z + capacity``.
     """
-    operator = operator or assemble_single_layer(mesh)
+    mesh = operator.mesh
     mu1a = solve_density(operator, -mesh.centroids[:, 2])
     mu1s = SurfaceDensity(-capacity_value * mu0_density.values, mesh)
     return mu1s, mu1a
@@ -254,80 +263,26 @@ def distance_moment(mesh: TriMesh, density: SurfaceDensity) -> np.ndarray:
     """
     cent = mesh.centroids
     weighted = density.values * mesh.areas
-    n = mesh.n_triangles
-    out = np.empty(n)
-    for i0 in range(0, n, _ASSEMBLY_BLOCK):
-        i1 = min(i0 + _ASSEMBLY_BLOCK, n)
-        dist = np.linalg.norm(cent[i0:i1, None, :] - cent[None, :, :], axis=2)
+    out = np.empty(mesh.n_triangles)
+    for i0, i1, dist in _centroid_distances(mesh):
         out[i0:i1] = dist @ weighted
-    ii, jj = _near_pairs(mesh)
-    if len(ii):
-        p0, p1, p2 = mesh.corners()
-        acc = np.zeros(len(ii))
-        for w0, w1, w2 in _NEAR_RULE:
-            q = w0 * p0[jj] + w1 * p1[jj] + w2 * p2[jj]
-            acc += np.linalg.norm(q - cent[ii], axis=1)
-        one_point = np.linalg.norm(cent[jj] - cent[ii], axis=1)
-        np.add.at(out, ii, (acc / 3.0 - one_point) * weighted[jj])
+    ii, jj, acc = _near_rule_sums(mesh, lambda r: r)
+    one_point = np.linalg.norm(cent[jj] - cent[ii], axis=1)
+    np.add.at(out, ii, (acc / 3.0 - one_point) * weighted[jj])
     return out
 
 
 def mu2(
-    mesh: TriMesh,
+    operator: SingleLayerOperator,
     mu0_density: SurfaceDensity,
     mu1_density: SurfaceDensity,
-    operator: SingleLayerOperator | None = None,
 ) -> SurfaceDensity:
     """Second-order density.
 
     Boundary data: ``-z^2/2 - integral(mu1) - (1/2) integral(mu0 |p-r|)``,
     the last term collocated with :func:`distance_moment`.
     """
-    operator = operator or assemble_single_layer(mesh)
+    mesh = operator.mesh
     z = mesh.centroids[:, 2]
     data = -0.5 * z**2 - mu1_density.integral() - 0.5 * distance_moment(mesh, mu0_density)
     return solve_density(operator, data)
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-_MAGIC = b"SLP1"
-
-
-def dump_operator(operator: SingleLayerOperator, path) -> None:
-    """Binary dump: 16-byte header (magic, pad, n as little-endian u64),
-    then the matrix row-major as little-endian float64."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + b"\x00" * 4 + struct.pack("<Q", operator.n))
-        fh.write(np.ascontiguousarray(operator.matrix, dtype="<f8").tobytes())
-
-
-def load_operator(path, mesh: TriMesh) -> SingleLayerOperator:
-    """Read a dump written by :func:`dump_operator` for the same mesh."""
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:4] != _MAGIC:
-            raise ValueError("not a single-layer operator dump")
-        (n,) = struct.unpack("<Q", header[8:16])
-        if n != mesh.n_triangles:
-            raise ValueError(f"dump is for n={n}, mesh has {mesh.n_triangles}")
-        data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-    if data.size != n * n:
-        raise ValueError("truncated operator dump")
-    return SingleLayerOperator(mesh, data.reshape(n, n).astype(float))
-
-
-def density_to_csv(density: SurfaceDensity, path, header_lines=()) -> None:
-    """CSV with columns triangle_index, cx, cy, cz, area, value."""
-    mesh = density.mesh
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("triangle_index,cx,cy,cz,area,value\n")
-        for i in range(mesh.n_triangles):
-            cx, cy, cz = mesh.centroids[i]
-            fh.write(
-                f"{i},{cx:.17g},{cy:.17g},{cz:.17g},"
-                f"{mesh.areas[i]:.17g},{density.values[i]:.17g}\n"
-            )

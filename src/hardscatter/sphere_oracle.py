@@ -22,6 +22,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
+from ._table import write_csv
+
 __all__ = [
     "spherical_bessel",
     "PhaseShiftTable",
@@ -222,7 +224,8 @@ def fig1_sweep(k_values, radius: float = FIG1_RADIUS) -> dict[str, np.ndarray]:
 
     Returns columns ka, sigma, sigma_T together with the constant classical
     values sigma_cl = R_cl = pi * radius^2 (and 2 sigma_cl), which are the
-    high-k limits of sigma_T and sigma respectively.
+    high-k limits of sigma_T and sigma respectively, and the optical-theorem
+    residual.  Both sweep CSVs are written from these columns.
     """
     k_values = np.asarray(k_values, dtype=float)
     if np.any(k_values <= 0) or np.any(np.diff(k_values) <= 0):
@@ -248,31 +251,20 @@ def fig1_sweep(k_values, radius: float = FIG1_RADIUS) -> dict[str, np.ndarray]:
 def sweep_to_csv(path, radius: float, k_values, header_lines=()) -> None:
     """Oracle sweep CSV: ka, sigma, sigma_T, ratios to the geometric cross
     section pi a^2, and the optical-theorem residual."""
-    k_values = np.asarray(k_values, dtype=float)
-    geo = np.pi * radius**2
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("ka,sigma,sigma_T,sigma_over_geom,sigmaT_over_geom,optical_residual\n")
-        for k in k_values:
-            xs = cross_sections(phase_shifts(radius, float(k)))
-            fh.write(
-                f"{k * radius:.17g},{xs.sigma:.17g},{xs.sigma_t:.17g},"
-                f"{xs.sigma / geo:.17g},{xs.sigma_t / geo:.17g},"
-                f"{xs.optical_residual:.17g}\n"
-            )
+    rows = fig1_sweep(k_values, radius)
+    geo = rows["sigma_cl"]
+    write_csv(path, header_lines, {
+        "ka": rows["ka"],
+        "sigma": rows["sigma"],
+        "sigma_T": rows["sigma_T"],
+        "sigma_over_geom": rows["sigma"] / geo,
+        "sigmaT_over_geom": rows["sigma_T"] / geo,
+        "optical_residual": rows["optical_residual"],
+    })
 
 
 def fig1_to_csv(path, k_values, radius: float = FIG1_RADIUS, header_lines=()) -> None:
-    """CSV form of :func:`fig1_sweep`."""
+    """CSV form of :func:`fig1_sweep`, without its optical-residual column."""
     rows = fig1_sweep(k_values, radius)
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("ka,sigma,sigma_T,sigma_cl,R_cl,two_sigma_cl\n")
-        for i in range(len(rows["ka"])):
-            fh.write(
-                f"{rows['ka'][i]:.17g},{rows['sigma'][i]:.17g},"
-                f"{rows['sigma_T'][i]:.17g},{rows['sigma_cl'][i]:.17g},"
-                f"{rows['R_cl'][i]:.17g},{rows['two_sigma_cl'][i]:.17g}\n"
-            )
+    del rows["optical_residual"]
+    write_csv(path, header_lines, rows)

@@ -151,6 +151,11 @@ def test_config_errors(tmp_path):
     assert main(["raytrace", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["compare", "--body", "ellipsoid:2,1,1",
                  "--out", str(tmp_path / "x.json")]) == 2
+    lowfreq = ["lowfreq", "--body", "sphere:1", "--level", "1",
+               "--out", str(tmp_path / "r.json"), "--k-min", "0.1"]
+    assert main(lowfreq) == 2
+    assert main(lowfreq + ["--k-max", "0.2", "--samples", "1"]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mesh_error_exit_code(tmp_path):
@@ -164,6 +169,7 @@ def test_trust_region_exit_code(tmp_path):
                  "--k-min", "0.05", "--k-max", "2.0", "--samples", "4",
                  "--out", str(tmp_path / "r.json")])
     assert code == 5
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_flag_exits_2():

@@ -10,7 +10,6 @@ from hardscatter.lowfreq import (
     amplitude_to_csv,
     cross_sections_lowfreq,
     d2_direct,
-    d2_formula,
     functionals,
     make_quadrature,
     report_dict,
@@ -208,16 +207,15 @@ def test_d2_positive(
 
 def test_d2_formula_matches_direct(sphere4_functionals, ellipsoid4_functionals):
     for fn in (sphere4_functionals, ellipsoid4_functionals):
-        closed = d2_formula(fn)
-        assert abs(closed.corrected - fn.d2) <= 0.05 * abs(fn.d2)
-        assert closed.paper_constant == pytest.approx(closed.corrected / 2.0)
+        assert abs(fn.d2_formula_corrected - fn.d2) <= 0.05 * abs(fn.d2)
+        assert fn.d2_formula_paper == pytest.approx(fn.d2_formula_corrected / 2.0)
 
 
 def test_d2_formula_k_zero_body(sphere4_functionals):
     # K ~ 0, so the closed form collapses to -(8 pi / 3) C Z1
     fn = sphere4_functionals
     collapsed = -(8.0 * np.pi / 3.0) * fn.capacity * fn.z1_moment
-    assert d2_formula(fn).corrected == pytest.approx(collapsed, rel=1e-4)
+    assert fn.d2_formula_corrected == pytest.approx(collapsed, rel=1e-4)
 
 
 def test_d2_invariant_under_reflection(sphere3):

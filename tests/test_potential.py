@@ -11,10 +11,7 @@ from hardscatter.potential import (
     _triangle_self_integral,
     assemble_single_layer,
     capacity,
-    density_to_csv,
     distance_moment,
-    dump_operator,
-    load_operator,
     mu0,
     solve_density,
 )
@@ -353,52 +350,3 @@ def test_reciprocity_smooth_data(sphere4_densities, ellipsoid4_densities):
                 np.sum(np.abs(h * mug * mesh.areas)),
             )
             assert abs(lhs - rhs) / scale < 0.005
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def test_operator_dump_roundtrip(tmp_path, sphere3):
-    op = assemble_single_layer(sphere3)
-    path = tmp_path / "operator.slp"
-    dump_operator(op, path)
-    again = load_operator(path, sphere3)
-    assert np.array_equal(again.matrix, op.matrix)
-    header = path.read_bytes()[:16]
-    assert header[:4] == b"SLP1"
-    assert int.from_bytes(header[8:16], "little") == op.n
-
-
-def test_operator_load_rejects_wrong_mesh(tmp_path, sphere3):
-    op = assemble_single_layer(sphere3)
-    path = tmp_path / "operator.slp"
-    dump_operator(op, path)
-    with pytest.raises(ValueError, match="n="):
-        load_operator(path, make_body(Sphere(1.0), 2))
-
-
-def test_operator_load_rejects_bad_dump(tmp_path, sphere3):
-    bad_magic = tmp_path / "bad.slp"
-    bad_magic.write_bytes(b"NOPE" + b"\x00" * 12)
-    with pytest.raises(ValueError, match="dump"):
-        load_operator(bad_magic, sphere3)
-    truncated = tmp_path / "short.slp"
-    truncated.write_bytes(
-        b"SLP1" + b"\x00" * 4 + sphere3.n_triangles.to_bytes(8, "little") + b"\x00" * 64
-    )
-    with pytest.raises(ValueError, match="truncated"):
-        load_operator(truncated, sphere3)
-
-
-def test_density_csv(tmp_path, sphere3):
-    density = mu0(sphere3)
-    path = tmp_path / "mu0.csv"
-    density_to_csv(density, path, header_lines=["unit test"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# unit test"
-    assert lines[1] == "triangle_index,cx,cy,cz,area,value"
-    assert len(lines) == 2 + sphere3.n_triangles
-    first = lines[2].split(",")
-    assert int(first[0]) == 0
-    assert float(first[5]) == pytest.approx(density.values[0], rel=1e-15)

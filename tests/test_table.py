@@ -1,0 +1,38 @@
+import re
+
+import numpy as np
+
+from hardscatter.classical import histogram_to_csv, trace, trace_to_csv
+from hardscatter.geometry import Sphere
+from hardscatter.lowfreq import amplitude_expansion, amplitude_to_csv, make_quadrature
+
+
+def read_table(path):
+    """Column names and rows of cells, comment lines dropped."""
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def test_csv_floats_round_trip_and_counts_print_as_integers(tmp_path, sphere4_densities):
+    amp = amplitude_expansion(sphere4_densities.mesh, make_quadrature(8, 16),
+                              sphere4_densities)
+    amplitude_to_csv(amp, tmp_path / "f12.csv", header_lines=["demo"])
+    names, rows = read_table(tmp_path / "f12.csv")
+    assert names == ["cos_theta", "phi", "f1", "f2"]
+    q = amp.quad.nodes
+    columns = [q[:, 2], np.arctan2(q[:, 1], q[:, 0]), amp.f1, amp.f2]
+    for row, values in zip(rows, zip(*columns), strict=True):
+        assert [float(cell) for cell in row] == [float(v) for v in values]
+
+    result = trace(Sphere(1.0), grid=64)
+    trace_to_csv(result, tmp_path / "trace.csv")
+    names, (row,) = read_table(tmp_path / "trace.csv")
+    assert row[names.index("rays_total")] == str(result.rays_total)
+    assert row[names.index("rays_hit")] == str(result.rays_hit)
+    assert row[names.index("max_bounces")] == str(result.max_bounces_seen)
+
+    histogram_to_csv(result.histogram, tmp_path / "hist.csv")
+    names, rows = read_table(tmp_path / "hist.csv")
+    counts = [row[names.index("ray_count")] for row in rows]
+    assert all(re.fullmatch(r"\d+", cell) for cell in counts)
+    assert [int(cell) for cell in counts] == result.histogram.counts.ravel().tolist()
