@@ -27,13 +27,13 @@ for name, body in (("unit sphere", Sphere(1.0)),
                    ("ellipsoid (2,1,1)", Ellipsoid(2.0, 1.0, 1.0))):
     mesh = make_body(body, 4)
     densities = solve_expansion_densities(mesh)
-    fn = functionals(mesh, quad, densities)
+    amp = amplitude_expansion(densities, quad)
+    fn = functionals(densities, amp)
     thm = theorem1_check(fn)
     print(f"== {name} ==")
     for key, value in report_dict(fn, thm).items():
         print(f"  {key:22s} {value}")
 
-    amp = amplitude_expansion(mesh, quad, densities)
     print("  k-sweep inside the trust region (k * diameter <= 0.5):")
     for k_diam in (0.02, 0.1, 0.25, 0.5):
         k = k_diam / mesh.diameter

@@ -30,8 +30,7 @@ _EXPORTS = {
     ),
     "potential": (
         "SingleLayerOperator", "SolverError", "SurfaceDensity",
-        "assemble_single_layer", "capacity", "mu0", "mu1_parts", "mu2",
-        "solve_density",
+        "assemble_single_layer", "capacity", "mu0", "solve_density",
     ),
     "lowfreq": (
         "AmplitudeExpansion", "LowFreqFunctionals", "SphereQuadrature",

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._table import write_csv
 from .geometry import CappedCylinder, Ellipsoid, Sphere, TriMesh
-from .sphere_oracle import cross_sections, phase_shifts
+from .sphere_oracle import fig1_sweep
 
 __all__ = [
     "TrappingError",
@@ -99,31 +99,24 @@ class RayTraceResult:
     histogram: FclHistogram
 
 
-def _body_bounds(body):
-    """((xmin, xmax), (ymin, ymax), zmin) of the body."""
+def _body_box(body):
+    """Bounds ``((xmin, xmax), (ymin, ymax), zmin)`` and length scale of the
+    body."""
     if isinstance(body, TriMesh):
         lo = body.vertices.min(axis=0)
         hi = body.vertices.max(axis=0)
-        return (lo[0], hi[0]), (lo[1], hi[1]), lo[2]
+        return ((lo[0], hi[0]), (lo[1], hi[1]), lo[2]), body.diameter
     if isinstance(body, Sphere):
         a = body.radius
-        return (-a, a), (-a, a), -a
+        return ((-a, a), (-a, a), -a), 2.0 * a
     if isinstance(body, Ellipsoid):
-        return (-body.a, body.a), (-body.b, body.b), -body.c
+        bounds = (-body.a, body.a), (-body.b, body.b), -body.c
+        return bounds, 2.0 * max(body.a, body.b, body.c)
     if isinstance(body, CappedCylinder):
         r = body.radius
-        return (-r, r), (-r, r), -body.height / 2.0
+        bounds = (-r, r), (-r, r), -body.height / 2.0
+        return bounds, float(np.hypot(2.0 * r, body.height))
     raise TypeError(f"cannot trace body of type {type(body).__name__}")
-
-
-def _body_scale(body) -> float:
-    if isinstance(body, TriMesh):
-        return body.diameter
-    if isinstance(body, Sphere):
-        return 2.0 * body.radius
-    if isinstance(body, Ellipsoid):
-        return 2.0 * max(body.a, body.b, body.c)
-    return float(np.hypot(2.0 * body.radius, body.height))
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +188,7 @@ def _cylinder_hit(body: CappedCylinder, origins, dirs, t_min):
             ok = quadratic & (disc >= 0.0) & (np.abs(z) <= half)
             pts_x = origins[:, 0] + candidate * dirs[:, 0]
             pts_y = origins[:, 1] + candidate * dirs[:, 1]
-            better = ok & (candidate > t_min) & (candidate < t)
-            t[better] = candidate[better]
-            normal[better, 0] = pts_x[better] / r
-            normal[better, 1] = pts_y[better] / r
-            normal[better, 2] = 0.0
+            consider(candidate, ok, pts_x / r, pts_y / r, 0.0)
     # caps
     moving_z = dirs[:, 2] != 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -313,10 +302,9 @@ def trace(
     """
     if grid < 64:
         raise ValueError("grid must be >= 64")
-    (x0, x1), (y0, y1), z_low = _body_bounds(body)
+    ((x0, x1), (y0, y1), z_low), scale = _body_box(body)
     if not (x1 > x0 and y1 > y0):
         raise ValueError("body has an empty shadow bounding box")
-    scale = _body_scale(body)
     t_min = 1e-9 * scale
     cell = ((x1 - x0) / grid) * ((y1 - y0) / grid)
     z_start = z_low - 0.5 * scale
@@ -445,11 +433,8 @@ def theorem2_check(radius: float, ka_values, grid: int = 1024) -> Theorem2Report
     if np.any(np.diff(ka_values) <= 0):
         raise ValueError("ka grid must be strictly ascending")
     classical = trace(Sphere(radius), grid)
-    sigma = np.empty(len(ka_values))
-    sigma_t = np.empty(len(ka_values))
-    for i, ka in enumerate(ka_values):
-        xs = cross_sections(phase_shifts(radius, ka / radius))
-        sigma[i], sigma_t[i] = xs.sigma, xs.sigma_t
+    rows = fig1_sweep(ka_values / radius, radius)
+    sigma, sigma_t = rows["sigma"], rows["sigma_T"]
     sigma_ratio = sigma / (2.0 * classical.sigma_cl)
     sigma_t_ratio = sigma_t / classical.r_cl
     decile = max(1, len(ka_values) // 10)

@@ -150,10 +150,8 @@ def _write_json(path, payload) -> None:
 
 
 def _sibling(path: str, suffix: str) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return path + suffix
-    return f"{stem}{suffix}.{ext}" if ext != "json" else f"{stem}{suffix}.csv"
+    stem, ext = os.path.splitext(path)
+    return stem + suffix + (".csv" if ext == ".json" else ext)
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +172,19 @@ def _cmd_lowfreq(args) -> int:
     from . import lowfreq
     from ._table import write_csv
 
-    # config errors and the trust region are checked before any file is written
-    k_values = None
-    if args.k_min is not None:
-        if args.k_max is None:
-            raise ConfigError("--k-max is required when --k-min is given")
-        k_values = _k_grid(args)
+    # config errors and the trust region are checked before the operator is
+    # assembled, and the sigma rows are computed before any file is written
+    if (args.k_min is None) != (args.k_max is None):
+        raise ConfigError("--k-min and --k-max must be given together")
+    k_values = None if args.k_min is None else _k_grid(args)
     mesh = _resolve_mesh(args)
+    if k_values is not None:
+        lowfreq.check_trust_region(float(k_values.max()), mesh.diameter)
     quad = lowfreq.make_quadrature(args.quad_theta, args.quad_phi)
     densities = lowfreq.solve_expansion_densities(mesh)
-    fn = lowfreq.functionals(mesh, quad, densities)
+    amp = lowfreq.amplitude_expansion(densities, quad)
+    fn = lowfreq.functionals(densities, amp)
     thm = lowfreq.theorem1_check(fn)
-    amp = lowfreq.amplitude_expansion(mesh, quad, densities)
     if k_values is not None:
         sigma, sigma_t = zip(*[lowfreq.cross_sections_lowfreq(amp, k)
                                for k in k_values.tolist()])
@@ -240,8 +239,9 @@ def _cmd_compare(args) -> int:
     body = _parse_body(args.body)
     if not isinstance(body, Sphere):
         raise ConfigError("--body: compare needs a sphere body")
-    mesh = _resolve_mesh(args)
-    fn = lowfreq.functionals(mesh)
+    densities = lowfreq.solve_expansion_densities(_resolve_mesh(args))
+    amp = lowfreq.amplitude_expansion(densities, lowfreq.make_quadrature())
+    fn = lowfreq.functionals(densities, amp)
     oracle = sphere_oracle.low_k_extrapolate(body.radius)
     ka_grid = np.array([50.0, 100.0, 200.0])
     highk = classical.theorem2_check(body.radius, ka_grid, grid=args.grid)

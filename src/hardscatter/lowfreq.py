@@ -32,13 +32,13 @@ from .potential import (
     SingleLayerOperator,
     SurfaceDensity,
     assemble_single_layer,
-    mu0,
-    mu1_parts,
-    mu2,
+    distance_moment,
+    solve_density,
 )
 
 __all__ = [
     "TrustRegionError",
+    "check_trust_region",
     "SphereQuadrature",
     "make_quadrature",
     "ExpansionDensities",
@@ -64,6 +64,18 @@ INEQUALITY_SLACK = 1e-3
 
 class TrustRegionError(ValueError):
     """k * diameter outside the validated range of the expansion."""
+
+
+def check_trust_region(k: float, diameter: float) -> None:
+    """Raise unless the truncated expansion is trusted at wavenumber ``k``
+    on a body of this diameter (``0 <= k * diameter <= TRUST_LIMIT``)."""
+    if k < 0:
+        raise ValueError("wavenumber must be >= 0")
+    if k * diameter > TRUST_LIMIT:
+        raise TrustRegionError(
+            f"k*diameter = {k * diameter:.3g} exceeds {TRUST_LIMIT}; "
+            "the truncated expansion is not trusted there"
+        )
 
 
 @dataclass(frozen=True)
@@ -119,13 +131,23 @@ class ExpansionDensities:
 
 
 def solve_expansion_densities(mesh: TriMesh) -> ExpansionDensities:
-    """Assemble the operator once and solve mu0, mu1s, mu1a, mu2 with it."""
+    """Assemble the operator once and solve the density hierarchy with it.
+
+    Boundary data: -1 for mu0, -z for the antisymmetric first-order part
+    mu1a, and ``-z^2/2 - integral(mu1) - (1/2) integral(mu0 |p-r|)`` for
+    mu2, the last term collocated with :func:`distance_moment`.  The
+    symmetric first-order part is ``mu1s = -capacity * mu0`` pointwise, so
+    that mu1 = mu1s + mu1a carries the combined data ``-z + capacity``.
+    """
     operator = assemble_single_layer(mesh)
-    density0 = mu0(mesh, operator)
+    z = mesh.centroids[:, 2]
+    density0 = solve_density(operator, -np.ones(operator.n))
     cap = -density0.integral()
-    mu1s, mu1a = mu1_parts(operator, cap, density0)
+    mu1a = solve_density(operator, -z)
+    mu1s = SurfaceDensity(-cap * density0.values, mesh)
     combined = SurfaceDensity(mu1s.values + mu1a.values, mesh)
-    density2 = mu2(operator, density0, combined)
+    data2 = -0.5 * z**2 - combined.integral() - 0.5 * distance_moment(mesh, density0)
+    density2 = solve_density(operator, data2)
     return ExpansionDensities(mesh, operator, density0, mu1s, mu1a, density2, cap)
 
 
@@ -154,20 +176,17 @@ class LowFreqFunctionals:
 
 
 def functionals(
-    mesh: TriMesh,
-    quad: SphereQuadrature | None = None,
-    densities: ExpansionDensities | None = None,
+    densities: ExpansionDensities, amp: AmplitudeExpansion
 ) -> LowFreqFunctionals:
-    """Compute capacity, moments, volume, exterior energy and d2."""
-    densities = densities or solve_expansion_densities(mesh)
-    quad = quad or make_quadrature()
+    """Compute capacity, moments, volume, exterior energy and d2; ``amp`` is
+    the amplitude expansion of the same densities."""
+    mesh = densities.mesh
     z = mesh.centroids[:, 2]
     cap = densities.capacity
     k_moment = densities.mu0.moment(z)
     z1_moment = densities.mu1a.moment(z)
     volume = mesh_volume(mesh)
     energy = -4.0 * np.pi * z1_moment - volume
-    amp = amplitude_expansion(mesh, quad, densities)
     d2 = d2_direct(amp)
     base = cap * z1_moment + k_moment**2
     return LowFreqFunctionals(
@@ -198,9 +217,7 @@ class AmplitudeExpansion:
 
 
 def amplitude_expansion(
-    mesh: TriMesh,
-    quad: SphereQuadrature | None = None,
-    densities: ExpansionDensities | None = None,
+    densities: ExpansionDensities, quad: SphereQuadrature
 ) -> AmplitudeExpansion:
     """Evaluate f0, f1(q), f2(q) at every quadrature node.
 
@@ -208,8 +225,7 @@ def amplitude_expansion(
     against 1, p, and p p^T, so the node evaluation is a couple of small
     matrix products.
     """
-    densities = densities or solve_expansion_densities(mesh)
-    quad = quad or make_quadrature()
+    mesh = densities.mesh
     cent = mesh.centroids
     areas = mesh.areas
     w0 = densities.mu0.values * areas
@@ -237,13 +253,7 @@ def cross_sections_lowfreq(amp: AmplitudeExpansion, k: float) -> tuple[float, fl
     :class:`TrustRegionError` is raised so callers fall back to an exact
     solution or refuse.
     """
-    if k < 0:
-        raise ValueError("wavenumber must be >= 0")
-    if k * amp.mesh.diameter > TRUST_LIMIT:
-        raise TrustRegionError(
-            f"k*diameter = {k * amp.mesh.diameter:.3g} exceeds {TRUST_LIMIT}; "
-            "the truncated expansion is not trusted there"
-        )
+    check_trust_region(k, amp.mesh.diameter)
     intensity = amp.f0**2 + k**2 * (amp.f1**2 - 2.0 * amp.f0 * amp.f2)
     sigma = amp.quad.integrate(intensity)
     sigma_t = amp.quad.integrate((1.0 - amp.quad.cos_theta) * intensity)

@@ -1,5 +1,5 @@
-"""Single-layer potential on a triangulated surface and the hierarchy of
-layer densities that drives the small-wavenumber expansion.
+"""Single-layer potential on a triangulated surface: the dense operator,
+the density solve, the distance moment and the capacity.
 
 The operator maps a piecewise-constant surface density mu to the boundary
 values of ``integral mu(p) / |p - r| dsigma(p)`` collocated at triangle
@@ -7,12 +7,9 @@ centroids.  In this representation the normal-derivative jump of the
 potential across the surface is ``4 pi mu``; every formula downstream uses
 that convention.
 
-Densities solved here:
-
-* ``mu0``     : boundary data -1; its weighted sum gives the capacity.
-* ``mu1a``    : boundary data -z (the antisymmetric first-order piece).
-* ``mu1s``    : -capacity * mu0 (the symmetric first-order piece).
-* ``mu2``     : boundary data -z^2/2 - integral(mu1) - (1/2) integral(mu0 |p-r|).
+``mu0`` (boundary data -1) gives the capacity.  The boundary data of the
+higher densities of the small-wavenumber expansion live with that
+expansion, in :func:`hardscatter.lowfreq.solve_expansion_densities`.
 """
 
 from __future__ import annotations
@@ -35,8 +32,6 @@ __all__ = [
     "solve_density",
     "mu0",
     "capacity",
-    "mu1_parts",
-    "mu2",
     "distance_moment",
 ]
 
@@ -223,36 +218,17 @@ def solve_density(operator: SingleLayerOperator, data: np.ndarray) -> SurfaceDen
     return SurfaceDensity(x, operator.mesh)
 
 
-def mu0(mesh: TriMesh, operator: SingleLayerOperator | None = None) -> SurfaceDensity:
+def mu0(mesh: TriMesh) -> SurfaceDensity:
     """Density with unit negative boundary potential (data -1)."""
-    operator = operator or assemble_single_layer(mesh)
-    return solve_density(operator, -np.ones(operator.n))
+    return solve_density(assemble_single_layer(mesh), -np.ones(mesh.n_triangles))
 
 
-def capacity(mesh: TriMesh, operator: SingleLayerOperator | None = None) -> float:
+def capacity(mesh: TriMesh) -> float:
     """Electrostatic capacity; a sphere of radius a gives a."""
-    density = mu0(mesh, operator)
-    value = -density.integral()
+    value = -mu0(mesh).integral()
     if value <= 0:
         raise SolverError(f"non-positive capacity {value:g}")
     return value
-
-
-def mu1_parts(
-    operator: SingleLayerOperator,
-    capacity_value: float,
-    mu0_density: SurfaceDensity,
-) -> tuple[SurfaceDensity, SurfaceDensity]:
-    """First-order densities (symmetric part, antisymmetric part).
-
-    The antisymmetric part solves the layer equation with data -z; the
-    symmetric part is ``-capacity * mu0`` pointwise, so that their sum
-    carries the combined first-order data ``-z + capacity``.
-    """
-    mesh = operator.mesh
-    mu1a = solve_density(operator, -mesh.centroids[:, 2])
-    mu1s = SurfaceDensity(-capacity_value * mu0_density.values, mesh)
-    return mu1s, mu1a
 
 
 def distance_moment(mesh: TriMesh, density: SurfaceDensity) -> np.ndarray:
@@ -270,19 +246,3 @@ def distance_moment(mesh: TriMesh, density: SurfaceDensity) -> np.ndarray:
     one_point = np.linalg.norm(cent[jj] - cent[ii], axis=1)
     np.add.at(out, ii, (acc / 3.0 - one_point) * weighted[jj])
     return out
-
-
-def mu2(
-    operator: SingleLayerOperator,
-    mu0_density: SurfaceDensity,
-    mu1_density: SurfaceDensity,
-) -> SurfaceDensity:
-    """Second-order density.
-
-    Boundary data: ``-z^2/2 - integral(mu1) - (1/2) integral(mu0 |p-r|)``,
-    the last term collocated with :func:`distance_moment`.
-    """
-    mesh = operator.mesh
-    z = mesh.centroids[:, 2]
-    data = -0.5 * z**2 - mu1_density.integral() - 0.5 * distance_moment(mesh, mu0_density)
-    return solve_density(operator, data)

@@ -208,11 +208,10 @@ def low_k_extrapolate(radius: float) -> LowKExtrapolation:
     """
     kas = np.array([0.02, 0.01, 0.005])
     ks = kas / radius
-    sigma = np.empty(3)
-    sigma_t = np.empty(3)
-    for i, k in enumerate(ks):
-        xs = cross_sections(phase_shifts(radius, k))
-        sigma[i], sigma_t[i] = xs.sigma, xs.sigma_t
+    # the sweep wants an ascending grid; the fit keeps the descending order
+    rows = fig1_sweep(ks[::-1], radius)
+    sigma = rows["sigma"][::-1]
+    sigma_t = rows["sigma_T"][::-1]
     vander = np.vander(ks**2, 3, increasing=True)
     cap = np.linalg.solve(vander, np.sqrt(sigma / (4.0 * np.pi)))[0]
     gap = np.linalg.solve(vander, (sigma - sigma_t) / ks**2)[0]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cli_env import cli_env
+from hardscatter import lowfreq
 from hardscatter.cli import main
 from hardscatter.geometry import Sphere, make_body, save_mesh
 
@@ -45,11 +46,20 @@ def test_capacity_from_mesh_file(tmp_path):
     assert json.loads(out.read_text())["capacity"] == pytest.approx(1.0, rel=0.02)
 
 
-def test_lowfreq_subcommand(tmp_path):
+def test_lowfreq_subcommand(tmp_path, monkeypatch):
+    original = lowfreq.amplitude_expansion
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lowfreq, "amplitude_expansion", counted)
     out = tmp_path / "report.json"
     code = main(["lowfreq", "--body", "sphere:1", "--level", "3",
                  "--out", str(out)])
     assert code == 0
+    assert len(calls) == 1
     payload = json.loads(out.read_text())
     expected_keys = {
         "meta", "capacity", "K", "Z1", "volume", "M", "d2_direct",
@@ -64,12 +74,14 @@ def test_lowfreq_subcommand(tmp_path):
 
 
 def test_lowfreq_sigma_table(tmp_path):
-    out = tmp_path / "report.json"
+    # a dot in the directory name must not split the sibling file names
+    run = tmp_path / "run.v2"
+    run.mkdir()
     code = main(["lowfreq", "--body", "sphere:1", "--level", "2",
                  "--k-min", "0.01", "--k-max", "0.2", "--samples", "5",
-                 "--out", str(out)])
+                 "--out", str(run / "report")])
     assert code == 0
-    rows = (tmp_path / "report_sigma.csv").read_text().splitlines()
+    rows = (run / "report_sigma").read_text().splitlines()
     assert rows[3] == "k,sigma,sigma_T"
     k, sigma, sigma_t = (float(v) for v in rows[4].split(","))
     assert k == 0.01
@@ -104,7 +116,9 @@ def test_fig1_subcommand(tmp_path):
 
 
 def test_raytrace_subcommand(tmp_path):
-    out = tmp_path / "rays.csv"
+    run = tmp_path / "run.v2"
+    run.mkdir()
+    out = run / "rays"
     code = main(["raytrace", "--body", "sphere:1", "--grid", "256",
                  "--out", str(out)])
     assert code == 0
@@ -112,7 +126,7 @@ def test_raytrace_subcommand(tmp_path):
                  if ln and not ln.startswith(("#", "sigma_cl"))][0]
     sigma_cl = float(data_line.split(",")[0])
     assert sigma_cl == pytest.approx(np.pi, rel=0.01)
-    assert (tmp_path / "rays_histogram.csv").exists()
+    assert (run / "rays_histogram").exists()
 
 
 def test_cylinder_reports_non_smooth_note(tmp_path):
@@ -151,10 +165,11 @@ def test_config_errors(tmp_path):
     assert main(["raytrace", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["compare", "--body", "ellipsoid:2,1,1",
                  "--out", str(tmp_path / "x.json")]) == 2
-    lowfreq = ["lowfreq", "--body", "sphere:1", "--level", "1",
-               "--out", str(tmp_path / "r.json"), "--k-min", "0.1"]
-    assert main(lowfreq) == 2
-    assert main(lowfreq + ["--k-max", "0.2", "--samples", "1"]) == 2
+    job = ["lowfreq", "--body", "sphere:1", "--level", "1",
+           "--out", str(tmp_path / "r.json")]
+    assert main(job + ["--k-min", "0.1"]) == 2
+    assert main(job + ["--k-max", "0.2"]) == 2
+    assert main(job + ["--k-min", "0.1", "--k-max", "0.2", "--samples", "1"]) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -164,7 +179,11 @@ def test_mesh_error_exit_code(tmp_path):
     assert main(["capacity", "--mesh", str(bad)]) == 3
 
 
-def test_trust_region_exit_code(tmp_path):
+def test_trust_region_exit_code(tmp_path, monkeypatch):
+    def no_assembly(mesh):
+        raise AssertionError("operator assembled past the trust region")
+
+    monkeypatch.setattr(lowfreq, "assemble_single_layer", no_assembly)
     code = main(["lowfreq", "--body", "sphere:1", "--level", "2",
                  "--k-min", "0.05", "--k-max", "2.0", "--samples", "4",
                  "--out", str(tmp_path / "r.json")])

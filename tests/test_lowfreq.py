@@ -13,6 +13,7 @@ from hardscatter.lowfreq import (
     functionals,
     make_quadrature,
     report_dict,
+    solve_expansion_densities,
     theorem1_check,
 )
 
@@ -25,18 +26,18 @@ def quad():
 
 
 @pytest.fixture(scope="module")
-def sphere4_functionals(sphere4, sphere4_densities, quad):
-    return functionals(sphere4, quad, sphere4_densities)
+def sphere4_functionals(sphere4_densities, sphere4_amplitude):
+    return functionals(sphere4_densities, sphere4_amplitude)
 
 
 @pytest.fixture(scope="module")
-def ellipsoid4_functionals(ellipsoid4, ellipsoid4_densities, quad):
-    return functionals(ellipsoid4, quad, ellipsoid4_densities)
+def ellipsoid4_functionals(ellipsoid4_densities, quad):
+    return functionals(ellipsoid4_densities, amplitude_expansion(ellipsoid4_densities, quad))
 
 
 @pytest.fixture(scope="module")
-def sphere4_amplitude(sphere4, sphere4_densities, quad):
-    return amplitude_expansion(sphere4, quad, sphere4_densities)
+def sphere4_amplitude(sphere4_densities, quad):
+    return amplitude_expansion(sphere4_densities, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,8 @@ def test_d2_positive(
     assert sphere4_functionals.d2 > 0
     assert ellipsoid4_functionals.d2 > 0
     for densities in (cube3_densities, cylinder3_densities):
-        assert functionals(densities.mesh, densities=densities).d2 > 0
+        amp = amplitude_expansion(densities, make_quadrature())
+        assert functionals(densities, amp).d2 > 0
 
 
 def test_d2_formula_matches_direct(sphere4_functionals, ellipsoid4_functionals):
@@ -220,8 +222,10 @@ def test_d2_formula_k_zero_body(sphere4_functionals):
 
 def test_d2_invariant_under_reflection(sphere3):
     quad = make_quadrature(32, 64)
-    direct = d2_direct(amplitude_expansion(sphere3, quad))
-    mirrored = d2_direct(amplitude_expansion(reflect(sphere3), quad))
+    direct = d2_direct(amplitude_expansion(solve_expansion_densities(sphere3), quad))
+    mirrored = d2_direct(
+        amplitude_expansion(solve_expansion_densities(reflect(sphere3)), quad)
+    )
     assert mirrored == pytest.approx(direct, rel=1e-6)
 
 
@@ -230,8 +234,10 @@ def test_d2_invariant_under_reflection(sphere3):
 def test_d2_scaling(factor):
     mesh = make_body(Sphere(1.0), 2)
     quad = make_quadrature(16, 32)
-    base = d2_direct(amplitude_expansion(mesh, quad))
-    scaled = d2_direct(amplitude_expansion(scale_mesh(mesh, factor), quad))
+    base = d2_direct(amplitude_expansion(solve_expansion_densities(mesh), quad))
+    scaled = d2_direct(
+        amplitude_expansion(solve_expansion_densities(scale_mesh(mesh, factor)), quad)
+    )
     assert scaled == pytest.approx(factor**4 * base, rel=1e-6)
 
 

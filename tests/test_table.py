@@ -14,8 +14,7 @@ def read_table(path):
 
 
 def test_csv_floats_round_trip_and_counts_print_as_integers(tmp_path, sphere4_densities):
-    amp = amplitude_expansion(sphere4_densities.mesh, make_quadrature(8, 16),
-                              sphere4_densities)
+    amp = amplitude_expansion(sphere4_densities, make_quadrature(8, 16))
     amplitude_to_csv(amp, tmp_path / "f12.csv", header_lines=["demo"])
     names, rows = read_table(tmp_path / "f12.csv")
     assert names == ["cos_theta", "phi", "f1", "f2"]
