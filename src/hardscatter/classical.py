@@ -41,7 +41,13 @@ DEFAULT_BOUNCE_CAP = 64
 DEFAULT_BINS = (64, 64)
 
 _RAY_CHUNK = 1_000_000       # rays processed per block (analytic bodies)
-_PAIR_BUDGET = 1_500_000     # ray*triangle pairs per block (meshes)
+# Meshes: ray*triangle pairs per block of the bounding-sphere cull (a block
+# of rays against every triangle) and per Moller-Trumbore batch of the pairs
+# it keeps, so that a block's arrays stay in cache.  A cull block has at
+# least _MIN_BLOCK_RAYS rays, so that a large mesh does not loop over blocks
+# of a few rays.
+_PAIR_BUDGET = 65_536
+_MIN_BLOCK_RAYS = 8
 
 
 class TrappingError(RuntimeError):
@@ -202,7 +208,18 @@ def _cylinder_hit(body: CappedCylinder, origins, dirs, t_min):
 
 
 def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True):
-    """Closest intersection against every triangle (blocked Moller-Trumbore).
+    """Closest intersection of each ray with the mesh: a bounding-sphere
+    cull, then Moller-Trumbore on the ray/triangle pairs that survive it.
+
+    Each triangle has a bounding sphere (centre = centroid, radius =
+    farthest corner, padded by a relative 1e-6 plus 1e-9 * diameter).  A
+    pair survives when the ray, the half-line from its origin, meets that
+    sphere; per block of rays the test comes from two small matrix products
+    over all triangles, in coordinates centred on the mesh.  The pad dwarfs
+    the rounding of those products and the 1e-12 barycentric slack, so the
+    cull drops no pair that Moller-Trumbore would accept, and the hits equal
+    those of a test of every pair bit for bit.  Each ray takes its smallest
+    t, the lowest triangle index on ties.
 
     Hits landing numerically on an edge are retraced once from an origin
     nudged by 1e-9 * diameter, the documented deterministic tie-break.
@@ -211,7 +228,6 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True):
     e1 = p1 - p0
     e2 = p2 - p0
     n_tri = mesh.n_triangles
-    chunk = max(1, _PAIR_BUDGET // n_tri)
     n = len(origins)
     t_best = np.full(n, np.inf)
     tri_best = np.zeros(n, dtype=np.int64)
@@ -219,19 +235,52 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True):
     v_best = np.zeros(n)
     bary_eps = 1e-12
 
-    for s0 in range(0, n, chunk):
-        s1 = min(s0 + chunk, n)
-        o = origins[s0:s1]
-        d = dirs[s0:s1]
-        h = np.cross(d[:, None, :], e2[None, :, :])
-        det = np.einsum("ij,rij->ri", e1, h)
+    # bounding spheres and rays in coordinates centred on the mesh, so the
+    # expanded |o|^2 - 2 o.c + |c|^2 does not cancel far from the origin
+    center = mesh.vertices.mean(axis=0)
+    corners = np.stack([p0, p1, p2]) - center
+    c = corners.mean(axis=0)
+    radius = np.sqrt(np.max(np.sum((corners - c) ** 2, axis=2), axis=0))
+    radius = radius * (1.0 + 1e-6) + 1e-9 * mesh.diameter
+    oc = origins - center
+    d_hat = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    # with w = c - o: [d_hat, -o.d_hat] . [c, 1] = w.d_hat and
+    # [o, 1, |o|^2] . [-2c, |c|^2 - r^2, 1] = |w|^2 - r^2
+    ray_along = np.column_stack([d_hat, -np.einsum("ij,ij->i", oc, d_hat)])
+    tri_along = np.vstack([c.T, np.ones(n_tri)])
+    ray_gap = np.column_stack([oc, np.ones(n), np.einsum("ij,ij->i", oc, oc)])
+    tri_gap = np.vstack(
+        [-2.0 * c.T, np.einsum("ij,ij->i", c, c) - radius**2, np.ones(n_tri)]
+    )
+
+    # candidate pairs as flat indices ray * n_tri + tri, in ascending order
+    block = max(_MIN_BLOCK_RAYS, _PAIR_BUDGET // n_tri)
+    pairs = [np.empty(0, dtype=np.int64)]
+    for s0 in range(0, n, block):
+        along = ray_along[s0:s0 + block] @ tri_along
+        gap = ray_gap[s0:s0 + block] @ tri_gap
+        # the ray meets the sphere: min over s >= 0 of |w - s d_hat|^2,
+        # which is |w|^2 - max(w.d_hat, 0)^2, is at most r^2
+        np.maximum(along, 0.0, out=along)
+        keep = gap <= np.square(along, out=along)
+        pairs.append(np.flatnonzero(keep) + s0 * n_tri)
+    pairs = np.concatenate(pairs)
+
+    for c0 in range(0, len(pairs), _PAIR_BUDGET):
+        ray, tri = np.divmod(pairs[c0:c0 + _PAIR_BUDGET], n_tri)
+        o = origins[ray]
+        d = dirs[ray]
+        e1_p = e1[tri]
+        e2_p = e2[tri]
+        h = np.cross(d, e2_p)
+        det = np.einsum("ij,ij->i", e1_p, h)
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / det
-            s = o[:, None, :] - p0[None, :, :]
-            u = inv * np.einsum("rij,rij->ri", s, h)
-            q = np.cross(s, e1[None, :, :])
-            v = inv * np.einsum("rj,rij->ri", d, q)
-            t = inv * np.einsum("ij,rij->ri", e2, q)
+            s = o - p0[tri]
+            u = inv * np.einsum("ij,ij->i", s, h)
+            q = np.cross(s, e1_p)
+            v = inv * np.einsum("ij,ij->i", d, q)
+            t = inv * np.einsum("ij,ij->i", e2_p, q)
             valid = (
                 (np.abs(det) > 1e-300)
                 & (u >= -bary_eps)
@@ -239,13 +288,18 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True):
                 & (u + v <= 1.0 + bary_eps)
                 & (t > t_min)
             )
-        t = np.where(valid, t, np.inf)
-        idx = np.argmin(t, axis=1)
-        rows = np.arange(s1 - s0)
-        t_best[s0:s1] = t[rows, idx]
-        tri_best[s0:s1] = idx
-        u_best[s0:s1] = u[rows, idx]
-        v_best[s0:s1] = v[rows, idx]
+        ray, tri, t, u, v = ray[valid], tri[valid], t[valid], u[valid], v[valid]
+        # each ray's smallest t, lowest triangle on ties; a ray's pairs may
+        # straddle batches, and a later batch holds higher triangles, so it
+        # wins only with a strictly smaller t
+        order = np.lexsort((tri, t, ray))
+        first = order[np.diff(ray[order], prepend=-1) != 0]
+        first = first[t[first] < t_best[ray[first]]]
+        hit_rays = ray[first]
+        t_best[hit_rays] = t[first]
+        tri_best[hit_rays] = tri[first]
+        u_best[hit_rays] = u[first]
+        v_best[hit_rays] = v[first]
 
     hit = np.isfinite(t_best)
     normal = np.zeros_like(origins)

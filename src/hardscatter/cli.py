@@ -98,6 +98,15 @@ def _k_grid(args):
     return np.linspace(args.k_min, args.k_max, args.samples)
 
 
+def _check_at_least(args, minimums) -> None:
+    """Config error for a numeric option below its minimum, raised before
+    any mesh is built or solve is run."""
+    for name, low in minimums.items():
+        if getattr(args, name) < low:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} must be >= {low}")
+
+
 def _config_echo(args) -> str:
     skip = {"func", "threads"}
     parts = [args.command]
@@ -177,6 +186,7 @@ def _cmd_lowfreq(args) -> int:
     if (args.k_min is None) != (args.k_max is None):
         raise ConfigError("--k-min and --k-max must be given together")
     k_values = None if args.k_min is None else _k_grid(args)
+    _check_at_least(args, {"quad_theta": 2, "quad_phi": 4})
     mesh = _resolve_mesh(args)
     if k_values is not None:
         lowfreq.check_trust_region(float(k_values.max()), mesh.diameter)
@@ -219,6 +229,7 @@ def _cmd_raytrace(args) -> int:
 
     if bool(args.body) == bool(args.mesh):
         raise ConfigError("exactly one of --body and --mesh is required")
+    _check_at_least(args, {"grid": 64})
     # analytic bodies trace against their exact surfaces
     body = _resolve_mesh(args) if args.mesh else _parse_body(args.body)
     result = classical.trace(body, grid=args.grid)
@@ -239,6 +250,7 @@ def _cmd_compare(args) -> int:
     body = _parse_body(args.body)
     if not isinstance(body, Sphere):
         raise ConfigError("--body: compare needs a sphere body")
+    _check_at_least(args, {"grid": 64})
     densities = lowfreq.solve_expansion_densities(_resolve_mesh(args))
     amp = lowfreq.amplitude_expansion(densities, lowfreq.make_quadrature())
     fn = lowfreq.functionals(densities, amp)

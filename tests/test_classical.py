@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from hardscatter import classical
 from hardscatter.classical import (
     TrappingError,
     fcl_histogram,
@@ -51,6 +56,89 @@ def groove_prism() -> TriMesh:
         faces.append([a, b, c])
         faces.append([a + n, c + n, b + n])
     return TriMesh.from_arrays(np.array(verts, dtype=float), np.array(faces))
+
+
+def diagonal_cube() -> TriMesh:
+    """Unit cube whose faces are split along a diagonal, so whole lattice
+    lines of +z rays land exactly on a shared edge."""
+    verts = np.array(
+        [
+            [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+            [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1],
+        ],
+        dtype=float,
+    )
+    tris = np.array(
+        [
+            [0, 2, 1], [0, 3, 2], [4, 5, 6], [4, 6, 7],
+            [0, 1, 5], [0, 5, 4], [2, 3, 7], [2, 7, 6],
+            [0, 4, 7], [0, 7, 3], [1, 2, 6], [1, 6, 5],
+        ]
+    )
+    return TriMesh.from_arrays(verts, tris)
+
+
+def brute_force_mesh_hit(mesh, origins, dirs, t_min, _retrace=True):
+    """Reference first hit: Moller-Trumbore over every ray x triangle pair,
+    as the tracer ran it before its bounding-sphere cull."""
+    p0, p1, p2 = mesh.corners()
+    e1 = p1 - p0
+    e2 = p2 - p0
+    n_tri = mesh.n_triangles
+    chunk = max(1, 1_500_000 // n_tri)
+    n = len(origins)
+    t_best = np.full(n, np.inf)
+    tri_best = np.zeros(n, dtype=np.int64)
+    u_best = np.zeros(n)
+    v_best = np.zeros(n)
+    bary_eps = 1e-12
+
+    for s0 in range(0, n, chunk):
+        s1 = min(s0 + chunk, n)
+        o = origins[s0:s1]
+        d = dirs[s0:s1]
+        h = np.cross(d[:, None, :], e2[None, :, :])
+        det = np.einsum("ij,rij->ri", e1, h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / det
+            s = o[:, None, :] - p0[None, :, :]
+            u = inv * np.einsum("rij,rij->ri", s, h)
+            q = np.cross(s, e1[None, :, :])
+            v = inv * np.einsum("rj,rij->ri", d, q)
+            t = inv * np.einsum("ij,rij->ri", e2, q)
+            valid = (
+                (np.abs(det) > 1e-300)
+                & (u >= -bary_eps)
+                & (v >= -bary_eps)
+                & (u + v <= 1.0 + bary_eps)
+                & (t > t_min)
+            )
+        t = np.where(valid, t, np.inf)
+        idx = np.argmin(t, axis=1)
+        rows = np.arange(s1 - s0)
+        t_best[s0:s1] = t[rows, idx]
+        tri_best[s0:s1] = idx
+        u_best[s0:s1] = u[rows, idx]
+        v_best[s0:s1] = v[rows, idx]
+
+    hit = np.isfinite(t_best)
+    normal = np.zeros_like(origins)
+    normal[hit] = mesh.normals[tri_best[hit]]
+    if _retrace:
+        w_best = 1.0 - u_best - v_best
+        on_edge = hit & (
+            (np.abs(u_best) < bary_eps)
+            | (np.abs(v_best) < bary_eps)
+            | (np.abs(w_best) < bary_eps)
+        )
+        if np.any(on_edge):
+            nudge = 1e-9 * mesh.diameter * np.array([0.75487767, 0.65595059, 0.0])
+            t_re, n_re = brute_force_mesh_hit(
+                mesh, origins[on_edge] + nudge, dirs[on_edge], t_min, _retrace=False
+            )
+            t_best[on_edge] = t_re
+            normal[on_edge] = n_re
+    return t_best, normal
 
 
 @pytest.fixture(scope="module")
@@ -151,22 +239,7 @@ def test_mesh_sphere_single_bounce():
 def test_exact_edge_hits_are_retraced():
     # a diagonally split cube face puts a whole lattice line of rays exactly
     # on the shared edge; the deterministic nudge must keep them all
-    verts = np.array(
-        [
-            [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
-            [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1],
-        ],
-        dtype=float,
-    )
-    tris = np.array(
-        [
-            [0, 2, 1], [0, 3, 2], [4, 5, 6], [4, 6, 7],
-            [0, 1, 5], [0, 5, 4], [2, 3, 7], [2, 7, 6],
-            [0, 4, 7], [0, 7, 3], [1, 2, 6], [1, 6, 5],
-        ]
-    )
-    cube = TriMesh.from_arrays(verts, tris)
-    result = trace(cube, grid=128)
+    result = trace(diagonal_cube(), grid=128)
     assert result.rays_hit == 128 * 128  # nothing lost on the diagonal
     assert result.sigma_cl == pytest.approx(1.0, rel=1e-12)
     assert result.r_cl == pytest.approx(2.0, rel=1e-12)
@@ -182,6 +255,66 @@ def test_groove_two_bounces():
 def test_groove_trapping_error():
     with pytest.raises(TrappingError, match="entering"):
         trace(groove_prism(), grid=128, bounce_cap=1)
+
+
+_SPHERE3 = make_body(Sphere(1.0), 3)
+CULL_BODIES = {
+    "sphere3": _SPHERE3,
+    "groove": groove_prism(),
+    "pinwheel": pinwheel_cube(1),
+    "diagonal_cube": diagonal_cube(),
+    "sphere3_far": TriMesh.from_arrays(_SPHERE3.vertices + 1e4, _SPHERE3.triangles),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    body=st.sampled_from(sorted(CULL_BODIES)),
+    kind=st.sampled_from(["lattice", "reflected", "arbitrary"]),
+    grid=st.integers(64, 160),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cull_never_changes_a_hit(body, kind, grid, seed):
+    # the bounding-sphere cull must drop only pairs that Moller-Trumbore
+    # rejects: t and normals equal the brute-force ones bit for bit
+    mesh = CULL_BODIES[body]
+    rng = np.random.default_rng(seed)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    t_min = 1e-9 * mesh.diameter  # as trace sets it
+    if kind == "arbitrary":
+        origins = rng.uniform(lo - 0.5 * mesh.diameter, hi + 0.5 * mesh.diameter,
+                              (1500, 3))
+        dirs = rng.standard_normal((1500, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    else:
+        # cells of the trace lattice, half of them on its diagonal, where
+        # the diagonal cube's split edges lie
+        i = rng.integers(0, grid, 1500)
+        j = np.where(rng.random(1500) < 0.5, i, rng.integers(0, grid, 1500))
+        x = lo[0] + (i + 0.5) * (hi[0] - lo[0]) / grid
+        y = lo[1] + (j + 0.5) * (hi[1] - lo[1]) / grid
+        origins = np.stack([x, y, np.full(1500, lo[2] - 0.5 * mesh.diameter)], axis=1)
+        dirs = np.zeros((1500, 3))
+        dirs[:, 2] = 1.0
+        if kind == "reflected":
+            # the second bounce pass of a trace: specular reflections
+            # leaving the first hits
+            t, normal = brute_force_mesh_hit(mesh, origins, dirs, t_min)
+            hit = np.isfinite(t)
+            pts = origins[hit] + t[hit, None] * dirs[hit]
+            n_hat = normal[hit]
+            d = dirs[hit]
+            dirs = d - 2.0 * np.einsum("ij,ij->i", d, n_hat)[:, None] * n_hat
+            origins = pts + t_min * dirs
+    # without the edge retrace, ties in t show the lowest-triangle rule; a
+    # small pair budget makes a ray's candidate pairs straddle two batches
+    for retrace in (True, False):
+        t_ref, n_ref = brute_force_mesh_hit(mesh, origins, dirs, t_min, retrace)
+        for budget in (classical._PAIR_BUDGET, 997):
+            with mock.patch.object(classical, "_PAIR_BUDGET", budget):
+                t_new, n_new = classical._mesh_hit(mesh, origins, dirs, t_min, retrace)
+            assert np.array_equal(t_new, t_ref)
+            assert np.array_equal(n_new, n_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from cli_env import cli_env
 from hardscatter import lowfreq
 from hardscatter.cli import main
-from hardscatter.geometry import Sphere, make_body, save_mesh
+from hardscatter.geometry import Ellipsoid, Sphere, make_body, save_mesh
 
 
 def run_cli(*args, cwd=None):
@@ -165,11 +165,18 @@ def test_config_errors(tmp_path):
     assert main(["raytrace", "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["compare", "--body", "ellipsoid:2,1,1",
                  "--out", str(tmp_path / "x.json")]) == 2
+    # numeric options below their minimum, checked before any mesh is built
+    assert main(["raytrace", "--body", "sphere:1", "--grid", "10",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["compare", "--body", "sphere:1", "--grid", "10",
+                 "--out", str(tmp_path / "x.json")]) == 2
     job = ["lowfreq", "--body", "sphere:1", "--level", "1",
            "--out", str(tmp_path / "r.json")]
     assert main(job + ["--k-min", "0.1"]) == 2
     assert main(job + ["--k-max", "0.2"]) == 2
     assert main(job + ["--k-min", "0.1", "--k-max", "0.2", "--samples", "1"]) == 2
+    assert main(job + ["--quad-theta", "1"]) == 2
+    assert main(job + ["--quad-phi", "3"]) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -222,6 +229,26 @@ def test_thread_count_invariance(tmp_path):
     for key in ("capacity", "K", "Z1", "M", "d2_direct"):
         a, b = outputs[0][key], outputs[1][key]
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+def test_thread_count_invariance_mesh_trace(tmp_path):
+    # the mesh tracer's cull runs matrix products; BLAS threading may change
+    # their rounding but must not change a single hit
+    mesh_path = tmp_path / "ellipsoid.off"
+    save_mesh(make_body(Ellipsoid(1.2, 1.0, 0.8), 3), mesh_path)
+    outputs = []
+    for threads in (1, 2):
+        run = tmp_path / f"t{threads}"
+        run.mkdir()
+        # the same --out in both runs, so the config echo lines agree
+        result = run_cli(
+            "--threads", str(threads), "raytrace", "--mesh", str(mesh_path),
+            "--grid", "96", "--out", "rays.csv", cwd=run,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append([(run / name).read_bytes()
+                        for name in ("rays.csv", "rays_histogram.csv")])
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
