@@ -14,6 +14,7 @@ expansion, in :func:`hardscatter.lowfreq.solve_expansion_densities`.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -97,7 +98,8 @@ class SingleLayerOperator:
     def factorize(self):
         """LU-factorize once; raise SolverError for singular systems."""
         if self._lu is None:
-            anorm = float(np.abs(self.matrix).sum(axis=0).max())
+            # the 1-norm of A is the inf-norm of the Fortran-ordered view A.T
+            anorm = float(lapack.dlange("I", self.matrix.T))
             try:
                 with warnings.catch_warnings():
                     # exact singularity is reported via rcond below
@@ -153,12 +155,28 @@ def _near_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
 
 def _centroid_distances(mesh: TriMesh):
     """Yield ``(i0, i1, dist)`` with ``dist`` the distances from centroids
-    ``i0:i1`` to every centroid, one row block at a time."""
-    cent = mesh.centroids
+    ``i0:i1`` to every centroid, one row block at a time.
+
+    Each block is ``sqrt(max(|c_i|^2 + |c_j|^2 - 2 c_i.c_j, 0))`` from one
+    GEMM, with an exactly-zero diagonal; no (rows, n, 3) array is formed.
+    The expansion loses about ``|c|^2 / d^2`` ulps of a distance ``d``, so
+    ``c`` are the centroids centred on their mean: ``|c|`` is then the body's
+    size, not its distance from the origin.  The block buffer is reused, so
+    consume each block before asking for the next.
+    """
+    c = mesh.centroids - mesh.centroids.mean(axis=0)
+    sq = np.einsum("ij,ij->i", c, c)
     n = mesh.n_triangles
+    block = np.empty((min(_ASSEMBLY_BLOCK, n), n))
     for i0 in range(0, n, _ASSEMBLY_BLOCK):
         i1 = min(i0 + _ASSEMBLY_BLOCK, n)
-        yield i0, i1, np.linalg.norm(cent[i0:i1, None, :] - cent[None, :, :], axis=2)
+        dist = block[: i1 - i0]
+        np.matmul(-2.0 * c[i0:i1], c.T, out=dist)
+        dist += sq[i0:i1, None]
+        dist += sq
+        np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+        dist[np.arange(i1 - i0), np.arange(i0, i1)] = 0.0
+        yield i0, i1, dist
 
 
 def _near_rule_sums(mesh: TriMesh, kernel):
@@ -174,14 +192,43 @@ def _near_rule_sums(mesh: TriMesh, kernel):
     return ii, jj, acc
 
 
+def _dense_solve_bytes(n: int) -> int:
+    """Bytes of the dense chain at n panels: the matrix, the copy that
+    ``lu_factor`` makes, and one distance block."""
+    return 8 * (2 * n * n + min(_ASSEMBLY_BLOCK, n) * n)
+
+
+def _available_bytes() -> int:
+    """``MemAvailable`` from ``/proc/meminfo``, else the physical memory."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                key, _, value = line.partition(":")
+                if key == "MemAvailable":
+                    return int(value.split()[0]) * 1024
+    except OSError:
+        pass
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def assemble_single_layer(mesh: TriMesh) -> SingleLayerOperator:
-    """Assemble the dense collocation matrix for the 1/r kernel."""
+    """Assemble the dense collocation matrix for the 1/r kernel.
+
+    Raises SolverError, before allocating anything, when the dense chain
+    would not fit in the available memory.
+    """
     n = mesh.n_triangles
+    need, have = _dense_solve_bytes(n), _available_bytes()
+    if need > have:
+        raise SolverError(
+            f"job does not fit in memory: {n} panels need about "
+            f"{need / 2**20:.1f} MiB, {have / 2**20:.1f} MiB available"
+        )
     areas = mesh.areas
     matrix = np.empty((n, n))
     for i0, i1, dist in _centroid_distances(mesh):
         with np.errstate(divide="ignore"):
-            matrix[i0:i1] = areas[None, :] / dist
+            np.divide(areas, dist, out=matrix[i0:i1])
 
     ii, jj, acc = _near_rule_sums(mesh, lambda r: 1.0 / r)
     matrix[ii, jj] = (areas[jj] / 3.0) * acc
@@ -234,15 +281,16 @@ def capacity(mesh: TriMesh) -> float:
 def distance_moment(mesh: TriMesh, density: SurfaceDensity) -> np.ndarray:
     """Collocated values of ``integral |p - r| density(p) dsigma(p)``.
 
-    Same near/far split as the operator; the kernel is regular, so the
-    diagonal uses the centroid value (which vanishes).
+    Same near/far split as the operator: near entries of each distance
+    block are replaced by the 3-point mean before the block meets the
+    density.  The kernel is regular, so the diagonal uses the centroid value,
+    exactly zero.
     """
-    cent = mesh.centroids
     weighted = density.values * mesh.areas
     out = np.empty(mesh.n_triangles)
-    for i0, i1, dist in _centroid_distances(mesh):
-        out[i0:i1] = dist @ weighted
     ii, jj, acc = _near_rule_sums(mesh, lambda r: r)
-    one_point = np.linalg.norm(cent[jj] - cent[ii], axis=1)
-    np.add.at(out, ii, (acc / 3.0 - one_point) * weighted[jj])
+    for i0, i1, dist in _centroid_distances(mesh):
+        rows = (ii >= i0) & (ii < i1)
+        dist[ii[rows] - i0, jj[rows]] = acc[rows] / 3.0
+        out[i0:i1] = dist @ weighted
     return out

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cli_env import cli_env
-from hardscatter import lowfreq
+from hardscatter import lowfreq, potential
 from hardscatter.cli import main
 from hardscatter.geometry import Ellipsoid, Sphere, make_body, save_mesh
 
@@ -195,6 +195,20 @@ def test_trust_region_exit_code(tmp_path, monkeypatch):
                  "--k-min", "0.05", "--k-max", "2.0", "--samples", "4",
                  "--out", str(tmp_path / "r.json")])
     assert code == 5
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_job_too_large_for_memory_exits_4(tmp_path, monkeypatch, capsys):
+    # level 3 has 320 panels, about 2.3 MiB of dense work
+    monkeypatch.setattr(potential, "_available_bytes", lambda: 2**20)
+    need = potential._dense_solve_bytes(320) / 2**20
+    for command in ("capacity", "lowfreq"):
+        code = main([command, "--body", "sphere:1", "--level", "3",
+                     "--out", str(tmp_path / f"{command}.json")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "does not fit in memory" in err
+        assert f"{need:.1f} MiB" in err and "1.0 MiB available" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,13 +1,19 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from hardscatter.geometry import Sphere, TriMesh, make_body, scale_mesh, reflect
+from hardscatter import potential
+from hardscatter.geometry import Ellipsoid, Sphere, TriMesh, make_body, scale_mesh, reflect
 from hardscatter.potential import (
     SingleLayerOperator,
     SolverError,
+    SurfaceDensity,
+    _centroid_distances,
+    _dense_solve_bytes,
     _triangle_self_integral,
     assemble_single_layer,
     capacity,
@@ -122,6 +128,53 @@ def test_diagonal_positive_and_symmetry_smoke(sphere4_densities, cylinder3_densi
         assert asym < 0.15
 
 
+def translated(mesh, shift):
+    return TriMesh.from_arrays(mesh.vertices + np.asarray(shift), mesh.triangles)
+
+
+@pytest.fixture(scope="module")
+def far_ellipsoid3():
+    return translated(make_body(Ellipsoid(2.0, 1.0, 1.5), 3), [1e4, 1e4, 1e4])
+
+
+def test_centroid_distance_blocks_far_from_origin(far_ellipsoid3, monkeypatch):
+    # several blocks, so that the zeroed diagonal is offset within a block
+    monkeypatch.setattr(potential, "_ASSEMBLY_BLOCK", 100)
+    mesh = far_ellipsoid3
+    cent = mesh.centroids
+    reference = np.linalg.norm(cent[:, None, :] - cent[None, :, :], axis=2)
+    off = ~np.eye(mesh.n_triangles, dtype=bool)
+    seen = 0
+    for i0, i1, dist in _centroid_distances(mesh):
+        assert dist.shape == (i1 - i0, mesh.n_triangles)
+        assert np.all(np.diagonal(dist, offset=i0) == 0.0)
+        rel = np.abs(dist - reference[i0:i1])[off[i0:i1]] / reference[i0:i1][off[i0:i1]]
+        assert rel.max() < 1e-12
+        seen = i1
+    assert seen == mesh.n_triangles
+
+
+def test_distance_moment_against_difference_reference(far_ellipsoid3, monkeypatch):
+    monkeypatch.setattr(potential, "_ASSEMBLY_BLOCK", 100)
+    mesh = far_ellipsoid3
+    values = np.random.default_rng(3).uniform(0.5, 1.5, mesh.n_triangles)
+    cent = mesh.centroids
+    dist = np.linalg.norm(cent[:, None, :] - cent[None, :, :], axis=2)
+    diam = mesh.triangle_diameters()
+    near = dist <= 2.0 * np.maximum(diam[:, None], diam[None, :])
+    np.fill_diagonal(near, False)
+    ii, jj = np.nonzero(near)
+    p0, p1, p2 = mesh.corners()
+    nodes = ((2 / 3, 1 / 6, 1 / 6), (1 / 6, 2 / 3, 1 / 6), (1 / 6, 1 / 6, 2 / 3))
+    dist[ii, jj] = sum(
+        np.linalg.norm(w0 * p0[jj] + w1 * p1[jj] + w2 * p2[jj] - cent[ii], axis=1)
+        for w0, w1, w2 in nodes
+    ) / 3.0
+    reference = dist @ (values * mesh.areas)
+    moment = distance_moment(mesh, SurfaceDensity(values, mesh))
+    assert np.abs(moment / reference - 1.0).max() < 1e-13
+
+
 @settings(max_examples=10, deadline=None)
 @given(factor=st.floats(0.2, 5.0))
 def test_kernel_homogeneity(factor):
@@ -224,6 +277,26 @@ def test_capacity_translation_invariant():
         mesh.vertices + np.array([0.3, -1.2, 2.0]), mesh.triangles
     )
     assert capacity(shifted) == pytest.approx(capacity(mesh), rel=1e-10)
+
+
+def test_capacity_translation_far_from_origin(sphere4_densities):
+    # the distance blocks lose digits far from the origin unless centred
+    shifted = translated(sphere4_densities.mesh, [1e4, -7e3, 3e3])
+    assert capacity(shifted) == pytest.approx(sphere4_densities.capacity, rel=1e-12)
+
+
+def test_dense_solve_estimate_covers_matrix_and_lu_copy():
+    for n in (1, 320, 2048, 5120, 20480):
+        assert _dense_solve_bytes(n) >= 16 * n * n
+
+
+def test_available_memory_without_meminfo(monkeypatch):
+    def no_meminfo(*args, **kwargs):
+        raise FileNotFoundError("no /proc/meminfo")
+
+    monkeypatch.setattr(potential, "open", no_meminfo, raising=False)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert potential._available_bytes() == physical > 0
 
 
 def test_k_moment_translation_covariance():
