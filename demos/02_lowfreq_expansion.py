@@ -17,9 +17,7 @@ from hardscatter import (
     make_body,
     make_quadrature,
     solve_expansion_densities,
-    theorem1_check,
 )
-from hardscatter.lowfreq import report_dict
 
 quad = make_quadrature()
 
@@ -29,9 +27,8 @@ for name, body in (("unit sphere", Sphere(1.0)),
     densities = solve_expansion_densities(mesh)
     amp = amplitude_expansion(densities, quad)
     fn = functionals(densities, amp)
-    thm = theorem1_check(fn)
     print(f"== {name} ==")
-    for key, value in report_dict(fn, thm).items():
+    for key, value in fn.report_dict().items():
         print(f"  {key:22s} {value}")
 
     print("  k-sweep inside the trust region (k * diameter <= 0.5):")

@@ -36,7 +36,7 @@ _EXPORTS = {
         "AmplitudeExpansion", "LowFreqFunctionals", "SphereQuadrature",
         "TrustRegionError", "amplitude_expansion", "cross_sections_lowfreq",
         "d2_direct", "functionals", "make_quadrature",
-        "solve_expansion_densities", "theorem1_check",
+        "solve_expansion_densities",
     ),
     "sphere_oracle": (
         "CrossSections", "PhaseShiftTable", "amplitude", "cross_sections",

@@ -385,14 +385,14 @@ def trace(
         bounces = np.zeros(m, dtype=np.int32)
         alive = np.arange(m)
 
-        for _ in range(bounce_cap):
-            if len(alive) == 0:
-                break
+        for bounce in range(bounce_cap + 1):
             t, normal = _first_hit(body, origins[alive], dirs[alive], t_min)
             hit = np.isfinite(t)
             if not np.any(hit):
                 break
             struck = alive[hit]
+            if bounce == bounce_cap:
+                raise TrappingError(entry[struck[0]], bounce_cap)
             pts = origins[struck] + t[hit, None] * dirs[struck]
             n_hat = normal[hit]
             d = dirs[struck]
@@ -400,12 +400,6 @@ def trace(
             origins[struck] = pts + t_min * dirs[struck]
             bounces[struck] += 1
             alive = struck
-        else:
-            if len(alive):
-                t, _ = _first_hit(body, origins[alive], dirs[alive], t_min)
-                stuck = alive[np.isfinite(t)]
-                if len(stuck):
-                    raise TrappingError(entry[stuck[0]], bounce_cap)
 
         hit_mask = bounces > 0
         rays_hit += int(hit_mask.sum())

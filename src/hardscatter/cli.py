@@ -194,11 +194,10 @@ def _cmd_lowfreq(args) -> int:
     densities = lowfreq.solve_expansion_densities(mesh)
     amp = lowfreq.amplitude_expansion(densities, quad)
     fn = lowfreq.functionals(densities, amp)
-    thm = lowfreq.theorem1_check(fn)
     if k_values is not None:
         sigma, sigma_t = zip(*[lowfreq.cross_sections_lowfreq(amp, k)
                                for k in k_values.tolist()])
-    _write_json(args.out, {"meta": _meta(args), **lowfreq.report_dict(fn, thm)})
+    _write_json(args.out, {"meta": _meta(args), **fn.report_dict()})
     lowfreq.amplitude_to_csv(amp, _sibling(args.out, "_f12"), _headers(args))
     if k_values is not None:
         write_csv(_sibling(args.out, "_sigma"), _headers(args),
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mie)
 
     p = sub.add_parser("raytrace", help="classical ray tracing")
-    _add_body_options(p)
+    _add_body_options(p, with_level=False)
     p.add_argument("--grid", type=int, default=1024)
     p.add_argument("--out", default="raytrace.csv")
     p.set_defaults(func=_cmd_raytrace)

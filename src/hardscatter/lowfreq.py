@@ -49,9 +49,6 @@ __all__ = [
     "amplitude_expansion",
     "cross_sections_lowfreq",
     "d2_direct",
-    "Theorem1Report",
-    "theorem1_check",
-    "report_dict",
     "amplitude_to_csv",
 ]
 
@@ -115,19 +112,17 @@ def make_quadrature(n_theta: int = 64, n_phi: int = 128) -> SphereQuadrature:
 
 @dataclass(frozen=True)
 class ExpansionDensities:
-    """All layer densities of the expansion on one mesh, solved once."""
+    """All layer densities of the expansion on one mesh, solved once.
+
+    ``mu1`` is the whole first-order density ``-capacity * mu0 + mu1a``."""
 
     mesh: TriMesh
     operator: SingleLayerOperator
     mu0: SurfaceDensity
-    mu1s: SurfaceDensity
+    mu1: SurfaceDensity
     mu1a: SurfaceDensity
     mu2: SurfaceDensity
     capacity: float
-
-    @property
-    def mu1(self) -> SurfaceDensity:
-        return SurfaceDensity(self.mu1s.values + self.mu1a.values, self.mesh)
 
 
 def solve_expansion_densities(mesh: TriMesh) -> ExpansionDensities:
@@ -136,24 +131,23 @@ def solve_expansion_densities(mesh: TriMesh) -> ExpansionDensities:
     Boundary data: -1 for mu0, -z for the antisymmetric first-order part
     mu1a, and ``-z^2/2 - integral(mu1) - (1/2) integral(mu0 |p-r|)`` for
     mu2, the last term collocated with :func:`distance_moment`.  The
-    symmetric first-order part is ``mu1s = -capacity * mu0`` pointwise, so
-    that mu1 = mu1s + mu1a carries the combined data ``-z + capacity``.
+    symmetric first-order part is ``-capacity * mu0`` pointwise, so that
+    mu1 = -capacity * mu0 + mu1a carries the combined data ``-z + capacity``.
     """
     operator = assemble_single_layer(mesh)
     z = mesh.centroids[:, 2]
     density0 = solve_density(operator, -np.ones(operator.n))
     cap = -density0.integral()
     mu1a = solve_density(operator, -z)
-    mu1s = SurfaceDensity(-cap * density0.values, mesh)
-    combined = SurfaceDensity(mu1s.values + mu1a.values, mesh)
-    data2 = -0.5 * z**2 - combined.integral() - 0.5 * distance_moment(mesh, density0)
+    mu1 = SurfaceDensity(-cap * density0.values + mu1a.values, mesh)
+    data2 = -0.5 * z**2 - mu1.integral() - 0.5 * distance_moment(mesh, density0)
     density2 = solve_density(operator, data2)
-    return ExpansionDensities(mesh, operator, density0, mu1s, mu1a, density2, cap)
+    return ExpansionDensities(mesh, operator, density0, mu1, mu1a, density2, cap)
 
 
 @dataclass(frozen=True)
 class LowFreqFunctionals:
-    """Scalar functionals of the expansion.
+    """Scalar functionals of the expansion and the Theorem-1 verdicts.
 
     ``k_moment`` is ``integral z mu0`` (also ``integral mu1a``),
     ``z1_moment`` is ``integral z mu1a``, and ``exterior_energy`` is the
@@ -163,6 +157,12 @@ class LowFreqFunctionals:
     ``d2_formula_corrected = -(8 pi / 3) (C Z1 + K^2)`` and
     ``d2_formula_paper = -(4 pi / 3) (C Z1 + K^2)`` (reported only) are kept
     alongside for comparison.
+
+    Forward exceeds backscattering at order k^2: ``cs_margin`` is
+    ``C * M / (4 pi) - K^2`` (Cauchy-Schwarz, must be nonnegative up to
+    slack).  The corrected lower bound is ``d2 >= (2/3) C V``;
+    ``paper_bound`` is the literal ``(4 pi / 3) C V``, evaluated for the
+    record but not asserted.
     """
 
     capacity: float
@@ -173,13 +173,36 @@ class LowFreqFunctionals:
     d2: float
     d2_formula_corrected: float
     d2_formula_paper: float
+    cs_margin: float
+    cs_pass: bool
+    corrected_bound: float
+    corrected_pass: bool
+    paper_bound: float
+    paper_pass: bool
+
+    def report_dict(self) -> dict:
+        """JSON-ready report with the documented key set."""
+        return {
+            "capacity": self.capacity,
+            "K": self.k_moment,
+            "Z1": self.z1_moment,
+            "volume": self.volume,
+            "M": self.exterior_energy,
+            "d2_direct": self.d2,
+            "d2_formula_corrected": self.d2_formula_corrected,
+            "d2_formula_paper": self.d2_formula_paper,
+            "cs_margin": self.cs_margin,
+            "thm1_corrected_pass": self.corrected_pass,
+            "thm1_paper_pass": self.paper_pass,
+        }
 
 
 def functionals(
     densities: ExpansionDensities, amp: AmplitudeExpansion
 ) -> LowFreqFunctionals:
-    """Compute capacity, moments, volume, exterior energy and d2; ``amp`` is
-    the amplitude expansion of the same densities."""
+    """Compute capacity, moments, volume, exterior energy and d2, and check
+    them against Theorem 1; ``amp`` is the amplitude expansion of the same
+    densities."""
     mesh = densities.mesh
     z = mesh.centroids[:, 2]
     cap = densities.capacity
@@ -189,6 +212,10 @@ def functionals(
     energy = -4.0 * np.pi * z1_moment - volume
     d2 = d2_direct(amp)
     base = cap * z1_moment + k_moment**2
+    cs_margin = cap * energy / (4.0 * np.pi) - k_moment**2
+    cs_scale = abs(cap * energy / (4.0 * np.pi)) + k_moment**2
+    corrected = (2.0 / 3.0) * cap * volume
+    paper = (4.0 * np.pi / 3.0) * cap * volume
     return LowFreqFunctionals(
         capacity=cap,
         k_moment=k_moment,
@@ -198,6 +225,12 @@ def functionals(
         d2=d2,
         d2_formula_corrected=-(8.0 * np.pi / 3.0) * base,
         d2_formula_paper=-(4.0 * np.pi / 3.0) * base,
+        cs_margin=cs_margin,
+        cs_pass=bool(cs_margin >= -INEQUALITY_SLACK * cs_scale),
+        corrected_bound=corrected,
+        corrected_pass=bool(d2 >= corrected * (1.0 - INEQUALITY_SLACK)),
+        paper_bound=paper,
+        paper_pass=bool(d2 >= paper * (1.0 - INEQUALITY_SLACK)),
     )
 
 
@@ -265,59 +298,6 @@ def d2_direct(amp: AmplitudeExpansion) -> float:
     ``cos(theta) (f1^2 - 2 f0 f2)``.  This is the authoritative value."""
     ct = amp.quad.cos_theta
     return amp.quad.integrate(ct * (amp.f1**2 - 2.0 * amp.f0 * amp.f2))
-
-
-@dataclass(frozen=True)
-class Theorem1Report:
-    """Outcome of the forward-exceeds-backscattering checks at order k^2.
-
-    ``cs_margin`` is ``C * M / (4 pi) - K^2`` (Cauchy-Schwarz, must be
-    nonnegative up to slack).  The corrected lower bound is
-    ``d2 >= (2/3) C V``; ``paper_bound`` is the literal ``(4 pi / 3) C V``,
-    evaluated for the record but not asserted.
-    """
-
-    cs_margin: float
-    cs_pass: bool
-    d2: float
-    corrected_bound: float
-    corrected_pass: bool
-    paper_bound: float
-    paper_pass: bool
-
-
-def theorem1_check(fn: LowFreqFunctionals) -> Theorem1Report:
-    cs_margin = fn.capacity * fn.exterior_energy / (4.0 * np.pi) - fn.k_moment**2
-    cs_scale = abs(fn.capacity * fn.exterior_energy / (4.0 * np.pi)) + fn.k_moment**2
-    cs_pass = bool(cs_margin >= -INEQUALITY_SLACK * cs_scale)
-    corrected = (2.0 / 3.0) * fn.capacity * fn.volume
-    paper = (4.0 * np.pi / 3.0) * fn.capacity * fn.volume
-    return Theorem1Report(
-        cs_margin=cs_margin,
-        cs_pass=cs_pass,
-        d2=fn.d2,
-        corrected_bound=corrected,
-        corrected_pass=bool(fn.d2 >= corrected * (1.0 - INEQUALITY_SLACK)),
-        paper_bound=paper,
-        paper_pass=bool(fn.d2 >= paper * (1.0 - INEQUALITY_SLACK)),
-    )
-
-
-def report_dict(fn: LowFreqFunctionals, thm: Theorem1Report) -> dict:
-    """JSON-ready report with the documented key set."""
-    return {
-        "capacity": fn.capacity,
-        "K": fn.k_moment,
-        "Z1": fn.z1_moment,
-        "volume": fn.volume,
-        "M": fn.exterior_energy,
-        "d2_direct": fn.d2,
-        "d2_formula_corrected": fn.d2_formula_corrected,
-        "d2_formula_paper": fn.d2_formula_paper,
-        "cs_margin": thm.cs_margin,
-        "thm1_corrected_pass": thm.corrected_pass,
-        "thm1_paper_pass": thm.paper_pass,
-    }
 
 
 def amplitude_to_csv(amp: AmplitudeExpansion, path, header_lines=()) -> None:

@@ -32,7 +32,6 @@ from hardscatter.lowfreq import (
     functionals,
     make_quadrature,
     solve_expansion_densities,
-    theorem1_check,
 )
 from hardscatter.potential import capacity
 from hardscatter.sphere_oracle import (
@@ -136,17 +135,14 @@ def test_criterion_4_d2_triangulation(
     oracle_err = abs(est.d2 / D2_SPHERE - 1.0)
     agreement = abs(fn_sphere.d2 / est.d2 - 1.0)
 
-    thm_sphere = theorem1_check(fn_sphere)
-    thm_ell = theorem1_check(
-        functionals(ellipsoid4_densities, amplitude_expansion(ellipsoid4_densities, quad))
-    )
+    fn_ell = functionals(ellipsoid4_densities, amplitude_expansion(ellipsoid4_densities, quad))
     ok = (
         bem_err < 0.05
         and oracle_err < 1e-3
         and agreement < 0.05
-        and thm_sphere.corrected_pass
-        and thm_ell.corrected_pass
-        and not thm_sphere.paper_pass  # literal constant overshoots: documented
+        and fn_sphere.corrected_pass
+        and fn_ell.corrected_pass
+        and not fn_sphere.paper_pass  # literal constant overshoots: documented
     )
     report(
         4,
@@ -155,7 +151,7 @@ def test_criterion_4_d2_triangulation(
         f"d2(series)={est.d2:.6f} (err {oracle_err:.2e} < 1e-3), "
         f"agreement {agreement:.2%} < 5%; corrected bound (2/3)CV passes on "
         f"sphere and ellipsoid; paper bound (4pi/3)CV reported FAIL "
-        f"({thm_sphere.d2:.3f} < {thm_sphere.paper_bound:.3f}) as documented",
+        f"({fn_sphere.d2:.3f} < {fn_sphere.paper_bound:.3f}) as documented",
     )
 
 

@@ -199,6 +199,27 @@ def test_ellipsoid_single_bounce():
     assert result.sigma_cl == pytest.approx(np.pi * 1.5, rel=0.01)
 
 
+@settings(max_examples=25, deadline=None)
+@given(radius=st.floats(0.05, 20.0), height=st.floats(0.05, 20.0))
+def test_flat_cap_cylinder_reverses_every_ray(radius, height):
+    # each ray reverses exactly on the flat lit cap, so every transfer term
+    # 1 - cos is exactly 2, at any shape
+    result = trace(CappedCylinder(radius, height), grid=64)
+    assert result.r_cl == 2.0 * result.sigma_cl
+    assert result.max_bounces_seen == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(0.05, 20.0), b=st.floats(0.05, 20.0), c=st.floats(0.05, 20.0))
+def test_ellipsoid_trace_invariants(a, b, c):
+    # convex: one bounce per ray; curved: some transfer below 2; the shadow
+    # is the a-b ellipse
+    result = trace(Ellipsoid(a, b, c), grid=64)
+    assert result.max_bounces_seen == 1
+    assert 0.0 < result.r_cl < 2.0 * result.sigma_cl
+    assert abs(result.sigma_cl / (np.pi * a * b) - 1.0) < 1e-2
+
+
 def test_transfer_between_zero_and_twice_sigma(sphere_trace, cylinder_trace):
     for result in (sphere_trace, cylinder_trace):
         assert 0.0 <= result.r_cl <= 2.0 * result.sigma_cl * (1.0 + 1e-12)

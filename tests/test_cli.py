@@ -129,6 +129,17 @@ def test_raytrace_subcommand(tmp_path):
     assert (run / "rays_histogram").exists()
 
 
+def test_raytrace_has_no_level_option(tmp_path, capsys):
+    # analytic bodies are traced exactly and meshes are read as they are,
+    # so a refinement level would be silently ignored
+    out = tmp_path / "rays.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["raytrace", "--body", "sphere:1", "--level", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--level" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cylinder_reports_non_smooth_note(tmp_path):
     out = tmp_path / "cap.json"
     code = main(["capacity", "--body", "cylinder:1,2", "--level", "2",

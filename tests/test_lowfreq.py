@@ -12,9 +12,7 @@ from hardscatter.lowfreq import (
     d2_direct,
     functionals,
     make_quadrature,
-    report_dict,
     solve_expansion_densities,
-    theorem1_check,
 )
 
 D2_SPHERE = 8.0 * np.pi / 3.0  # unit sphere, from the analytic densities
@@ -246,7 +244,7 @@ def test_d2_scaling(factor):
 
 
 def test_theorem1_sphere(sphere4_functionals):
-    report = theorem1_check(sphere4_functionals)
+    report = sphere4_functionals
     assert report.cs_pass
     assert report.cs_margin == pytest.approx(2.0 / 3.0, rel=0.05)
     assert report.corrected_pass
@@ -259,13 +257,13 @@ def test_theorem1_sphere(sphere4_functionals):
 
 
 def test_theorem1_ellipsoid(ellipsoid4_functionals):
-    report = theorem1_check(ellipsoid4_functionals)
+    report = ellipsoid4_functionals
     assert report.cs_pass
     assert report.corrected_pass
 
 
 def test_report_keys(sphere4_functionals):
-    report = report_dict(sphere4_functionals, theorem1_check(sphere4_functionals))
+    report = sphere4_functionals.report_dict()
     assert set(report) == {
         "capacity", "K", "Z1", "volume", "M",
         "d2_direct", "d2_formula_corrected", "d2_formula_paper",

@@ -340,7 +340,8 @@ def test_mu1_antisymmetric_dipole_oracle(sphere4_densities):
 
 def test_mu1_symmetric_is_scaled_mu0(sphere4_densities):
     expected = 1.0 / (4.0 * np.pi)
-    assert np.abs(sphere4_densities.mu1s.values / expected - 1.0).max() < 0.02
+    symmetric = -sphere4_densities.capacity * sphere4_densities.mu0.values
+    assert np.abs(symmetric / expected - 1.0).max() < 0.02
 
 
 def test_mu1_combined_data_residual(sphere4_densities, ellipsoid4_densities):
