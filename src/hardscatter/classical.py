@@ -23,6 +23,7 @@ import numpy as np
 
 from ._table import write_csv
 from .geometry import CappedCylinder, Ellipsoid, Sphere, TriMesh
+from .potential import SolverError
 from .sphere_oracle import fig1_sweep
 
 __all__ = [
@@ -50,8 +51,11 @@ _PAIR_BUDGET = 65_536
 _MIN_BLOCK_RAYS = 8
 
 
-class TrappingError(RuntimeError):
-    """A ray exceeded the bounce cap (trapping geometry)."""
+class TrappingError(SolverError):
+    """A ray exceeded the bounce cap (trapping geometry).
+
+    A :class:`~hardscatter.potential.SolverError`, so the CLI reports it as
+    a solver error (exit code 4)."""
 
     def __init__(self, entry_xy, cap):
         self.entry_xy = tuple(float(v) for v in entry_xy)

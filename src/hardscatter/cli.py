@@ -37,8 +37,6 @@ def _set_thread_budget(threads: int | None) -> None:
     """
     if threads is None:
         return
-    if threads < 1:
-        raise ConfigError("--threads must be >= 1")
     if "numpy" in sys.modules:
         raise ConfigError(
             "--threads acts only when hardscatter starts the process; numpy "
@@ -72,39 +70,33 @@ def _parse_body(spec: str):
     )
 
 
+def _sphere(args):
+    from .geometry import Sphere
+
+    body = _parse_body(args.body)
+    if not isinstance(body, Sphere):
+        raise ConfigError(f"--body: {args.command} needs a sphere body")
+    return body
+
+
 def _resolve_mesh(args):
     from . import geometry
 
-    if bool(args.body) == bool(args.mesh):
-        raise ConfigError("exactly one of --body and --mesh is required")
     if args.mesh:
         return geometry.load_mesh(args.mesh)
-    if not 0 <= args.level <= 6:
-        raise ConfigError("--level must be in [0, 6]")
     return geometry.make_body(_parse_body(args.body), args.level)
 
 
 def _k_grid(args):
     import numpy as np
 
-    if args.k_min <= 0:
+    if not args.k_min > 0:
         raise ConfigError("--k-min must be positive")
-    if args.k_max <= args.k_min:
-        raise ConfigError("--k-max must exceed --k-min")
-    if args.samples < 2:
-        raise ConfigError("--samples must be >= 2")
+    if not args.k_min < args.k_max < np.inf:
+        raise ConfigError("--k-max must be finite and exceed --k-min")
     if args.log:
         return np.geomspace(args.k_min, args.k_max, args.samples)
     return np.linspace(args.k_min, args.k_max, args.samples)
-
-
-def _check_at_least(args, minimums) -> None:
-    """Config error for a numeric option below its minimum, raised before
-    any mesh is built or solve is run."""
-    for name, low in minimums.items():
-        if getattr(args, name) < low:
-            flag = "--" + name.replace("_", "-")
-            raise ConfigError(f"{flag} must be >= {low}")
 
 
 def _config_echo(args) -> str:
@@ -119,37 +111,24 @@ def _config_echo(args) -> str:
     return " ".join(parts)
 
 
-def _body_note(args) -> str | None:
-    # capacity/expansion theory assumes a smooth surface; flag bodies with
-    # edges or corners in their reports
-    body = getattr(args, "body", None)
-    if body and body.startswith("cylinder"):
-        return "non-smooth body (edges); smooth-surface theory applied as-is"
-    return None
-
-
-def _headers(args) -> list[str]:
-    lines = [
-        f"hardscatter {__version__}",
-        f"config: {_config_echo(args)}",
-        f"direction convention: {_CONVENTION}",
-    ]
-    note = _body_note(args)
-    if note:
-        lines.append(f"note: {note}")
-    return lines
-
-
 def _meta(args) -> dict:
+    """The record every output carries: JSON ``meta``, or CSV comment lines."""
     meta = {
         "artifact": f"hardscatter {__version__}",
         "config": _config_echo(args),
         "convention": _CONVENTION,
     }
-    note = _body_note(args)
-    if note:
-        meta["note"] = note
+    # capacity/expansion theory assumes a smooth surface; flag bodies with
+    # edges or corners in their reports
+    if (getattr(args, "body", None) or "").startswith("cylinder"):
+        meta["note"] = "non-smooth body (edges); smooth-surface theory applied as-is"
     return meta
+
+
+def _headers(args) -> list[str]:
+    labels = {"artifact": "", "config": "config: ",
+              "convention": "direction convention: ", "note": "note: "}
+    return [labels[key] + value for key, value in _meta(args).items()]
 
 
 def _write_json(path, payload) -> None:
@@ -186,7 +165,6 @@ def _cmd_lowfreq(args) -> int:
     if (args.k_min is None) != (args.k_max is None):
         raise ConfigError("--k-min and --k-max must be given together")
     k_values = None if args.k_min is None else _k_grid(args)
-    _check_at_least(args, {"quad_theta": 2, "quad_phi": 4})
     mesh = _resolve_mesh(args)
     if k_values is not None:
         lowfreq.check_trust_region(float(k_values.max()), mesh.diameter)
@@ -207,12 +185,9 @@ def _cmd_lowfreq(args) -> int:
 
 def _cmd_mie(args) -> int:
     from . import sphere_oracle
-    from .geometry import Sphere
 
-    body = _parse_body(args.body)
-    if not isinstance(body, Sphere):
-        raise ConfigError("--body: mie needs a sphere body")
-    sphere_oracle.sweep_to_csv(args.out, body.radius, _k_grid(args), _headers(args))
+    radius = _sphere(args).radius
+    sphere_oracle.sweep_to_csv(args.out, radius, _k_grid(args), _headers(args))
     return 0
 
 
@@ -226,9 +201,6 @@ def _cmd_fig1(args) -> int:
 def _cmd_raytrace(args) -> int:
     from . import classical
 
-    if bool(args.body) == bool(args.mesh):
-        raise ConfigError("exactly one of --body and --mesh is required")
-    _check_at_least(args, {"grid": 64})
     # analytic bodies trace against their exact surfaces
     body = _resolve_mesh(args) if args.mesh else _parse_body(args.body)
     result = classical.trace(body, grid=args.grid)
@@ -242,15 +214,10 @@ def _cmd_compare(args) -> int:
     import numpy as np
 
     from . import classical, lowfreq, sphere_oracle
-    from .geometry import Sphere
+    from .geometry import make_body
 
-    if args.mesh or not args.body:
-        raise ConfigError("--body: compare needs an analytic sphere (sphere:R)")
-    body = _parse_body(args.body)
-    if not isinstance(body, Sphere):
-        raise ConfigError("--body: compare needs a sphere body")
-    _check_at_least(args, {"grid": 64})
-    densities = lowfreq.solve_expansion_densities(_resolve_mesh(args))
+    body = _sphere(args)
+    densities = lowfreq.solve_expansion_densities(make_body(body, args.level))
     amp = lowfreq.amplitude_expansion(densities, lowfreq.make_quadrature())
     fn = lowfreq.functionals(densities, amp)
     oracle = sphere_oracle.low_k_extrapolate(body.radius)
@@ -277,12 +244,28 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
+def _add_level(p):
+    p.add_argument("--level", type=int, choices=range(7), default=4,
+                   help="refinement level for analytic bodies")
+
+
 def _add_body_options(p, with_level=True):
-    p.add_argument("--body", help="sphere:R | ellipsoid:A,B,C | cylinder:R,H")
-    p.add_argument("--mesh", help="path to an OFF mesh")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--body", help="sphere:R | ellipsoid:A,B,C | cylinder:R,H")
+    group.add_argument("--mesh", help="path to an OFF mesh")
     if with_level:
-        p.add_argument("--level", type=int, default=4,
-                       help="refinement level for analytic bodies (0..6)")
+        _add_level(p)
 
 
 def _add_k_options(p, required=False):
@@ -290,7 +273,7 @@ def _add_k_options(p, required=False):
                    default=(0.05 if required else None))
     p.add_argument("--k-max", dest="k_max", type=float,
                    default=(60.0 if required else None))
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_at_least(2), default=200)
     p.add_argument("--log", action="store_true", help="logarithmic k grid")
 
 
@@ -300,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cross sections of hard bodies: boundary-integral "
         "expansion, exact sphere series, and classical rays.",
     )
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_at_least(1), default=None,
                         help="thread budget handed to the linear algebra "
                         "(only when hardscatter starts the process)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -312,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lowfreq", help="small-k expansion report and checks")
     _add_body_options(p)
-    p.add_argument("--quad-theta", dest="quad_theta", type=int, default=64)
-    p.add_argument("--quad-phi", dest="quad_phi", type=int, default=128)
+    p.add_argument("--quad-theta", dest="quad_theta", type=_at_least(2), default=64)
+    p.add_argument("--quad-phi", dest="quad_phi", type=_at_least(4), default=128)
     _add_k_options(p)
     p.add_argument("--out", default="lowfreq.json")
     p.set_defaults(func=_cmd_lowfreq)
@@ -326,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("raytrace", help="classical ray tracing")
     _add_body_options(p, with_level=False)
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", type=_at_least(64), default=1024)
     p.add_argument("--out", default="raytrace.csv")
     p.set_defaults(func=_cmd_raytrace)
 
@@ -338,16 +321,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="expansion vs oracle (sphere), "
                                        "oracle vs classical at high k")
-    _add_body_options(p)
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--body", required=True, help="sphere:R")
+    _add_level(p)
+    p.add_argument("--grid", type=_at_least(64), default=1024)
     p.add_argument("--out", default="compare.json")
     p.set_defaults(func=_cmd_compare)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (2)
+        return exc.code
+    try:
+        # an --out that cannot be opened would surface only after the job ran
+        out_dir = os.path.dirname(args.out) or os.curdir
+        if not os.path.isdir(out_dir) or os.path.isdir(args.out):
+            raise ConfigError(
+                f"--out: {args.out!r} is not a file in an existing directory")
         _set_thread_budget(args.threads)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

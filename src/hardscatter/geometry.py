@@ -188,8 +188,8 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("sphere radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,8 @@ class Ellipsoid:
     c: float
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) <= 0:
-            raise ValueError("ellipsoid semi-axes must be positive")
+        if not all(0 < v < np.inf for v in (self.a, self.b, self.c)):
+            raise ValueError("ellipsoid semi-axes must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,8 @@ class CappedCylinder:
     height: float
 
     def __post_init__(self):
-        if self.radius <= 0 or self.height <= 0:
-            raise ValueError("cylinder radius and height must be positive")
+        if not (0 < self.radius < np.inf and 0 < self.height < np.inf):
+            raise ValueError("cylinder radius and height must be positive and finite")
 
 
 AnalyticBody = Sphere | Ellipsoid | CappedCylinder
@@ -441,9 +441,14 @@ def loads_mesh(text: str) -> TriMesh:
 
 
 def load_mesh(path) -> TriMesh:
-    """Read an OFF file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_mesh(fh.read())
+    """Read an OFF file from disk.  A file that cannot be opened or is not
+    UTF-8 text is a :class:`MeshFormatError` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshFormatError(f"cannot read {path}: {exc}") from exc
+    return loads_mesh(text)
 
 
 def dumps_mesh(mesh: TriMesh) -> str:

@@ -40,10 +40,10 @@ def classical_sphere_r_cl(a=1.0):
     return value
 
 
-def groove_prism() -> TriMesh:
-    """Extruded heptagon with a steep V-notch in the bottom; rays entering
-    the notch bounce at least twice."""
-    poly = [(-1, 0), (-0.5, 0), (0, 0.9), (0.5, 0), (1, 0), (1, 1), (-1, 1)]
+def groove_prism(notch: float = 0.5) -> TriMesh:
+    """Extruded heptagon with a steep V-notch of half-width ``notch`` in the
+    bottom; rays entering the notch bounce at least twice."""
+    poly = [(-1, 0), (-notch, 0), (0, 0.9), (notch, 0), (1, 0), (1, 1), (-1, 1)]
     cap_tris = [(0, 1, 6), (1, 2, 6), (2, 5, 6), (2, 3, 5), (3, 4, 5)]
     n = len(poly)
     verts = [(x, -0.5, z) for x, z in poly] + [(x, 0.5, z) for x, z in poly]

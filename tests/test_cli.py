@@ -10,6 +10,7 @@ from cli_env import cli_env
 from hardscatter import lowfreq, potential
 from hardscatter.cli import main
 from hardscatter.geometry import Ellipsoid, Sphere, make_body, save_mesh
+from test_classical import groove_prism
 
 
 def run_cli(*args, cwd=None):
@@ -133,9 +134,8 @@ def test_raytrace_has_no_level_option(tmp_path, capsys):
     # analytic bodies are traced exactly and meshes are read as they are,
     # so a refinement level would be silently ignored
     out = tmp_path / "rays.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["raytrace", "--body", "sphere:1", "--level", "3", "--out", str(out)])
-    assert exc.value.code == 2
+    assert main(["raytrace", "--body", "sphere:1", "--level", "3",
+                 "--out", str(out)]) == 2
     assert "--level" in capsys.readouterr().err
     assert not out.exists()
 
@@ -181,6 +181,13 @@ def test_config_errors(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["compare", "--body", "sphere:1", "--grid", "10",
                  "--out", str(tmp_path / "x.json")]) == 2
+    # argparse's own errors are returned too, not raised as SystemExit
+    assert main(["raytrace", "--body", "sphere:1", "--grid", "abc",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["compare", "--mesh", "x.off",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert main(["capacity", "--body", "sphere:1", "--bogus",
+                 "--out", str(tmp_path / "x.json")]) == 2
     job = ["lowfreq", "--body", "sphere:1", "--level", "1",
            "--out", str(tmp_path / "r.json")]
     assert main(job + ["--k-min", "0.1"]) == 2
@@ -191,10 +198,75 @@ def test_config_errors(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_non_finite_values_exit_2(tmp_path):
+    # NaN and inf pass a plain "> 0" check, and an infinite radius would
+    # trace to NaN cross sections
+    assert main(["raytrace", "--body", "sphere:inf", "--grid", "64",
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert main(["capacity", "--body", "cylinder:1,nan",
+                 "--out", str(tmp_path / "c.json")]) == 2
+    for k_min, k_max in (("nan", "1"), ("0.1", "nan"), ("0.1", "inf")):
+        assert main(["mie", "--body", "sphere:1", "--k-min", k_min,
+                     "--k-max", k_max, "--out", str(tmp_path / "m.csv")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_returns_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["raytrace", "--help"]) == 0
+    assert "--grid" in capsys.readouterr().out
+
+
+def test_non_integer_option_names_int(tmp_path, capsys):
+    assert main(["raytrace", "--body", "sphere:1", "--grid", "abc",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_unopenable_out_exits_2_before_work(tmp_path, monkeypatch, capsys):
+    def no_mesh(*args):
+        raise AssertionError("mesh built for an output that cannot be written")
+
+    monkeypatch.setattr("hardscatter.geometry.make_body", no_mesh)
+    for out in (tmp_path / "missing" / "cap.json", tmp_path):
+        code = main(["capacity", "--body", "sphere:1", "--level", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mesh_error_exit_code(tmp_path):
     bad = tmp_path / "bad.off"
     bad.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
     assert main(["capacity", "--mesh", str(bad)]) == 3
+
+
+def test_missing_mesh_file_exits_3(tmp_path, capsys):
+    missing = tmp_path / "missing.off"
+    assert main(["capacity", "--mesh", str(missing),
+                 "--out", str(tmp_path / "cap.json")]) == 3
+    assert str(missing) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_utf8_mesh_file_exits_3(tmp_path, capsys):
+    bad = tmp_path / "latin1.off"
+    bad.write_bytes(b"OFF # caf\xe9\n")
+    assert main(["raytrace", "--mesh", str(bad),
+                 "--out", str(tmp_path / "rays.csv")]) == 3
+    assert str(bad) in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["latin1.off"]
+
+
+def test_trapping_mesh_exits_4(tmp_path, capsys):
+    # a V-notch of half-width 0.01 keeps rays bouncing past the bounce cap
+    mesh_path = tmp_path / "groove.off"
+    save_mesh(groove_prism(notch=0.01), mesh_path)
+    assert main(["raytrace", "--mesh", str(mesh_path), "--grid", "256",
+                 "--out", str(tmp_path / "rays.csv")]) == 4
+    assert "still bouncing" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["groove.off"]
 
 
 def test_trust_region_exit_code(tmp_path, monkeypatch):
@@ -242,7 +314,7 @@ def test_rerun_byte_identical(tmp_path):
 
 
 def test_thread_count_invariance(tmp_path):
-    outputs = []
+    outputs, samples = [], []
     for threads, name in ((1, "t1.json"), (2, "t2.json")):
         out = tmp_path / name
         result = run_cli(
@@ -251,9 +323,19 @@ def test_thread_count_invariance(tmp_path):
         )
         assert result.returncode == 0, result.stderr
         outputs.append(json.loads(out.read_text()))
+        f12 = (tmp_path / f"{out.stem}_f12.csv").read_text().splitlines()
+        header, *rows = [ln for ln in f12 if not ln.startswith("#")]
+        samples.append(dict(zip(header.split(","),
+                                np.loadtxt(rows, delimiter=",", unpack=True))))
     for key in ("capacity", "K", "Z1", "M", "d2_direct"):
         a, b = outputs[0][key], outputs[1][key]
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+    # f2 changes sign, so its drift is measured against the column maximum
+    # rather than pointwise
+    a, b = samples
+    for column in ("cos_theta", "phi", "f1"):
+        assert np.array_equal(a[column], b[column])
+    assert np.max(np.abs(a["f2"] - b["f2"])) <= 1e-12 * np.max(np.abs(a["f2"]))
 
 
 def test_thread_count_invariance_mesh_trace(tmp_path):
