@@ -21,6 +21,11 @@ from . import __version__
 _CONVENTION = "incident direction is +z; forward means cos_theta near +1"
 
 
+# largest ray grid per side: a 4096^2 trace of an analytic sphere takes
+# about 13 s and 1.1 GiB on a 2-vCPU VM
+_MAX_GRID = 4096
+
+
 class ConfigError(ValueError):
     pass
 
@@ -97,6 +102,29 @@ def _k_grid(args):
     if args.log:
         return np.geomspace(args.k_min, args.k_max, args.samples)
     return np.linspace(args.k_min, args.k_max, args.samples)
+
+
+def _series_k_grid(args, radius: float):
+    """The k grid of a partial-wave sweep, refused before any work when the
+    sweep outgrows one of 200 samples up to ka 3000.
+
+    Each sample costs about its series order L = ``default_truncation(ka)``
+    in Legendre rows; past ka 3000 the phase shifts dominate, and they cost
+    about L^2.  So ``samples * L * max(L, L_3000)`` is held to
+    ``200 * L_3000^2``, with L taken at ``k_max``.
+    """
+    from .sphere_oracle import default_truncation
+
+    k_values = _k_grid(args)
+    order = default_truncation(args.k_max * radius)
+    ref = default_truncation(3000.0)
+    if args.samples * order * max(order, ref) > 200 * ref * ref:
+        raise ConfigError(
+            f"--samples {args.samples} up to ka {args.k_max * radius:g} "
+            f"(series order {order}) is more work than 200 samples up to "
+            "ka 3000; lower --k-max or --samples"
+        )
+    return k_values
 
 
 def _config_echo(args) -> str:
@@ -187,14 +215,16 @@ def _cmd_mie(args) -> int:
     from . import sphere_oracle
 
     radius = _sphere(args).radius
-    sphere_oracle.sweep_to_csv(args.out, radius, _k_grid(args), _headers(args))
+    k_values = _series_k_grid(args, radius)
+    sphere_oracle.sweep_to_csv(args.out, radius, k_values, _headers(args))
     return 0
 
 
 def _cmd_fig1(args) -> int:
     from . import sphere_oracle
 
-    sphere_oracle.fig1_to_csv(args.out, _k_grid(args), header_lines=_headers(args))
+    k_values = _series_k_grid(args, sphere_oracle.FIG1_RADIUS)
+    sphere_oracle.fig1_to_csv(args.out, k_values, header_lines=_headers(args))
     return 0
 
 
@@ -244,12 +274,15 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than ``low`` (and, when ``high``
+    is given, no larger than ``high``)."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
     return parse
@@ -273,7 +306,7 @@ def _add_k_options(p, required=False):
                    default=(0.05 if required else None))
     p.add_argument("--k-max", dest="k_max", type=float,
                    default=(60.0 if required else None))
-    p.add_argument("--samples", type=_at_least(2), default=200)
+    p.add_argument("--samples", type=_int_in(2), default=200)
     p.add_argument("--log", action="store_true", help="logarithmic k grid")
 
 
@@ -283,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cross sections of hard bodies: boundary-integral "
         "expansion, exact sphere series, and classical rays.",
     )
-    parser.add_argument("--threads", type=_at_least(1), default=None,
+    parser.add_argument("--threads", type=_int_in(1), default=None,
                         help="thread budget handed to the linear algebra "
                         "(only when hardscatter starts the process)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -295,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lowfreq", help="small-k expansion report and checks")
     _add_body_options(p)
-    p.add_argument("--quad-theta", dest="quad_theta", type=_at_least(2), default=64)
-    p.add_argument("--quad-phi", dest="quad_phi", type=_at_least(4), default=128)
+    p.add_argument("--quad-theta", dest="quad_theta", type=_int_in(2), default=64)
+    p.add_argument("--quad-phi", dest="quad_phi", type=_int_in(4), default=128)
     _add_k_options(p)
     p.add_argument("--out", default="lowfreq.json")
     p.set_defaults(func=_cmd_lowfreq)
@@ -309,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("raytrace", help="classical ray tracing")
     _add_body_options(p, with_level=False)
-    p.add_argument("--grid", type=_at_least(64), default=1024)
+    p.add_argument("--grid", type=_int_in(64, _MAX_GRID), default=1024)
     p.add_argument("--out", default="raytrace.csv")
     p.set_defaults(func=_cmd_raytrace)
 
@@ -323,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "oracle vs classical at high k")
     p.add_argument("--body", required=True, help="sphere:R")
     _add_level(p)
-    p.add_argument("--grid", type=_at_least(64), default=1024)
+    p.add_argument("--grid", type=_int_in(64, _MAX_GRID), default=1024)
     p.add_argument("--out", default="compare.json")
     p.set_defaults(func=_cmd_compare)
     return parser

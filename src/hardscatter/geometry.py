@@ -170,11 +170,14 @@ def _check_topology(triangles: np.ndarray) -> None:
 
 def _point_set_diameter(points: np.ndarray) -> float:
     """Max pairwise distance, blocked to bound memory."""
+    # imported here: the mesh-free CLI paths load geometry without scipy
+    from scipy.spatial.distance import cdist
+
     best = 0.0
     block = 1024
     for i0 in range(0, len(points), block):
         chunk = points[i0 : i0 + block]
-        d2 = np.sum((chunk[:, None, :] - points[None, i0:, :]) ** 2, axis=2)
+        d2 = cdist(chunk, points[i0:], "sqeuclidean")
         best = max(best, float(d2.max(initial=0.0)))
     return float(np.sqrt(best))
 

@@ -83,7 +83,8 @@ class SingleLayerOperator:
 
     Entry (i, j) approximates the integral of ``1/|p - c_i|`` over triangle
     j: exact edge-decomposition formula on the diagonal, a symmetric 3-point
-    rule for close pairs, one-point quadrature otherwise.
+    rule for close pairs, one-point quadrature otherwise.  The matrix is
+    stored column-major, the order LAPACK factorises in.
     """
 
     mesh: TriMesh
@@ -98,8 +99,7 @@ class SingleLayerOperator:
     def factorize(self):
         """LU-factorize once; raise SolverError for singular systems."""
         if self._lu is None:
-            # the 1-norm of A is the inf-norm of the Fortran-ordered view A.T
-            anorm = float(lapack.dlange("I", self.matrix.T))
+            anorm = float(lapack.dlange("1", self.matrix))
             try:
                 with warnings.catch_warnings():
                     # exact singularity is reported via rcond below
@@ -153,19 +153,27 @@ def _near_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([i, j]), np.concatenate([j, i])
 
 
+def _centred_centroids(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Centroids ``c`` centred on their mean, and ``|c|^2``.
+
+    A distance ``d`` taken as ``sqrt(|c_i|^2 + |c_j|^2 - 2 c_i.c_j)`` loses
+    about ``|c|^2 / d^2`` ulps, so ``|c|`` must be the body's size, not its
+    distance from the origin.
+    """
+    c = mesh.centroids - mesh.centroids.mean(axis=0)
+    return c, np.einsum("ij,ij->i", c, c)
+
+
 def _centroid_distances(mesh: TriMesh):
     """Yield ``(i0, i1, dist)`` with ``dist`` the distances from centroids
     ``i0:i1`` to every centroid, one row block at a time.
 
-    Each block is ``sqrt(max(|c_i|^2 + |c_j|^2 - 2 c_i.c_j, 0))`` from one
-    GEMM, with an exactly-zero diagonal; no (rows, n, 3) array is formed.
-    The expansion loses about ``|c|^2 / d^2`` ulps of a distance ``d``, so
-    ``c`` are the centroids centred on their mean: ``|c|`` is then the body's
-    size, not its distance from the origin.  The block buffer is reused, so
-    consume each block before asking for the next.
+    Entry (i, j) of a block is ``sqrt(max((-2 c_i.c_j + |c_i|^2) + |c_j|^2,
+    0))`` in centred coordinates, from one GEMM, with an exactly-zero
+    diagonal; no (rows, n, 3) array is formed.  The block buffer is reused,
+    so consume each block before asking for the next.
     """
-    c = mesh.centroids - mesh.centroids.mean(axis=0)
-    sq = np.einsum("ij,ij->i", c, c)
+    c, sq = _centred_centroids(mesh)
     n = mesh.n_triangles
     block = np.empty((min(_ASSEMBLY_BLOCK, n), n))
     for i0 in range(0, n, _ASSEMBLY_BLOCK):
@@ -192,10 +200,14 @@ def _near_rule_sums(mesh: TriMesh, kernel):
     return ii, jj, acc
 
 
-def _dense_solve_bytes(n: int) -> int:
-    """Bytes of the dense chain at n panels: the matrix, the copy that
-    ``lu_factor`` makes, and one distance block."""
-    return 8 * (2 * n * n + min(_ASSEMBLY_BLOCK, n) * n)
+def _dense_solve_bytes(n: int, near_pairs: int = 0) -> int:
+    """Bytes of the dense chain at n panels and ``near_pairs`` ordered near
+    pairs: the matrix, the copy that ``lu_factor`` makes, one distance
+    block, and the working set of :func:`_near_rule_sums`, which
+    ``distance_moment`` holds next to the other three.  That working set
+    is ``ii``, ``jj``, ``acc`` and the ``(pairs, 3)`` node temporaries,
+    counted as 16 words a pair (``tracemalloc`` sees 122 bytes)."""
+    return 8 * (2 * n * n + min(_ASSEMBLY_BLOCK, n) * n) + 128 * near_pairs
 
 
 def _available_bytes() -> int:
@@ -214,23 +226,34 @@ def _available_bytes() -> int:
 def assemble_single_layer(mesh: TriMesh) -> SingleLayerOperator:
     """Assemble the dense collocation matrix for the 1/r kernel.
 
-    Raises SolverError, before allocating anything, when the dense chain
+    Raises SolverError, before the matrix is allocated, when the dense chain
     would not fit in the available memory.
     """
     n = mesh.n_triangles
-    need, have = _dense_solve_bytes(n), _available_bytes()
+    ii, jj, acc = _near_rule_sums(mesh, lambda r: 1.0 / r)
+    need, have = _dense_solve_bytes(n, len(ii)), _available_bytes()
     if need > have:
         raise SolverError(
             f"job does not fit in memory: {n} panels need about "
             f"{need / 2**20:.1f} MiB, {have / 2**20:.1f} MiB available"
         )
     areas = mesh.areas
-    matrix = np.empty((n, n))
-    for i0, i1, dist in _centroid_distances(mesh):
-        with np.errstate(divide="ignore"):
-            np.divide(areas, dist, out=matrix[i0:i1])
+    c, sq = _centred_centroids(mesh)
+    minus_2c = -2.0 * c
+    matrix = np.empty((n, n), order="F")
+    # Row j of the C-contiguous view matrix.T is column j of the matrix.
+    # Its entry i is areas[j] over the distance that _centroid_distances
+    # gives for (i, j), with the same rounding: |c_i|^2 is added first.
+    for j0 in range(0, n, _ASSEMBLY_BLOCK):
+        j1 = min(j0 + _ASSEMBLY_BLOCK, n)
+        cols = matrix.T[j0:j1]
+        np.matmul(c[j0:j1], minus_2c.T, out=cols)
+        cols += sq
+        cols += sq[j0:j1, None]
+        np.sqrt(np.maximum(cols, 0.0, out=cols), out=cols)
+        with np.errstate(divide="ignore"):  # the diagonal is set below
+            np.divide(areas[j0:j1, None], cols, out=cols)
 
-    ii, jj, acc = _near_rule_sums(mesh, lambda r: 1.0 / r)
     matrix[ii, jj] = (areas[jj] / 3.0) * acc
 
     diag = _triangle_self_integral(mesh)

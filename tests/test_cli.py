@@ -195,7 +195,31 @@ def test_config_errors(tmp_path):
     assert main(job + ["--k-min", "0.1", "--k-max", "0.2", "--samples", "1"]) == 2
     assert main(job + ["--quad-theta", "1"]) == 2
     assert main(job + ["--quad-phi", "3"]) == 2
+    # oversized jobs: a ray grid past 4096, and series sweeps that outgrow
+    # 200 samples up to ka 3000 (in samples, or in one sample's order)
+    assert main(["raytrace", "--body", "sphere:1", "--grid", "4097",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["compare", "--body", "sphere:1", "--grid", "8192",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert main(["mie", "--body", "sphere:1", "--k-min", "1", "--k-max", "3100",
+                 "--samples", "200", "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["mie", "--body", "sphere:2", "--k-min", "1", "--k-max", "5e4",
+                 "--samples", "2", "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["fig1", "--k-min", "1", "--k-max", "1e4",
+                 "--out", str(tmp_path / "x.csv")]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_series_work_bound_admits_the_reference_sweep():
+    from argparse import Namespace
+
+    from hardscatter.cli import ConfigError, _series_k_grid
+
+    args = Namespace(k_min=0.05, k_max=3000.0, samples=200, log=True)
+    assert len(_series_k_grid(args, 1.0)) == 200
+    args.samples = 201
+    with pytest.raises(ConfigError, match="more work than 200 samples"):
+        _series_k_grid(args, 1.0)
 
 
 def test_non_finite_values_exit_2(tmp_path):
@@ -282,9 +306,11 @@ def test_trust_region_exit_code(tmp_path, monkeypatch):
 
 
 def test_job_too_large_for_memory_exits_4(tmp_path, monkeypatch, capsys):
-    # level 3 has 320 panels, about 2.3 MiB of dense work
+    # level 3 has 320 panels, about 3.7 MiB of dense work
     monkeypatch.setattr(potential, "_available_bytes", lambda: 2**20)
-    need = potential._dense_solve_bytes(320) / 2**20
+    mesh = make_body(Sphere(1.0), 3)
+    pairs = len(potential._near_pairs(mesh)[0])
+    need = potential._dense_solve_bytes(mesh.n_triangles, pairs) / 2**20
     for command in ("capacity", "lowfreq"):
         code = main([command, "--body", "sphere:1", "--level", "3",
                      "--out", str(tmp_path / f"{command}.json")])

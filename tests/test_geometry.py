@@ -266,3 +266,16 @@ def test_scaling_laws(factor):
         factor**2 * shadow_area(mesh, 256), rel=1e-8
     )
     assert scaled.diameter == pytest.approx(factor * mesh.diameter, rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1000, 2200),
+       offset=st.floats(-1e4, 1e4), scale=st.floats(1e-3, 1e3))
+def test_point_set_diameter_matches_broadcast_formula(seed, n, offset, scale):
+    # the diameter feeds the trust region, the degeneracy floor and the
+    # tracer's nudge, so the blocked form must equal the plain one bit for bit
+    from hardscatter.geometry import _point_set_diameter
+
+    points = np.random.default_rng(seed).normal(size=(n, 3)) * scale + offset
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    assert _point_set_diameter(points) == float(np.sqrt(d2.max()))

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,27 @@ def test_distance_moment_against_difference_reference(far_ellipsoid3, monkeypatc
     assert np.abs(moment / reference - 1.0).max() < 1e-13
 
 
+def test_assembly_blocks_do_not_change_the_matrix(sphere3, monkeypatch):
+    default = assemble_single_layer(sphere3).matrix
+    monkeypatch.setattr(potential, "_ASSEMBLY_BLOCK", 64)
+    blocked = assemble_single_layer(sphere3).matrix
+    assert blocked.flags.f_contiguous
+    assert np.array_equal(blocked, default)
+
+
+def test_far_entries_are_areas_over_centroid_distances(sphere3, monkeypatch):
+    # distance_moment and the operator see the same distances bit for bit
+    monkeypatch.setattr(potential, "_ASSEMBLY_BLOCK", 100)
+    dist = np.vstack([d.copy() for _, _, d in _centroid_distances(sphere3)])
+    matrix = assemble_single_layer(sphere3).matrix
+    far = np.ones_like(matrix, dtype=bool)
+    ii, jj = potential._near_pairs(sphere3)
+    far[ii, jj] = False
+    np.fill_diagonal(far, False)
+    expected = np.broadcast_to(sphere3.areas, matrix.shape)[far] / dist[far]
+    assert np.array_equal(matrix[far], expected)
+
+
 @settings(max_examples=10, deadline=None)
 @given(factor=st.floats(0.2, 5.0))
 def test_kernel_homogeneity(factor):
@@ -288,6 +310,18 @@ def test_capacity_translation_far_from_origin(sphere4_densities):
 def test_dense_solve_estimate_covers_matrix_and_lu_copy():
     for n in (1, 320, 2048, 5120, 20480):
         assert _dense_solve_bytes(n) >= 16 * n * n
+
+
+def test_dense_solve_estimate_covers_traced_peak(sphere4):
+    n = sphere4.n_triangles
+    pairs = len(potential._near_pairs(sphere4)[0])
+    tracemalloc.start()
+    try:
+        solve_expansion_densities(sphere4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _dense_solve_bytes(n, pairs)
 
 
 def test_available_memory_without_meminfo(monkeypatch):

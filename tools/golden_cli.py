@@ -38,6 +38,9 @@ GOLDEN = {
     "capacity_cylinder": "capacity --body cylinder:1,2 --level 4 --out cap.json",
     "lowfreq_sphere": "lowfreq --body sphere:1 --level 4 --k-min 0.01 "
                       "--k-max 0.2 --samples 20 --out report.json",
+    # the benchmark's shape: 5120 panels, three assembly blocks
+    "lowfreq_sphere5": "lowfreq --body sphere:1 --level 5 --k-min 0.01 "
+                       "--k-max 0.2 --samples 20 --out report.json",
     "lowfreq_ellipsoid": "lowfreq --body ellipsoid:2,1,1.5 --level 4 --out report.json",
     "lowfreq_cylinder": "lowfreq --body cylinder:1,2 --level 3 --out report.json",
     "compare_sphere": "compare --body sphere:1 --level 4 --grid 256 --out compare.json",
