@@ -15,8 +15,8 @@ expansion at small k and the classical limit at large k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -101,8 +101,8 @@ def phase_shifts(radius: float, k: float, truncation: int | None = None) -> Phas
         raise ValueError("wavenumber must be positive")
     ka = k * radius
 
-    def table(upto: int) -> np.ndarray:
-        ls = np.arange(upto + 1)
+    def table(lo: int, upto: int) -> np.ndarray:
+        ls = np.arange(lo, upto + 1)
         j, y = spherical_bessel(ls, ka)
         d = np.arctan2(j, y)
         return d - np.pi * np.round(d / np.pi)
@@ -110,12 +110,15 @@ def phase_shifts(radius: float, k: float, truncation: int | None = None) -> Phas
     if truncation is not None:
         if truncation < 0:
             raise ValueError("truncation must be >= 0")
-        return PhaseShiftTable(radius, ka, table(truncation))
+        return PhaseShiftTable(radius, ka, table(0, truncation))
 
     floor = default_truncation(ka)
     upto = floor + 8
+    delta = np.empty(0)
     for _ in range(64):
-        delta = table(upto)
+        # the Bessel functions are elementwise, so extending the table
+        # with the new orders gives the same bits as recomputing it
+        delta = np.concatenate([delta, table(len(delta), upto)])
         tail = np.nonzero(np.abs(delta) < TRUNCATION_TOL)[0]
         tail = tail[tail >= floor]
         if tail.size:
@@ -148,23 +151,37 @@ def amplitude(table: PhaseShiftTable, theta) -> np.ndarray:
 class CrossSections:
     """Series cross sections with their numerical diagnostics.
 
-    ``series_quad_mismatch`` is the worst relative deviation between the
-    partial-wave sums and a 2048-point Gauss-Legendre quadrature of the
-    amplitude; ``optical_residual`` compares sigma with the forward
-    amplitude via the optical theorem.
+    ``optical_residual`` compares sigma with the forward amplitude via the
+    optical theorem.  ``series_quad_mismatch`` is the worst relative
+    deviation between the partial-wave sums and a 2048-point
+    Gauss-Legendre quadrature of the amplitude; it is evaluated on first
+    read, from ``table``, since a sweep writes only the series values.
     """
 
     k: float
     sigma: float
     sigma_t: float
     optical_residual: float
-    series_quad_mismatch: float
+    table: PhaseShiftTable = field(repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.sigma > 0):
             raise ValueError("sigma must be positive")
         if not (0 < self.sigma_t < 2 * self.sigma):
             raise ValueError("sigma_T must lie strictly between 0 and 2*sigma")
+
+    @cached_property
+    def series_quad_mismatch(self) -> float:
+        delta = self.table.delta
+        l = np.arange(len(delta))
+        mu, w = _gauss_rule(_QUAD_POINTS)
+        coeff = (2 * l + 1) * np.exp(1j * delta) * np.sin(delta) / self.k
+        intensity = np.abs(coeff @ _legendre_rows(self.table.truncation, mu)) ** 2
+        sigma_quad = 2.0 * np.pi * float(np.sum(w * intensity))
+        sigma_t_quad = 2.0 * np.pi * float(np.sum(w * (1.0 - mu) * intensity))
+        return max(
+            abs(sigma_quad / self.sigma - 1.0), abs(sigma_t_quad / self.sigma_t - 1.0)
+        )
 
 
 @lru_cache(maxsize=2)
@@ -173,7 +190,7 @@ def _gauss_rule(points: int):
 
 
 def cross_sections(table: PhaseShiftTable) -> CrossSections:
-    """Cross sections via the series, cross-checked by theta-quadrature."""
+    """Cross sections via the series; the quadrature cross-check is lazy."""
     k = table.k
     delta = table.delta
     l = np.arange(len(delta))
@@ -181,18 +198,10 @@ def cross_sections(table: PhaseShiftTable) -> CrossSections:
     gaps = delta[:-1] - delta[1:]
     sigma_t = 4.0 * np.pi / k**2 * float(np.sum((l[:-1] + 1) * np.sin(gaps) ** 2))
 
-    mu, w = _gauss_rule(_QUAD_POINTS)
     coeff = (2 * l + 1) * np.exp(1j * delta) * np.sin(delta) / k
-    intensity = np.abs(coeff @ _legendre_rows(table.truncation, mu)) ** 2
-    sigma_quad = 2.0 * np.pi * float(np.sum(w * intensity))
-    sigma_t_quad = 2.0 * np.pi * float(np.sum(w * (1.0 - mu) * intensity))
-    mismatch = max(
-        abs(sigma_quad / sigma - 1.0), abs(sigma_t_quad / sigma_t - 1.0)
-    )
-
     forward = complex(np.sum(coeff))  # P_l(1) = 1
     optical = abs(4.0 * np.pi / k * forward.imag - sigma) / sigma
-    return CrossSections(k, sigma, sigma_t, optical, mismatch)
+    return CrossSections(k, sigma, sigma_t, optical, table)
 
 
 class LowKExtrapolation(NamedTuple):

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardscatter import sphere_oracle
 from hardscatter.sphere_oracle import (
     FIG1_RADIUS,
+    PhaseShiftTable,
     amplitude,
     cross_sections,
     default_truncation,
@@ -111,6 +113,15 @@ def test_tan_delta_definition():
     assert err.max() < 1e-12
 
 
+@pytest.mark.parametrize("ka", [431.0, 1000.0, 3000.0])
+def test_extended_table_equals_direct_table(ka):
+    table = phase_shifts(1.0, ka)
+    # the first table of default_truncation + 8 orders was too short
+    assert table.truncation > default_truncation(ka) + 8
+    direct = phase_shifts(1.0, ka, truncation=table.truncation)
+    assert np.array_equal(table.delta, direct.delta)
+
+
 def test_phase_shift_validation():
     with pytest.raises(ValueError):
         phase_shifts(0.0, 1.0)
@@ -170,6 +181,75 @@ def test_high_ka_limits():
 def test_series_quadrature_mismatch(ka):
     xs = cross_sections(phase_shifts(1.0, ka))
     assert xs.series_quad_mismatch < 1e-8
+
+
+@pytest.fixture(scope="module")
+def gauss_2048():
+    return np.polynomial.legendre.leggauss(2048)
+
+
+@pytest.mark.parametrize("ka", [0.5, 5.0, 50.0, 200.0])
+def test_lazy_mismatch_is_the_quadrature_formula(ka, gauss_2048, monkeypatch):
+    calls = []
+    legendre_rows = sphere_oracle._legendre_rows
+
+    def counted(order, x):
+        calls.append(order)
+        return legendre_rows(order, x)
+
+    monkeypatch.setattr(sphere_oracle, "_legendre_rows", counted)
+    table = phase_shifts(1.0, ka)
+    xs = cross_sections(table)
+    assert calls == []
+
+    k, delta = table.k, table.delta
+    mu, w = gauss_2048
+    legendre = np.empty((len(delta), len(mu)))
+    legendre[0] = 1.0
+    legendre[1] = mu
+    for l in range(2, len(delta)):
+        legendre[l] = ((2 * l - 1) * mu * legendre[l - 1] - (l - 1) * legendre[l - 2]) / l
+    l = np.arange(len(delta))
+    coeff = (2 * l + 1) * np.exp(1j * delta) * np.sin(delta) / k
+    intensity = np.abs(coeff @ legendre) ** 2
+    sigma_quad = 2.0 * np.pi * float(np.sum(w * intensity))
+    sigma_t_quad = 2.0 * np.pi * float(np.sum(w * (1.0 - mu) * intensity))
+    expected = max(abs(sigma_quad / xs.sigma - 1.0), abs(sigma_t_quad / xs.sigma_t - 1.0))
+
+    assert xs.series_quad_mismatch == expected
+    assert len(calls) == 1
+    assert xs.series_quad_mismatch == expected
+    assert len(calls) == 1
+
+
+def test_sweeps_build_no_gauss_rule():
+    sphere_oracle._gauss_rule.cache_clear()
+    fig1_sweep(np.geomspace(0.05, 200.0, 60), 1.0)
+    low_k_extrapolate(1.0)
+    assert sphere_oracle._gauss_rule.cache_info().misses == 0
+
+
+def test_cross_sections_compare_by_series_values():
+    first = cross_sections(phase_shifts(1.0, 5.0))
+    second = cross_sections(phase_shifts(1.0, 5.0))
+    assert first.table is not second.table
+    assert first == second
+    assert "delta" not in repr(first)
+    assert "PhaseShiftTable" not in repr(first)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_sweep_validates_every_k(monkeypatch):
+    k_values = np.geomspace(0.5, 50.0, 12)
+
+    def zero_at_last_k(radius, k):
+        if k == k_values[-1]:
+            return PhaseShiftTable(radius, k * radius, np.zeros(8))
+        return phase_shifts(radius, k)
+
+    monkeypatch.setattr(sphere_oracle, "phase_shifts", zero_at_last_k)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        fig1_sweep(k_values, 1.0)
 
 
 def test_transport_below_total_across_ka():

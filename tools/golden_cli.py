@@ -46,6 +46,9 @@ GOLDEN = {
     "compare_sphere": "compare --body sphere:1 --level 4 --grid 256 --out compare.json",
     "mie_sphere": "mie --body sphere:1 --k-min 0.05 --k-max 20 --samples 50 --out mie.csv",
     "fig1": "fig1 --k-min 0.05 --k-max 60 --samples 100 --out fig1.csv",
+    # series orders past 600; from ka about 270 phase_shifts extends its first table
+    "mie_log": "mie --body sphere:1 --k-min 0.05 --k-max 600 --samples 120 "
+               "--log --out mie.csv",
     "raytrace_sphere": "raytrace --body sphere:1 --grid 256 --out rays.csv",
     "raytrace_cylinder": "raytrace --body cylinder:1,2 --grid 256 --out rays.csv",
     "raytrace_ellipsoid": "raytrace --body ellipsoid:1.2,1,0.8 --grid 256 --out rays.csv",
