@@ -26,7 +26,7 @@ _EXPORTS = {
     "geometry": (
         "CappedCylinder", "Ellipsoid", "MeshError", "Sphere", "TriMesh",
         "load_mesh", "loads_mesh", "make_body", "mesh_volume", "reflect",
-        "save_mesh", "scale_mesh", "shadow_area",
+        "save_mesh", "shadow_area",
     ),
     "potential": (
         "SingleLayerOperator", "SolverError", "SurfaceDensity",
@@ -41,7 +41,6 @@ _EXPORTS = {
     "sphere_oracle": (
         "CrossSections", "PhaseShiftTable", "amplitude", "cross_sections",
         "fig1_sweep", "low_k_extrapolate", "phase_shifts",
-        "spherical_bessel",
     ),
     "classical": (
         "FclHistogram", "RayTraceResult", "TrappingError", "fcl_histogram",

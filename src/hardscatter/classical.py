@@ -81,12 +81,6 @@ class FclHistogram:
     def phi_centers(self) -> np.ndarray:
         return -np.pi + (np.arange(self.n_phi) + 0.5) * (2.0 * np.pi / self.n_phi)
 
-    def weighted_sum(self, weight=None) -> float:
-        """Solid-angle integral of values times an optional cos(theta) weight
-        function; with no weight this recovers sigma_cl."""
-        w = 1.0 if weight is None else weight(self.cos_centers())[:, None]
-        return float(np.sum(self.values * w) * self.bin_solid_angle)
-
 
 @dataclass(frozen=True)
 class RayTraceResult:
@@ -473,8 +467,6 @@ class Theorem2Report:
     transport_below_total: bool    # sigma_T < sigma on the whole grid
     sigma_trend_decreasing: bool   # first-decile vs last-decile |ratio - 1|
     sigma_t_trend_decreasing: bool
-    sigma_cl: float
-    r_cl: float
 
 
 def theorem2_check(radius: float, ka_values, grid: int = 1024) -> Theorem2Report:
@@ -503,8 +495,6 @@ def theorem2_check(radius: float, ka_values, grid: int = 1024) -> Theorem2Report
         transport_below_total=bool(np.all(sigma_t < sigma)),
         sigma_trend_decreasing=trend(sigma_ratio),
         sigma_t_trend_decreasing=trend(sigma_t_ratio),
-        sigma_cl=classical.sigma_cl,
-        r_cl=classical.r_cl,
     )
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "Sphere",
     "Ellipsoid",
     "CappedCylinder",
-    "AnalyticBody",
     "make_body",
     "load_mesh",
     "loads_mesh",
@@ -33,7 +32,6 @@ __all__ = [
     "mesh_volume",
     "reflect",
     "shadow_area",
-    "scale_mesh",
 ]
 
 # Relative area floor for degeneracy detection (fraction of diameter^2).
@@ -220,8 +218,6 @@ class CappedCylinder:
             raise ValueError("cylinder radius and height must be positive and finite")
 
 
-AnalyticBody = Sphere | Ellipsoid | CappedCylinder
-
 _GOLD = (1.0 + np.sqrt(5.0)) / 2.0
 
 
@@ -372,7 +368,7 @@ def _cylinder_mesh(radius: float, height: float, level: int):
     return np.asarray(verts), np.asarray(faces, dtype=np.int64)
 
 
-def make_body(body: AnalyticBody, level: int) -> TriMesh:
+def make_body(body: Sphere | Ellipsoid | CappedCylinder, level: int) -> TriMesh:
     """Triangulate an analytic body, inscribed, at the given refinement level.
 
     Sphere and ellipsoid meshes are subdivided icosahedra with
@@ -488,13 +484,6 @@ def reflect(mesh: TriMesh) -> TriMesh:
     v[:, 2] = -v[:, 2]
     t = mesh.triangles[:, [0, 2, 1]]
     return TriMesh.from_arrays(v, t)
-
-
-def scale_mesh(mesh: TriMesh, factor: float) -> TriMesh:
-    """Uniformly scale about the origin; factor must be positive."""
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-    return TriMesh.from_arrays(mesh.vertices * factor, mesh.triangles)
 
 
 def shadow_area(mesh: TriMesh, grid: int = 1024) -> float:

@@ -140,7 +140,7 @@ def solve_expansion_densities(mesh: TriMesh) -> ExpansionDensities:
     cap = -density0.integral()
     mu1a = solve_density(operator, -z)
     mu1 = SurfaceDensity(-cap * density0.values + mu1a.values, mesh)
-    data2 = -0.5 * z**2 - mu1.integral() - 0.5 * distance_moment(mesh, density0)
+    data2 = -0.5 * z**2 - mu1.integral() - 0.5 * distance_moment(operator, density0)
     density2 = solve_density(operator, data2)
     return ExpansionDensities(mesh, operator, density0, mu1, mu1a, density2, cap)
 

@@ -48,7 +48,7 @@ _NEAR_RULE = np.array([
     [1 / 6, 1 / 6, 2 / 3],
 ])
 
-_ASSEMBLY_BLOCK = 2048
+_ASSEMBLY_BLOCK = 256
 
 
 class SolverError(Exception):
@@ -85,10 +85,15 @@ class SingleLayerOperator:
     j: exact edge-decomposition formula on the diagonal, a symmetric 3-point
     rule for close pairs, one-point quadrature otherwise.  The matrix is
     stored column-major, the order LAPACK factorises in.
+
+    ``near`` is the near/far split, ``(ii, jj, distance)``: the close pairs
+    (i, j) and, per pair, the sum of ``|q - c_i|`` over the three rule
+    nodes q on triangle j, which :func:`distance_moment` reads.
     """
 
     mesh: TriMesh
     matrix: np.ndarray
+    near: tuple = field(repr=False)
     _lu: tuple | None = field(default=None, repr=False)
     _rcond: float | None = field(default=None, repr=False)
 
@@ -187,26 +192,28 @@ def _centroid_distances(mesh: TriMesh):
         yield i0, i1, dist
 
 
-def _near_rule_sums(mesh: TriMesh, kernel):
-    """Near pairs ``(i, j)`` and, per pair, the sum of ``kernel(|q - c_i|)``
-    over the three nodes q of the near rule on triangle j."""
+def _near_rule_sums(mesh: TriMesh):
+    """Near pairs ``(i, j)`` and, per pair, the sums of ``1/|q - c_i|`` and
+    of ``|q - c_i|`` over the three nodes q of the near rule on triangle j."""
     ii, jj = _near_pairs(mesh)
     cent = mesh.centroids
     p0, p1, p2 = mesh.corners()
-    acc = np.zeros(len(ii))
+    inverse = np.zeros(len(ii))
+    distance = np.zeros(len(ii))
     for w0, w1, w2 in _NEAR_RULE:
         q = w0 * p0[jj] + w1 * p1[jj] + w2 * p2[jj]
-        acc += kernel(np.linalg.norm(q - cent[ii], axis=1))
-    return ii, jj, acc
+        r = np.linalg.norm(q - cent[ii], axis=1)
+        inverse += 1.0 / r
+        distance += r
+    return ii, jj, inverse, distance
 
 
 def _dense_solve_bytes(n: int, near_pairs: int = 0) -> int:
     """Bytes of the dense chain at n panels and ``near_pairs`` ordered near
     pairs: the matrix, the copy that ``lu_factor`` makes, one distance
-    block, and the working set of :func:`_near_rule_sums`, which
-    ``distance_moment`` holds next to the other three.  That working set
-    is ``ii``, ``jj``, ``acc`` and the ``(pairs, 3)`` node temporaries,
-    counted as 16 words a pair (``tracemalloc`` sees 122 bytes)."""
+    block, and the working set of :func:`_near_rule_sums` during assembly,
+    counted as 16 words a pair; ``distance_moment`` holds only the
+    operator's ``near`` record, three words a pair, next to the other three."""
     return 8 * (2 * n * n + min(_ASSEMBLY_BLOCK, n) * n) + 128 * near_pairs
 
 
@@ -230,7 +237,7 @@ def assemble_single_layer(mesh: TriMesh) -> SingleLayerOperator:
     would not fit in the available memory.
     """
     n = mesh.n_triangles
-    ii, jj, acc = _near_rule_sums(mesh, lambda r: 1.0 / r)
+    ii, jj, inverse, distance = _near_rule_sums(mesh)
     need, have = _dense_solve_bytes(n, len(ii)), _available_bytes()
     if need > have:
         raise SolverError(
@@ -254,13 +261,13 @@ def assemble_single_layer(mesh: TriMesh) -> SingleLayerOperator:
         with np.errstate(divide="ignore"):  # the diagonal is set below
             np.divide(areas[j0:j1, None], cols, out=cols)
 
-    matrix[ii, jj] = (areas[jj] / 3.0) * acc
+    matrix[ii, jj] = (areas[jj] / 3.0) * inverse
 
     diag = _triangle_self_integral(mesh)
     if np.any(diag <= 0.0):
         raise SolverError("non-positive self-integral; degenerate triangle")
     matrix[np.arange(n), np.arange(n)] = diag
-    return SingleLayerOperator(mesh, matrix)
+    return SingleLayerOperator(mesh, matrix, (ii, jj, distance))
 
 
 def solve_density(operator: SingleLayerOperator, data: np.ndarray) -> SurfaceDensity:
@@ -301,19 +308,20 @@ def capacity(mesh: TriMesh) -> float:
     return value
 
 
-def distance_moment(mesh: TriMesh, density: SurfaceDensity) -> np.ndarray:
+def distance_moment(operator: SingleLayerOperator, density: SurfaceDensity) -> np.ndarray:
     """Collocated values of ``integral |p - r| density(p) dsigma(p)``.
 
-    Same near/far split as the operator: near entries of each distance
-    block are replaced by the 3-point mean before the block meets the
-    density.  The kernel is regular, so the diagonal uses the centroid value,
-    exactly zero.
+    Same near/far split as the operator, read from ``operator.near``: near
+    entries of each distance block are replaced by the 3-point mean before
+    the block meets the density.  The kernel is regular, so the diagonal
+    uses the centroid value, exactly zero.
     """
+    mesh = operator.mesh
     weighted = density.values * mesh.areas
     out = np.empty(mesh.n_triangles)
-    ii, jj, acc = _near_rule_sums(mesh, lambda r: r)
+    ii, jj, distance = operator.near
     for i0, i1, dist in _centroid_distances(mesh):
         rows = (ii >= i0) & (ii < i1)
-        dist[ii[rows] - i0, jj[rows]] = acc[rows] / 3.0
+        dist[ii[rows] - i0, jj[rows]] = distance[rows] / 3.0
         out[i0:i1] = dist @ weighted
     return out

@@ -25,7 +25,6 @@ from scipy.special import spherical_jn, spherical_yn
 from ._table import write_csv
 
 __all__ = [
-    "spherical_bessel",
     "PhaseShiftTable",
     "phase_shifts",
     "amplitude",
@@ -45,21 +44,6 @@ TRUNCATION_TOL = 1e-14
 _QUAD_POINTS = 2048
 
 FIG1_RADIUS = 1.0 / np.sqrt(np.pi)
-
-
-def spherical_bessel(l, x):
-    """Spherical Bessel pair (j_l(x), y_l(x)) for x > 0.
-
-    Backed by the library special functions, which carry the stable
-    downward/upward recurrences; accurate to ~1e-15 relative.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("spherical_bessel requires x > 0")
-    l = np.asarray(l)
-    if np.any(l < 0):
-        raise ValueError("spherical_bessel requires l >= 0")
-    return spherical_jn(l, x), spherical_yn(l, x)
 
 
 @dataclass(frozen=True)
@@ -103,8 +87,7 @@ def phase_shifts(radius: float, k: float, truncation: int | None = None) -> Phas
 
     def table(lo: int, upto: int) -> np.ndarray:
         ls = np.arange(lo, upto + 1)
-        j, y = spherical_bessel(ls, ka)
-        d = np.arctan2(j, y)
+        d = np.arctan2(spherical_jn(ls, ka), spherical_yn(ls, ka))
         return d - np.pi * np.round(d / np.pi)
 
     if truncation is not None:
@@ -197,6 +180,8 @@ def cross_sections(table: PhaseShiftTable) -> CrossSections:
     sigma = 4.0 * np.pi / k**2 * float(np.sum((2 * l + 1) * np.sin(delta) ** 2))
     gaps = delta[:-1] - delta[1:]
     sigma_t = 4.0 * np.pi / k**2 * float(np.sum((l[:-1] + 1) * np.sin(gaps) ** 2))
+    if not (sigma > 0):  # before the optical residual divides by it
+        raise ValueError("sigma must be positive")
 
     coeff = (2 * l + 1) * np.exp(1j * delta) * np.sin(delta) / k
     forward = complex(np.sum(coeff))  # P_l(1) = 1

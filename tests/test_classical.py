@@ -359,7 +359,8 @@ def test_histogram_recovers_sigma_cl(sphere_trace):
 
 def test_histogram_transfer_consistency(sphere_trace):
     hist = sphere_trace.histogram
-    weighted = hist.weighted_sum(lambda ct: 1.0 - ct)
+    transfer = (1.0 - hist.cos_centers())[:, None]
+    weighted = float(np.sum(hist.values * transfer) * hist.bin_solid_angle)
     assert weighted == pytest.approx(sphere_trace.r_cl, rel=0.02)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 
@@ -8,9 +9,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from hardscatter import potential
-from hardscatter.geometry import Ellipsoid, Sphere, TriMesh, make_body, scale_mesh, reflect
+from hardscatter.geometry import Ellipsoid, Sphere, TriMesh, make_body, reflect
 from hardscatter.potential import (
-    SingleLayerOperator,
     SolverError,
     SurfaceDensity,
     _centroid_distances,
@@ -172,7 +172,7 @@ def test_distance_moment_against_difference_reference(far_ellipsoid3, monkeypatc
         for w0, w1, w2 in nodes
     ) / 3.0
     reference = dist @ (values * mesh.areas)
-    moment = distance_moment(mesh, SurfaceDensity(values, mesh))
+    moment = distance_moment(assemble_single_layer(mesh), SurfaceDensity(values, mesh))
     assert np.abs(moment / reference - 1.0).max() < 1e-13
 
 
@@ -197,12 +197,28 @@ def test_far_entries_are_areas_over_centroid_distances(sphere3, monkeypatch):
     assert np.array_equal(matrix[far], expected)
 
 
+def test_near_pairs_found_once_per_expansion(sphere3, monkeypatch):
+    # distance_moment reads the operator's near/far split
+    calls = []
+    find = potential._near_pairs
+
+    def counted(mesh):
+        calls.append(mesh)
+        return find(mesh)
+
+    monkeypatch.setattr(potential, "_near_pairs", counted)
+    solve_expansion_densities(sphere3)
+    assert len(calls) == 1
+
+
 @settings(max_examples=10, deadline=None)
 @given(factor=st.floats(0.2, 5.0))
 def test_kernel_homogeneity(factor):
     mesh = make_body(Sphere(1.0), 1)
     op = assemble_single_layer(mesh)
-    scaled_op = assemble_single_layer(scale_mesh(mesh, factor))
+    scaled_op = assemble_single_layer(
+        TriMesh.from_arrays(mesh.vertices * factor, mesh.triangles)
+    )
     assert np.allclose(scaled_op.matrix, factor * op.matrix, rtol=1e-12)
 
 
@@ -235,7 +251,7 @@ def test_solve_rejects_bad_data(sphere3):
 
 def test_singular_system_reports_condition(sphere3):
     matrix = np.ones((sphere3.n_triangles, sphere3.n_triangles))
-    op = SingleLayerOperator(sphere3, matrix)
+    op = dataclasses.replace(assemble_single_layer(sphere3), matrix=matrix)
     with pytest.raises(SolverError, match="rcond"):
         solve_density(op, np.ones(op.n))
 
@@ -290,7 +306,8 @@ def test_capacity_triaxial_ellipsoid_against_quadrature_oracle():
 def test_capacity_scaling():
     mesh = make_body(Sphere(1.0), 2)
     base = capacity(mesh)
-    assert capacity(scale_mesh(mesh, 2.5)) == pytest.approx(2.5 * base, rel=1e-8)
+    scaled = TriMesh.from_arrays(mesh.vertices * 2.5, mesh.triangles)
+    assert capacity(scaled) == pytest.approx(2.5 * base, rel=1e-8)
 
 
 def test_capacity_translation_invariant():
@@ -416,7 +433,7 @@ def test_k_vanishes_on_symmetric_bodies(
 def test_distance_moment_sphere(sphere4_densities):
     # integral |p - r| dsigma over the unit sphere from a surface point is
     # 16 pi / 3; with mu0 = -1/(4 pi) the half-moment is -2/3 everywhere
-    half = 0.5 * distance_moment(sphere4_densities.mesh, sphere4_densities.mu0)
+    half = 0.5 * distance_moment(sphere4_densities.operator, sphere4_densities.mu0)
     assert np.abs(half / (-2.0 / 3.0) - 1.0).max() < 0.01
 
 

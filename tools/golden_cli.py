@@ -1,14 +1,15 @@
-"""Byte-identity check of the CLI against an earlier revision.
+"""Byte-identity check of the CLI and the demos against an earlier revision.
 
     python tools/golden_cli.py REV
 
 Extracts ``git archive REV`` into a temporary directory (the repository's
-``.git`` is only read) and runs a fixed set of CLI configs against that tree
-and against the working tree.  Each config runs in a fresh directory, with
-``OPENBLAS_NUM_THREADS=1`` and the tree's absolute ``src`` as
-``PYTHONPATH``.  The exit code and every file a config writes are compared;
-stderr is not.  Each difference is printed, and the exit status is 1 if
-there is any, 0 if every exit code and output file agree.
+``.git`` is only read) and runs a fixed set of CLI configs, and every script
+in the tree's ``demos/``, against that tree and against the working tree.
+Each run has a fresh directory, ``OPENBLAS_NUM_THREADS=1`` and the tree's
+absolute ``src`` as ``PYTHONPATH``.  The exit code and every file a run
+writes are compared, and so is a demo's stdout; stderr is not.  Each
+difference is printed, and the exit status is 1 if there is any, 0 if
+everything agrees.
 
 A refactor that is meant to keep the CLI's outputs byte-identical is checked
 with ``python tools/golden_cli.py <parent commit>``.
@@ -38,7 +39,7 @@ GOLDEN = {
     "capacity_cylinder": "capacity --body cylinder:1,2 --level 4 --out cap.json",
     "lowfreq_sphere": "lowfreq --body sphere:1 --level 4 --k-min 0.01 "
                       "--k-max 0.2 --samples 20 --out report.json",
-    # the benchmark's shape: 5120 panels, three assembly blocks
+    # the benchmark's shape: 5120 panels, twenty assembly blocks
     "lowfreq_sphere5": "lowfreq --body sphere:1 --level 5 --k-min 0.01 "
                        "--k-max 0.2 --samples 20 --out report.json",
     "lowfreq_ellipsoid": "lowfreq --body ellipsoid:2,1,1.5 --level 4 --out report.json",
@@ -85,18 +86,23 @@ def _extract(rev: str, dest: Path) -> None:
 
 
 def _run(tree: Path, work: Path, mesh: Path) -> dict:
-    """Exit code and output files (name -> bytes) of every config."""
+    """Exit code and output files (name -> bytes) of every config and demo;
+    a demo's stdout counts as its file ``<stdout>``."""
+    jobs = {name: ["-m", "hardscatter.cli", *command.split()]
+            for name, command in {**GOLDEN, **ERRORS}.items()}
+    demos = {f"demo {p.name}": [str(p)] for p in sorted((tree / "demos").glob("*.py"))}
     results = {}
-    for name, command in {**GOLDEN, **ERRORS}.items():
-        run = work / name
+    for name, args in {**jobs, **demos}.items():
+        run = work / name.replace(" ", "_")
         run.mkdir(parents=True)
         shutil.copy(mesh, run / MESH)
-        code = subprocess.run([sys.executable, "-m", "hardscatter.cli",
-                               *command.split()], cwd=run, env=_env(tree),
-                              capture_output=True).returncode
+        proc = subprocess.run([sys.executable, *args], cwd=run, env=_env(tree),
+                              capture_output=True)
         files = {p.name: p.read_bytes() for p in sorted(run.iterdir())
                  if p.name != MESH}
-        results[name] = (code, files)
+        if name in demos:
+            files["<stdout>"] = proc.stdout
+        results[name] = (proc.returncode, files)
     return results
 
 
@@ -114,9 +120,10 @@ def main(argv=None) -> int:
         before = _run(tmp / "rev", tmp / "runs_rev", tmp / MESH)
         after = _run(ROOT, tmp / "runs_work", tmp / MESH)
 
-    differences = []
-    for name, (code, files) in before.items():
-        new_code, new_files = after[name]
+    differences = [f"{name}: run by one tree only"
+                   for name in sorted(before.keys() ^ after.keys())]
+    for name in (name for name in before if name in after):
+        (code, files), (new_code, new_files) = before[name], after[name]
         if new_code != code:
             differences.append(f"{name}: exit {code} at {rev}, {new_code} now")
         if name in ERRORS and new_code != 2:
@@ -129,7 +136,7 @@ def main(argv=None) -> int:
     for line in differences:
         print(line)
     n_files = sum(len(files) for _, files in after.values())
-    print(f"{len(after)} configs, {n_files} output files: "
+    print(f"{len(after)} configs and demos, {n_files} output files: "
           f"{len(differences)} difference(s) against {rev}")
     return 1 if differences else 0
 
