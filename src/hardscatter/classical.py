@@ -127,15 +127,24 @@ def _body_box(body):
 # first-hit kernels; each returns (t, normal) with t = +inf for misses
 
 
+def _nearest_root(aa, bb, cc, t_min, keep=None):
+    """Per ray, the smaller root t > t_min of aa t^2 + 2 bb t + cc = 0, or
+    +inf; ``keep(t)``, if given, masks the roots that count."""
+    disc = bb * bb - aa * cc
+    root = np.sqrt(np.maximum(disc, 0.0))
+    t = np.full(len(bb), np.inf)
+    for candidate in ((-bb - root) / aa, (-bb + root) / aa):
+        ok = (disc >= 0.0) & (candidate > t_min) & (candidate < t)
+        if keep is not None:
+            ok &= keep(candidate)
+        t[ok] = candidate[ok]
+    return t
+
+
 def _sphere_hit(body: Sphere, origins, dirs, t_min):
     b = np.einsum("ij,ij->i", origins, dirs)
     c = np.einsum("ij,ij->i", origins, origins) - body.radius**2
-    disc = b * b - c
-    root = np.sqrt(np.maximum(disc, 0.0))
-    t = np.full(len(origins), np.inf)
-    for candidate in (-b - root, -b + root):
-        ok = (disc >= 0.0) & (candidate > t_min) & (candidate < t)
-        t[ok] = candidate[ok]
+    t = _nearest_root(1.0, b, c, t_min)
     hit = np.isfinite(t)
     normal = np.zeros_like(origins)
     pts = origins[hit] + t[hit, None] * dirs[hit]
@@ -150,12 +159,7 @@ def _ellipsoid_hit(body: Ellipsoid, origins, dirs, t_min):
     aa = np.einsum("ij,ij->i", d, d)
     bb = np.einsum("ij,ij->i", o, d)
     cc = np.einsum("ij,ij->i", o, o) - 1.0
-    disc = bb * bb - aa * cc
-    root = np.sqrt(np.maximum(disc, 0.0))
-    t = np.full(len(origins), np.inf)
-    for candidate in ((-bb - root) / aa, (-bb + root) / aa):
-        ok = (disc >= 0.0) & (candidate > t_min) & (candidate < t)
-        t[ok] = candidate[ok]
+    t = _nearest_root(aa, bb, cc, t_min)
     hit = np.isfinite(t)
     normal = np.zeros_like(origins)
     pts = origins[hit] + t[hit, None] * dirs[hit]
@@ -166,42 +170,26 @@ def _ellipsoid_hit(body: Ellipsoid, origins, dirs, t_min):
 
 def _cylinder_hit(body: CappedCylinder, origins, dirs, t_min):
     r, half = body.radius, body.height / 2.0
-    n = len(origins)
-    t = np.full(n, np.inf)
-    normal = np.zeros((n, 3))
-
-    def consider(candidate, ok, nx, ny, nz):
-        better = ok & (candidate > t_min) & (candidate < t)
-        t[better] = candidate[better]
-        normal[better] = np.stack(
-            [np.broadcast_to(nx, n)[better],
-             np.broadcast_to(ny, n)[better],
-             np.broadcast_to(nz, n)[better]], axis=1
-        )
-
-    # side wall
-    aa = dirs[:, 0] ** 2 + dirs[:, 1] ** 2
-    bb = origins[:, 0] * dirs[:, 0] + origins[:, 1] * dirs[:, 1]
-    cc = origins[:, 0] ** 2 + origins[:, 1] ** 2 - r * r
-    quadratic = aa > 0.0
+    ox, oy, oz = origins.T
+    dx, dy, dz = dirs.T
+    # a ray parallel to the axis (aa = 0) or to the caps (dz = 0) divides by
+    # zero; its nan and infinite roots fail t_min < t < inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        disc = bb * bb - aa * cc
-        root = np.sqrt(np.maximum(disc, 0.0))
-        for candidate in ((-bb - root) / aa, (-bb + root) / aa):
-            z = origins[:, 2] + candidate * dirs[:, 2]
-            ok = quadratic & (disc >= 0.0) & (np.abs(z) <= half)
-            pts_x = origins[:, 0] + candidate * dirs[:, 0]
-            pts_y = origins[:, 1] + candidate * dirs[:, 1]
-            consider(candidate, ok, pts_x / r, pts_y / r, 0.0)
-    # caps
-    moving_z = dirs[:, 2] != 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # side wall, between the caps
+        t = _nearest_root(dx**2 + dy**2, ox * dx + oy * dy, ox**2 + oy**2 - r * r,
+                          t_min, lambda s: np.abs(oz + s * dz) <= half)
+        side = np.isfinite(t)
+        normal = np.zeros((len(t), 3))
         for z_cap, nz in ((-half, -1.0), (half, 1.0)):
-            candidate = np.where(moving_z, (z_cap - origins[:, 2]) / dirs[:, 2], np.inf)
-            x = origins[:, 0] + candidate * dirs[:, 0]
-            y = origins[:, 1] + candidate * dirs[:, 1]
-            ok = moving_z & (x * x + y * y <= r * r)
-            consider(candidate, ok, 0.0, 0.0, nz)
+            candidate = (z_cap - oz) / dz
+            x = ox + candidate * dx
+            y = oy + candidate * dy
+            better = (x * x + y * y <= r * r) & (candidate > t_min) & (candidate < t)
+            t[better] = candidate[better]
+            normal[better, 2] = nz
+            side[better] = False
+    normal[side, 0] = (ox[side] + t[side] * dx[side]) / r
+    normal[side, 1] = (oy[side] + t[side] * dy[side]) / r
     return t, normal
 
 
@@ -354,6 +342,8 @@ def trace(
     """
     if grid < 64:
         raise ValueError("grid must be >= 64")
+    if bounce_cap < 0:
+        raise ValueError("bounce_cap must be >= 0")
     ((x0, x1), (y0, y1), z_low), scale = _body_box(body)
     if not (x1 > x0 and y1 > y0):
         raise ValueError("body has an empty shadow bounding box")
@@ -367,55 +357,49 @@ def trace(
     max_bounces = 0
     r_sum = 0.0
     cos_sum = 0.0
-    outgoing_chunks = []
+    outgoing_chunks = [np.empty((0, 3), dtype=np.float32)]
 
     rows_per_chunk = max(1, _RAY_CHUNK // grid)
     for r0 in range(0, grid, rows_per_chunk):
-        r1 = min(r0 + rows_per_chunk, grid)
-        X, Y = np.meshgrid(xs[r0:r1], ys, indexing="ij")
-        m = X.size
-        origins = np.stack(
-            [X.ravel(), Y.ravel(), np.full(m, z_start)], axis=1
+        rows = xs[r0:r0 + rows_per_chunk]
+        m = len(rows) * grid
+        origins = np.column_stack(
+            [np.repeat(rows, grid), np.tile(ys, len(rows)), np.full(m, z_start)]
         )
-        entry = origins[:, :2].copy()
         dirs = np.zeros((m, 3))
         dirs[:, 2] = 1.0
-        bounces = np.zeros(m, dtype=np.int32)
-        alive = np.arange(m)
 
+        # the live rays: their indices in the chunk, origins and directions
+        ray, o, d = np.arange(m), origins, dirs
         for bounce in range(bounce_cap + 1):
-            t, normal = _first_hit(body, origins[alive], dirs[alive], t_min)
+            t, normal = _first_hit(body, o, d, t_min)
             hit = np.isfinite(t)
-            if not np.any(hit):
+            ray = ray[hit]
+            if bounce == 0:
+                struck = ray
+            if not len(ray):
                 break
-            struck = alive[hit]
             if bounce == bounce_cap:
-                raise TrappingError(entry[struck[0]], bounce_cap)
-            pts = origins[struck] + t[hit, None] * dirs[struck]
+                raise TrappingError(origins[ray[0], :2], bounce_cap)
+            d = d[hit]
             n_hat = normal[hit]
-            d = dirs[struck]
-            dirs[struck] = d - 2.0 * np.einsum("ij,ij->i", d, n_hat)[:, None] * n_hat
-            origins[struck] = pts + t_min * dirs[struck]
-            bounces[struck] += 1
-            alive = struck
+            pts = o[hit] + t[hit, None] * d
+            d = d - 2.0 * np.einsum("ij,ij->i", d, n_hat)[:, None] * n_hat
+            o = pts + t_min * d
+            dirs[ray] = d
+        # the loop ends on the first pass without hits, so ``bounce`` counts
+        # the passes that had some
+        max_bounces = max(max_bounces, bounce)
 
-        hit_mask = bounces > 0
-        rays_hit += int(hit_mask.sum())
-        max_bounces = max(max_bounces, int(bounces.max(initial=0)))
-        out = dirs[hit_mask]
+        rays_hit += len(struck)
+        out = dirs[struck]
         r_sum += float(np.sum(1.0 - out[:, 2]))
         cos_sum += float(np.sum(out[:, 2]))
-        if len(out):
-            outgoing_chunks.append(out.astype(np.float32))
+        outgoing_chunks.append(out.astype(np.float32))
 
-    outgoing = (
-        np.concatenate(outgoing_chunks)
-        if outgoing_chunks
-        else np.empty((0, 3), dtype=np.float32)
-    )
-    sigma_cl = cell * rays_hit
-    result = RayTraceResult(
-        sigma_cl=sigma_cl,
+    outgoing = np.concatenate(outgoing_chunks)
+    return RayTraceResult(
+        sigma_cl=cell * rays_hit,
         r_cl=cell * r_sum,
         r_cl_cos_weighted=cell * cos_sum,
         rays_total=grid * grid,
@@ -425,7 +409,6 @@ def trace(
         outgoing=outgoing,
         histogram=_bin_directions(outgoing, cell, *DEFAULT_BINS),
     )
-    return result
 
 
 def _bin_directions(outgoing, cell_area, n_cos, n_phi) -> FclHistogram:

@@ -22,7 +22,7 @@ _CONVENTION = "incident direction is +z; forward means cos_theta near +1"
 
 
 # largest ray grid per side: a 4096^2 trace of an analytic sphere takes
-# about 13 s and 1.1 GiB on a 2-vCPU VM
+# about 9 s and 1.0 GiB on a 2-vCPU VM
 _MAX_GRID = 4096
 
 

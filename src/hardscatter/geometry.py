@@ -47,7 +47,7 @@ class MeshFormatError(MeshError):
 
 
 class MeshTopologyError(MeshError):
-    """Open surface or non-manifold edge."""
+    """No triangles, an open surface or a non-manifold edge."""
 
 
 class MeshOrientationError(MeshError):
@@ -141,6 +141,8 @@ class TriMesh:
 def _check_topology(triangles: np.ndarray) -> None:
     """Closed manifold check: every edge in exactly two faces, opposite ways."""
     a = triangles
+    if not len(a):
+        raise MeshTopologyError("mesh has no triangles")
     edges = np.concatenate([a[:, [0, 1]], a[:, [1, 2]], a[:, [2, 0]]])
     lo = edges.min(axis=1)
     hi = edges.max(axis=1)
@@ -415,6 +417,8 @@ def loads_mesh(text: str) -> TriMesh:
         nv, nf = int(counts[0]), int(counts[1])
     except ValueError as exc:
         raise MeshFormatError(f"line {lineno}: bad counts line") from exc
+    if nv < 0 or nf < 0:
+        raise MeshFormatError(f"line {lineno}: negative count")
     body = tokens_per_line[2:]
     if len(body) != nv + nf:
         raise MeshFormatError(

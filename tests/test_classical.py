@@ -235,6 +235,8 @@ def test_grid_convergence():
 def test_grid_validation():
     with pytest.raises(ValueError):
         trace(Sphere(1.0), grid=32)
+    with pytest.raises(ValueError, match="bounce_cap"):
+        trace(Sphere(1.0), grid=64, bounce_cap=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +272,63 @@ def test_exact_edge_hits_are_retraced():
 def test_groove_two_bounces():
     result = trace(groove_prism(), grid=128)
     assert result.sigma_cl == pytest.approx(2.0, rel=0.01)
-    assert 2 <= result.max_bounces_seen <= 3
+    # every ray meets the prism; the deepest ones leave the notch after 3
+    # bounces
+    assert result.rays_hit == 128 * 128
+    assert result.max_bounces_seen == 3
+
+
+def test_pinwheel_cube_counts():
+    result = trace(pinwheel_cube(1), grid=128)
+    assert result.rays_hit == 128 * 128
+    assert result.max_bounces_seen == 1
 
 
 def test_groove_trapping_error():
     with pytest.raises(TrappingError, match="entering"):
         trace(groove_prism(), grid=128, bounce_cap=1)
+
+
+@pytest.mark.parametrize(
+    "cap, entry_xy",
+    [
+        # the first ray of the grid hits the flat bottom on pass 0
+        (0, (-0.9921875, -0.49609375)),
+        # the first ray into the notch, still bouncing after 1 and 2
+        (1, (-0.4921875, -0.49609375)),
+        (2, (-0.4921875, -0.49609375)),
+    ],
+)
+def test_groove_trapping_names_first_trapped_ray(cap, entry_xy):
+    with pytest.raises(TrappingError) as info:
+        trace(groove_prism(), grid=128, bounce_cap=cap)
+    assert info.value.entry_xy == entry_xy
+    assert str(info.value) == (
+        f"ray entering at (x, y) = {entry_xy} still bouncing after {cap} reflections"
+    )
+
+
+def test_cylinder_kernel_side_caps_and_miss():
+    # CappedCylinder(1, 2): side wall x^2 + y^2 = 1 for |z| <= 1, caps z = +-1
+    body = CappedCylinder(1.0, 2.0)
+    rays = [
+        # along +x onto the side wall: t = 5 - r
+        ((-5.0, 0.0, 0.0), (1.0, 0.0, 0.0), 4.0, (-1.0, 0.0, 0.0)),
+        # along +z onto the bottom cap
+        ((0.3, -0.2, -5.0), (0.0, 0.0, 1.0), 4.0, (0.0, 0.0, -1.0)),
+        # oblique, onto the side wall at z = 0.99, just below the rim
+        ((-4.0, 0.0, -3.01), (0.6, 0.0, 0.8), 5.0, (-1.0, 0.0, 0.0)),
+        # oblique, onto the top cap at x = -0.99; the side wall's root lies
+        # above the rim (z = 1.0133) and does not count
+        ((-3.99, 0.0, 5.0), (0.6, 0.0, -0.8), 5.0, (0.0, 0.0, 1.0)),
+        # along +z outside the radius
+        ((1.5, 0.0, -5.0), (0.0, 0.0, 1.0), np.inf, (0.0, 0.0, 0.0)),
+    ]
+    origins = np.array([r[0] for r in rays])
+    dirs = np.array([r[1] for r in rays])
+    t, normal = classical._cylinder_hit(body, origins, dirs, 1e-9)
+    assert t == pytest.approx([r[2] for r in rays], rel=1e-14)
+    assert normal == pytest.approx(np.array([r[3] for r in rays]), abs=1e-14)
 
 
 _SPHERE3 = make_body(Sphere(1.0), 3)

@@ -266,6 +266,21 @@ def test_mesh_error_exit_code(tmp_path):
     assert main(["capacity", "--mesh", str(bad)]) == 3
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "OFF\n-1 5 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+        "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n",
+    ],
+    ids=["negative_count", "no_triangles"],
+)
+def test_bad_counts_and_empty_mesh_exit_3(tmp_path, capsys, text):
+    bad = tmp_path / "bad.off"
+    bad.write_text(text)
+    assert main(["capacity", "--mesh", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("mesh error:")
+
+
 def test_missing_mesh_file_exits_3(tmp_path, capsys):
     missing = tmp_path / "missing.off"
     assert main(["capacity", "--mesh", str(missing),

@@ -92,6 +92,13 @@ def test_nonmanifold_edge_rejected():
         loads_mesh(broken)
 
 
+def test_mesh_without_triangles_rejected():
+    with pytest.raises(MeshTopologyError, match="no triangles"):
+        loads_mesh("OFF\n3 0 0\n1 0 0\n0 1 0\n0 0 1\n")
+    with pytest.raises(MeshTopologyError, match="no triangles"):
+        TriMesh.from_arrays(np.eye(3), np.empty((0, 3)))
+
+
 def test_inconsistent_winding_rejected():
     broken = CUBE_OFF.replace("3 1 6 5", "3 1 5 6")
     with pytest.raises(MeshOrientationError, match="same direction"):
@@ -121,6 +128,8 @@ def test_degenerate_triangle_rejected():
         "OFF\n1 0 0\n0 0 nope\n",
         "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2 0\n",
         "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n",
+        # a negative count must not reach the array allocation
+        "OFF\n-1 5 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
     ],
 )
 def test_malformed_off_rejected(text):

@@ -28,11 +28,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# an input of the --mesh configs, written once by the REV tree and copied
-# into every run directory, so both trees read the same bytes
+# inputs of the --mesh configs, written once by the REV tree (in its root,
+# so that its perfbench imports) and copied into every run directory, so
+# both trees read the same bytes: a level-3 icosphere, and the benchmark's
+# dented sphere, whose pits reflect rays up to five times
 MESH = "sphere3.off"
+DENTED = "dented.off"
 MAKE_MESH = ("from hardscatter.geometry import Sphere, make_body, save_mesh; "
-             f"save_mesh(make_body(Sphere(1.0), 3), {MESH!r})")
+             "from perfbench.workloads import dented_sphere; "
+             f"save_mesh(make_body(Sphere(1.0), 3), {MESH!r}); "
+             f"save_mesh(dented_sphere(1.37)[0], {DENTED!r})")
 
 GOLDEN = {
     "capacity_sphere": "capacity --body sphere:1 --level 4 --out cap.json",
@@ -54,6 +59,7 @@ GOLDEN = {
     "raytrace_cylinder": "raytrace --body cylinder:1,2 --grid 256 --out rays.csv",
     "raytrace_ellipsoid": "raytrace --body ellipsoid:1.2,1,0.8 --grid 256 --out rays.csv",
     "raytrace_mesh": f"raytrace --mesh {MESH} --grid 256 --out rays.csv",
+    "raytrace_dented": f"raytrace --mesh {DENTED} --grid 256 --out rays.csv",
 }
 # config errors: each must exit 2 in both trees
 ERRORS = {
@@ -85,7 +91,7 @@ def _extract(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def _run(tree: Path, work: Path, mesh: Path) -> dict:
+def _run(tree: Path, work: Path, meshes: Path) -> dict:
     """Exit code and output files (name -> bytes) of every config and demo;
     a demo's stdout counts as its file ``<stdout>``."""
     jobs = {name: ["-m", "hardscatter.cli", *command.split()]
@@ -95,11 +101,12 @@ def _run(tree: Path, work: Path, mesh: Path) -> dict:
     for name, args in {**jobs, **demos}.items():
         run = work / name.replace(" ", "_")
         run.mkdir(parents=True)
-        shutil.copy(mesh, run / MESH)
+        for mesh in (MESH, DENTED):
+            shutil.copy(meshes / mesh, run / mesh)
         proc = subprocess.run([sys.executable, *args], cwd=run, env=_env(tree),
                               capture_output=True)
         files = {p.name: p.read_bytes() for p in sorted(run.iterdir())
-                 if p.name != MESH}
+                 if p.name not in (MESH, DENTED)}
         if name in demos:
             files["<stdout>"] = proc.stdout
         results[name] = (proc.returncode, files)
@@ -115,10 +122,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="golden_cli_") as tmp:
         tmp = Path(tmp)
         _extract(rev, tmp / "rev")
-        subprocess.run([sys.executable, "-c", MAKE_MESH], cwd=tmp,
+        subprocess.run([sys.executable, "-c", MAKE_MESH], cwd=tmp / "rev",
                        env=_env(tmp / "rev"), check=True)
-        before = _run(tmp / "rev", tmp / "runs_rev", tmp / MESH)
-        after = _run(ROOT, tmp / "runs_work", tmp / MESH)
+        before = _run(tmp / "rev", tmp / "runs_rev", tmp / "rev")
+        after = _run(ROOT, tmp / "runs_work", tmp / "rev")
 
     differences = [f"{name}: run by one tree only"
                    for name in sorted(before.keys() ^ after.keys())]
