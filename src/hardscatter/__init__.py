@@ -18,6 +18,10 @@ import importlib
 
 __version__ = "0.1.0"
 
+# The thread budget: ``--threads`` writes it into these variables, which the
+# BLAS pools read when numpy starts, and every ray trace reads on each call.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 # Public names and the submodule each comes from.  They load on first
 # access (PEP 562), so importing the package, or ``hardscatter.cli``,
 # imports neither numpy nor scipy: the CLI can still set the BLAS thread

@@ -17,10 +17,13 @@ the transport cross section).
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _THREAD_VARS
 from ._table import write_csv
 from .geometry import CappedCylinder, Ellipsoid, Sphere, TriMesh
 from .potential import SolverError
@@ -41,12 +44,15 @@ __all__ = [
 DEFAULT_BOUNCE_CAP = 64
 DEFAULT_BINS = (64, 64)
 
-_RAY_CHUNK = 1_000_000       # rays processed per block (analytic bodies)
+_RAY_CHUNK = 1_000_000       # rays per chunk of grid rows; sums are per chunk
+# Rays one worker bounces at a time; the bounce loop's temporaries for a
+# million rays would take about 150 MiB.
+_PART_BLOCK = 131_072
 # Meshes: ray*triangle pairs per block of the bounding-sphere cull (a block
 # of rays against every triangle) and per Moller-Trumbore batch of the pairs
-# it keeps, so that a block's arrays stay in cache.  A cull block has at
-# least _MIN_BLOCK_RAYS rays, so that a large mesh does not loop over blocks
-# of a few rays.
+# it keeps, so that a block's arrays stay in cache.  The workers of a trace
+# share it.  A cull block has at least _MIN_BLOCK_RAYS rays, so that a large
+# mesh does not loop over blocks of a few rays.
 _PAIR_BUDGET = 65_536
 _MIN_BLOCK_RAYS = 8
 
@@ -193,7 +199,8 @@ def _cylinder_hit(body: CappedCylinder, origins, dirs, t_min):
     return t, normal
 
 
-def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True):
+def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
+              pair_budget=_PAIR_BUDGET):
     """Closest intersection of each ray with the mesh: a bounding-sphere
     cull, then Moller-Trumbore on the ray/triangle pairs that survive it.
 
@@ -205,7 +212,8 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True):
     the rounding of those products and the 1e-12 barycentric slack, so the
     cull drops no pair that Moller-Trumbore would accept, and the hits equal
     those of a test of every pair bit for bit.  Each ray takes its smallest
-    t, the lowest triangle index on ties.
+    t, the lowest triangle index on ties.  ``pair_budget`` sizes the blocks
+    and batches; it does not change the hits.
 
     Hits landing numerically on an edge are retraced once from an origin
     nudged by 1e-9 * diameter, the documented deterministic tie-break.
@@ -240,7 +248,7 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True):
     )
 
     # candidate pairs as flat indices ray * n_tri + tri, in ascending order
-    block = max(_MIN_BLOCK_RAYS, _PAIR_BUDGET // n_tri)
+    block = max(_MIN_BLOCK_RAYS, pair_budget // n_tri)
     pairs = [np.empty(0, dtype=np.int64)]
     for s0 in range(0, n, block):
         along = ray_along[s0:s0 + block] @ tri_along
@@ -252,8 +260,8 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True):
         pairs.append(np.flatnonzero(keep) + s0 * n_tri)
     pairs = np.concatenate(pairs)
 
-    for c0 in range(0, len(pairs), _PAIR_BUDGET):
-        ray, tri = np.divmod(pairs[c0:c0 + _PAIR_BUDGET], n_tri)
+    for c0 in range(0, len(pairs), pair_budget):
+        ray, tri = np.divmod(pairs[c0:c0 + pair_budget], n_tri)
         o = origins[ray]
         d = dirs[ray]
         e1_p = e1[tri]
@@ -302,16 +310,17 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True):
             # lattice-aligned or diagonal mesh edge
             nudge = 1e-9 * mesh.diameter * np.array([0.75487767, 0.65595059, 0.0])
             t_re, n_re = _mesh_hit(
-                mesh, origins[on_edge] + nudge, dirs[on_edge], t_min, _retrace=False
+                mesh, origins[on_edge] + nudge, dirs[on_edge], t_min,
+                _retrace=False, pair_budget=pair_budget,
             )
             t_best[on_edge] = t_re
             normal[on_edge] = n_re
     return t_best, normal
 
 
-def _first_hit(body, origins, dirs, t_min):
+def _first_hit(body, origins, dirs, t_min, pair_budget):
     if isinstance(body, TriMesh):
-        return _mesh_hit(body, origins, dirs, t_min)
+        return _mesh_hit(body, origins, dirs, t_min, pair_budget=pair_budget)
     if isinstance(body, Sphere):
         return _sphere_hit(body, origins, dirs, t_min)
     if isinstance(body, Ellipsoid):
@@ -322,6 +331,78 @@ def _first_hit(body, origins, dirs, t_min):
 
 
 # ---------------------------------------------------------------------------
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _thread_budget() -> int:
+    """Worker threads of one trace: the first positive integer among the
+    thread variables ``--threads`` writes, else every usable CPU, and never
+    more than the usable CPUs."""
+    usable = _usable_cpus()
+    for var in _THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads >= 1:
+            return min(threads, usable)
+    return usable
+
+
+def _bounce(body, origins, dirs, t_min, bounce_cap, pair_budget):
+    """The bounce loop of one block of rays.
+
+    Writes each ray's outgoing direction into ``dirs`` and returns the
+    indices of the rays that hit and the number of bounce passes that had
+    hits.
+    """
+    # the live rays: their indices in the block, origins and directions
+    ray, o, d = np.arange(len(origins)), origins, dirs
+    for bounce in range(bounce_cap + 1):
+        t, normal = _first_hit(body, o, d, t_min, pair_budget)
+        hit = np.isfinite(t)
+        ray = ray[hit]
+        if bounce == 0:
+            struck = ray
+        if not len(ray):
+            break
+        if bounce == bounce_cap:
+            raise TrappingError(origins[ray[0], :2], bounce_cap)
+        d = d[hit]
+        n_hat = normal[hit]
+        pts = o[hit] + t[hit, None] * d
+        d = d - 2.0 * np.einsum("ij,ij->i", d, n_hat)[:, None] * n_hat
+        o = pts + t_min * d
+        dirs[ray] = d
+    # the loop ends on the first pass without hits, so ``bounce`` counts
+    # the passes that had some
+    return struck, bounce
+
+
+def _trace_part(body, origins, dirs, t_min, bounce_cap, pair_budget):
+    """One worker's part of a chunk, bounced a block of at most
+    ``_PART_BLOCK`` rays at a time so that its temporaries stay small.
+
+    Returns the indices (into the part) of the rays that hit, the number of
+    bounce passes that had hits, and the hit rays' outgoing directions in
+    float32 with their flat ``DEFAULT_BINS`` counts.
+    """
+    struck, bounces = [], 0
+    for b0 in range(0, len(origins), _PART_BLOCK):
+        block = slice(b0, b0 + _PART_BLOCK)
+        hits, passes = _bounce(body, origins[block], dirs[block], t_min,
+                               bounce_cap, pair_budget)
+        struck.append(hits + b0)
+        bounces = max(bounces, passes)
+    struck = np.concatenate(struck)
+    out = dirs[struck].astype(np.float32)
+    return struck, bounces, out, _bin_counts(out, *DEFAULT_BINS)
 
 
 def trace(
@@ -336,6 +417,13 @@ def trace(
     body : TriMesh or analytic body (Sphere, Ellipsoid, CappedCylinder)
     grid : rays per side of the shadow bounding box (>= 64)
     bounce_cap : bounce budget per ray before a TrappingError is raised
+
+    Each chunk of grid rows is split into as many contiguous parts as the
+    thread budget (:func:`_thread_budget`) allows, traced in parallel; the
+    first part runs in the calling thread, so a budget of 1 starts no
+    thread.  Rays are independent and every sum is formed per chunk in ray
+    order, so the result does not depend on the budget, bit for bit.  Of
+    several parts that trap, the first raises its :class:`TrappingError`.
 
     The attached histogram uses ``DEFAULT_BINS``; :func:`fcl_histogram`
     rebins the stored outgoing directions.
@@ -352,50 +440,43 @@ def trace(
     z_start = z_low - 0.5 * scale
     xs = x0 + (np.arange(grid) + 0.5) * (x1 - x0) / grid
     ys = y0 + (np.arange(grid) + 0.5) * (y1 - y0) / grid
+    workers = _thread_budget()
+    pair_budget = _PAIR_BUDGET // workers
 
     rays_hit = 0
     max_bounces = 0
     r_sum = 0.0
     cos_sum = 0.0
     outgoing_chunks = [np.empty((0, 3), dtype=np.float32)]
+    counts = np.zeros(DEFAULT_BINS[0] * DEFAULT_BINS[1], dtype=np.int64)
 
     rows_per_chunk = max(1, _RAY_CHUNK // grid)
-    for r0 in range(0, grid, rows_per_chunk):
-        rows = xs[r0:r0 + rows_per_chunk]
-        m = len(rows) * grid
-        origins = np.column_stack(
-            [np.repeat(rows, grid), np.tile(ys, len(rows)), np.full(m, z_start)]
-        )
-        dirs = np.zeros((m, 3))
-        dirs[:, 2] = 1.0
+    # the pool starts its threads on the first submit
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        for r0 in range(0, grid, rows_per_chunk):
+            rows = xs[r0:r0 + rows_per_chunk]
+            m = len(rows) * grid
+            origins = np.column_stack(
+                [np.repeat(rows, grid), np.tile(ys, len(rows)), np.full(m, z_start)]
+            )
+            dirs = np.zeros((m, 3))
+            dirs[:, 2] = 1.0
 
-        # the live rays: their indices in the chunk, origins and directions
-        ray, o, d = np.arange(m), origins, dirs
-        for bounce in range(bounce_cap + 1):
-            t, normal = _first_hit(body, o, d, t_min)
-            hit = np.isfinite(t)
-            ray = ray[hit]
-            if bounce == 0:
-                struck = ray
-            if not len(ray):
-                break
-            if bounce == bounce_cap:
-                raise TrappingError(origins[ray[0], :2], bounce_cap)
-            d = d[hit]
-            n_hat = normal[hit]
-            pts = o[hit] + t[hit, None] * d
-            d = d - 2.0 * np.einsum("ij,ij->i", d, n_hat)[:, None] * n_hat
-            o = pts + t_min * d
-            dirs[ray] = d
-        # the loop ends on the first pass without hits, so ``bounce`` counts
-        # the passes that had some
-        max_bounces = max(max_bounces, bounce)
+            edges = [m * p // workers for p in range(workers + 1)]
+            parts = [(body, origins[a:b], dirs[a:b], t_min, bounce_cap, pair_budget)
+                     for a, b in zip(edges, edges[1:])]
+            rest = [pool.submit(_trace_part, *part) for part in parts[1:]]
+            results = [_trace_part(*parts[0])] + [f.result() for f in rest]
 
-        rays_hit += len(struck)
-        out = dirs[struck]
-        r_sum += float(np.sum(1.0 - out[:, 2]))
-        cos_sum += float(np.sum(out[:, 2]))
-        outgoing_chunks.append(out.astype(np.float32))
+            struck = np.concatenate([r[0] + a for r, a in zip(results, edges)])
+            max_bounces = max(max_bounces, *(r[1] for r in results))
+            rays_hit += len(struck)
+            out = dirs[struck]
+            r_sum += float(np.sum(1.0 - out[:, 2]))
+            cos_sum += float(np.sum(out[:, 2]))
+            for _, _, part_out, part_counts in results:
+                outgoing_chunks.append(part_out)
+                counts += part_counts
 
     outgoing = np.concatenate(outgoing_chunks)
     return RayTraceResult(
@@ -407,16 +488,21 @@ def trace(
         max_bounces_seen=max_bounces,
         cell_area=cell,
         outgoing=outgoing,
-        histogram=_bin_directions(outgoing, cell, *DEFAULT_BINS),
+        histogram=_histogram(counts, cell, *DEFAULT_BINS),
     )
 
 
-def _bin_directions(outgoing, cell_area, n_cos, n_phi) -> FclHistogram:
+def _bin_counts(outgoing, n_cos, n_phi) -> np.ndarray:
+    """Rays per direction bin, flat (cos(theta) major), of the float32
+    directions ``outgoing``."""
     ct = np.clip(outgoing[:, 2].astype(float), -1.0, 1.0)
     phi = np.arctan2(outgoing[:, 1].astype(float), outgoing[:, 0].astype(float))
     i_ct = np.minimum(((ct + 1.0) / 2.0 * n_cos).astype(np.int64), n_cos - 1)
     i_phi = np.minimum(((phi + np.pi) / (2.0 * np.pi) * n_phi).astype(np.int64), n_phi - 1)
-    counts = np.bincount(i_ct * n_phi + i_phi, minlength=n_cos * n_phi)
+    return np.bincount(i_ct * n_phi + i_phi, minlength=n_cos * n_phi)
+
+
+def _histogram(counts, cell_area, n_cos, n_phi) -> FclHistogram:
     counts = counts.reshape(n_cos, n_phi)
     omega = (2.0 / n_cos) * (2.0 * np.pi / n_phi)
     return FclHistogram(
@@ -435,9 +521,15 @@ def fcl_histogram(result: RayTraceResult, n_cos: int = 64, n_phi: int = 64) -> F
     by the bin solid angle, the measure-ratio form of the Jacobian
     definition of the classical amplitude.
     """
+    if n_cos < 1 or n_phi < 1:
+        raise ValueError(f"n_cos and n_phi must be >= 1, got {n_cos} and {n_phi}")
     if result.rays_hit == 0:
         raise ValueError("no hitting rays to bin")
-    return _bin_directions(result.outgoing, result.cell_area, n_cos, n_phi)
+    # a block at a time, so that the float64 temporaries stay small
+    out = result.outgoing
+    counts = sum(_bin_counts(out[i:i + _RAY_CHUNK], n_cos, n_phi)
+                 for i in range(0, len(out), _RAY_CHUNK))
+    return _histogram(counts, result.cell_area, n_cos, n_phi)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,13 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import _THREAD_VARS, __version__
 
 _CONVENTION = "incident direction is +z; forward means cos_theta near +1"
 
 
 # largest ray grid per side: a 4096^2 trace of an analytic sphere takes
-# about 9 s and 1.0 GiB on a 2-vCPU VM
+# about 6.4 s and 0.5 GiB on a 2-vCPU VM (9.2 s on one thread)
 _MAX_GRID = 4096
 
 
@@ -31,9 +31,10 @@ class ConfigError(ValueError):
 
 
 def _set_thread_budget(threads: int | None) -> None:
-    """Put ``threads`` into the BLAS thread variables of the environment.
+    """Put ``threads`` into the thread variables of the environment.
 
-    OpenBLAS, MKL and OpenMP read these once, when numpy is first imported.
+    OpenBLAS, MKL and OpenMP read these once, when numpy is first imported;
+    the ray tracer reads them on each trace, for its worker count.
     Importing this module does not import numpy, so when hardscatter starts
     the process (``hardscatter`` or ``python -m hardscatter.cli``) the
     budget reaches every BLAS pool.  If numpy is already loaded, as for an
@@ -49,7 +50,7 @@ def _set_thread_budget(threads: int | None) -> None:
             "(set OMP_NUM_THREADS/OPENBLAS_NUM_THREADS before starting "
             "Python instead)"
         )
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in _THREAD_VARS:
         os.environ[var] = str(threads)
 
 
@@ -317,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         "expansion, exact sphere series, and classical rays.",
     )
     parser.add_argument("--threads", type=_int_in(1), default=None,
-                        help="thread budget handed to the linear algebra "
-                        "(only when hardscatter starts the process)")
+                        help="thread budget of the linear algebra and the "
+                        "ray tracer (only when hardscatter starts the process)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("capacity", help="electrostatic capacity of a body")

@@ -1,4 +1,6 @@
-from unittest import mock
+import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from hardscatter.geometry import (
 )
 
 from conftest import pinwheel_cube
+from perfbench.workloads import dented_sphere
 
 FCL_SQ_SPHERE = 0.25  # (a/2)^2 from theta(b) = pi - 2 arcsin(b/a), a = 1
 
@@ -385,8 +388,8 @@ def test_cull_never_changes_a_hit(body, kind, grid, seed):
     for retrace in (True, False):
         t_ref, n_ref = brute_force_mesh_hit(mesh, origins, dirs, t_min, retrace)
         for budget in (classical._PAIR_BUDGET, 997):
-            with mock.patch.object(classical, "_PAIR_BUDGET", budget):
-                t_new, n_new = classical._mesh_hit(mesh, origins, dirs, t_min, retrace)
+            t_new, n_new = classical._mesh_hit(mesh, origins, dirs, t_min, retrace,
+                                               pair_budget=budget)
             assert np.array_equal(t_new, t_ref)
             assert np.array_equal(n_new, n_ref)
 
@@ -422,6 +425,118 @@ def test_histogram_requires_hits():
     object.__setattr__(result, "rays_hit", 0)
     with pytest.raises(ValueError):
         fcl_histogram(result)
+
+
+@pytest.mark.parametrize("bins", [(0, 64), (64, 0), (-2, 8)])
+def test_histogram_needs_a_bin_per_axis(bins):
+    result = trace(Sphere(1.0), grid=64)
+    with pytest.raises(ValueError, match="n_cos and n_phi must be >= 1"):
+        fcl_histogram(result, *bins)
+
+
+# ---------------------------------------------------------------------------
+# the thread budget
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    """Sets the tracer's thread budget: ``budget(n)`` makes a trace split
+    each chunk of grid rows into n parts, even past the usable CPUs;
+    ``budget(n, block)`` also has each part bounce ``block`` rays at a
+    time."""
+    cpus = classical._usable_cpus()
+    default_block = classical._PART_BLOCK
+
+    def set_budget(n, block=default_block):
+        monkeypatch.setenv("OMP_NUM_THREADS", str(n))
+        monkeypatch.setattr(classical, "_usable_cpus", lambda: max(n, cpus))
+        monkeypatch.setattr(classical, "_PART_BLOCK", block)
+
+    return set_budget
+
+
+@pytest.mark.parametrize(
+    "env, expected",
+    [
+        ({}, None),
+        ({"OMP_NUM_THREADS": "1"}, 1),
+        ({"OMP_NUM_THREADS": "0"}, None),
+        ({"OMP_NUM_THREADS": "-3"}, None),
+        ({"OMP_NUM_THREADS": "abc"}, None),
+        ({"OMP_NUM_THREADS": "100000"}, None),
+        # an unusable value gives way to the next variable
+        ({"OMP_NUM_THREADS": "abc", "OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1"}, 1),
+    ],
+)
+def test_thread_budget(monkeypatch, env, expected):
+    # None: every CPU the process may use
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    cpus = len(os.sched_getaffinity(0))
+    assert classical._thread_budget() == (cpus if expected is None else expected)
+
+
+def _fields(value):
+    """The fields of a dataclass, those of nested dataclasses spliced in."""
+    out = []
+    for f in dataclasses.fields(value):
+        field = getattr(value, f.name)
+        out += _fields(field) if dataclasses.is_dataclass(field) else [field]
+    return out
+
+
+INVARIANCE_BODIES = {
+    # two chunks of rows: 909 and 191
+    "sphere": (Sphere(1.0), 1100),
+    "ellipsoid": (Ellipsoid(1.5, 1.0, 0.7), 256),
+    "cylinder": (CappedCylinder(1.0, 2.0), 256),
+    # up to five bounces in the pits; split in four, the outer parts see
+    # fewer
+    "dented": (dented_sphere(1.37)[0], 256),
+    "groove": (groove_prism(), 128),
+    "pinwheel": (pinwheel_cube(1), 128),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANCE_BODIES))
+def test_trace_does_not_depend_on_the_thread_budget(budget, monkeypatch, name):
+    body, grid = INVARIANCE_BODIES[name]
+    budget(1)
+    # a budget of 1 traces in the calling thread
+    with monkeypatch.context() as m:
+        def no_thread(self):
+            raise AssertionError("a trace at budget 1 started a thread")
+
+        m.setattr(threading.Thread, "start", no_thread)
+        want = trace(body, grid)
+    # some parts bounce in many blocks of an odd size
+    default = classical._PART_BLOCK
+    for n, block in ((1, 1021), (2, default), (3, 1021), (4, default)):
+        budget(n, block)
+        got = trace(body, grid)
+        for a, b in zip(_fields(got), _fields(want), strict=True):
+            assert np.array_equal(a, b), (name, n)
+            assert np.asarray(a).dtype == np.asarray(b).dtype, (name, n)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_trapping_does_not_depend_on_the_thread_budget(budget, cap):
+    # the first part that traps reports its first trapped ray; of four
+    # parts, the flat bottom's first traps only at cap 0, and the notch
+    # traps both middle ones.  In blocks of 1000 rays, the first trapped
+    # ray lies past the first block.
+    errors = []
+    default = classical._PART_BLOCK
+    for n, block in ((1, default), (2, default), (3, default), (4, default),
+                     (1, 1000), (3, 1000)):
+        budget(n, block)
+        with pytest.raises(TrappingError) as info:
+            trace(groove_prism(), grid=128, bounce_cap=cap)
+        errors.append((info.value.entry_xy, str(info.value)))
+    assert errors[1:] == errors[:1] * 5
 
 
 # ---------------------------------------------------------------------------

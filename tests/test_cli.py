@@ -434,11 +434,13 @@ def test_threads_one_runs_blas_on_one_thread(tmp_path):
         "print(code, [line.split()[1] for line in open('/proc/self/status') "
         "if line.startswith('Threads:')][0])"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script, "--threads", "1", "capacity",
-         "--body", "sphere:1", "--level", "3",
-         "--out", str(tmp_path / "cap.json")],
-        capture_output=True, text=True, cwd=tmp_path, env=cli_env(),
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0", "1"]
+    # the budget covers the ray tracer too: it starts no worker thread
+    for command in (["capacity", "--body", "sphere:1", "--level", "3"],
+                    ["raytrace", "--body", "sphere:1", "--grid", "1100"]):
+        result = subprocess.run(
+            [sys.executable, "-c", script, "--threads", "1", *command,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, cwd=tmp_path, env=cli_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "1"], command[0]

@@ -1,12 +1,14 @@
 """Byte-identity check of the CLI and the demos against an earlier revision.
 
-    python tools/golden_cli.py REV
+    python tools/golden_cli.py [--threads N] REV
 
 Extracts ``git archive REV`` into a temporary directory (the repository's
 ``.git`` is only read) and runs a fixed set of CLI configs, and every script
 in the tree's ``demos/``, against that tree and against the working tree.
-Each run has a fresh directory, ``OPENBLAS_NUM_THREADS=1`` and the tree's
-absolute ``src`` as ``PYTHONPATH``.  The exit code and every file a run
+Each run has a fresh directory, a thread budget of N (default 1: the BLAS
+pools and the ray tracer run single-threaded) in ``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS``, and the tree's absolute
+``src`` as ``PYTHONPATH``.  The exit code and every file a run
 writes are compared, and so is a demo's stdout; stderr is not.  Each
 difference is printed, and the exit status is 1 if there is any, 0 if
 everything agrees.
@@ -17,6 +19,7 @@ with ``python tools/golden_cli.py <parent commit>``.
 
 from __future__ import annotations
 
+import argparse
 import io
 import os
 import shutil
@@ -75,10 +78,10 @@ ERRORS = {
 }
 
 
-def _env(tree: Path) -> dict:
+def _env(tree: Path, threads: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+        env[var] = str(threads)
     return env
 
 
@@ -91,7 +94,7 @@ def _extract(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def _run(tree: Path, work: Path, meshes: Path) -> dict:
+def _run(tree: Path, work: Path, meshes: Path, threads: int) -> dict:
     """Exit code and output files (name -> bytes) of every config and demo;
     a demo's stdout counts as its file ``<stdout>``."""
     jobs = {name: ["-m", "hardscatter.cli", *command.split()]
@@ -103,8 +106,8 @@ def _run(tree: Path, work: Path, meshes: Path) -> dict:
         run.mkdir(parents=True)
         for mesh in (MESH, DENTED):
             shutil.copy(meshes / mesh, run / mesh)
-        proc = subprocess.run([sys.executable, *args], cwd=run, env=_env(tree),
-                              capture_output=True)
+        proc = subprocess.run([sys.executable, *args], cwd=run,
+                              env=_env(tree, threads), capture_output=True)
         files = {p.name: p.read_bytes() for p in sorted(run.iterdir())
                  if p.name not in (MESH, DENTED)}
         if name in demos:
@@ -114,18 +117,20 @@ def _run(tree: Path, work: Path, meshes: Path) -> dict:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    rev = argv[0]
+    parser = argparse.ArgumentParser(
+        description="byte-identity check of the CLI and the demos against REV")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="thread budget of every run (default 1)")
+    parser.add_argument("rev")
+    args = parser.parse_args(argv)
+    rev = args.rev
     with tempfile.TemporaryDirectory(prefix="golden_cli_") as tmp:
         tmp = Path(tmp)
         _extract(rev, tmp / "rev")
         subprocess.run([sys.executable, "-c", MAKE_MESH], cwd=tmp / "rev",
-                       env=_env(tmp / "rev"), check=True)
-        before = _run(tmp / "rev", tmp / "runs_rev", tmp / "rev")
-        after = _run(ROOT, tmp / "runs_work", tmp / "rev")
+                       env=_env(tmp / "rev", 1), check=True)
+        before = _run(tmp / "rev", tmp / "runs_rev", tmp / "rev", args.threads)
+        after = _run(ROOT, tmp / "runs_work", tmp / "rev", args.threads)
 
     differences = [f"{name}: run by one tree only"
                    for name in sorted(before.keys() ^ after.keys())]
