@@ -2,14 +2,15 @@
 
 One ray per grid cell enters along +z, bounces specularly, and leaves; the
 hit area is sigma_cl, the (1 - cos theta) weighted sum is the classical
-resistance R_cl, and binning the outgoing directions estimates |f_cl|^2.
+resistance R_cl, and the trace's 64 x 64 histogram of the directions the
+rays leave in estimates |f_cl|^2.
 A flat-capped cylinder facing the flow reverses every ray, the largest
 possible momentum transfer: R_cl = 2 sigma_cl.
 """
 
 import numpy as np
 
-from hardscatter import CappedCylinder, Ellipsoid, Sphere, fcl_histogram, trace
+from hardscatter import CappedCylinder, Ellipsoid, Sphere, trace
 
 print("== unit sphere ==")
 result = trace(Sphere(1.0), grid=1024)
@@ -19,7 +20,7 @@ print(f"  cos-weighted direction integral = {result.r_cl_cos_weighted:+.2e} "
       "(vanishes: isotropic |f_cl|^2)")
 print(f"  bounces: {result.max_bounces_seen} (convex)")
 
-hist = fcl_histogram(trace(Sphere(1.0), grid=2048), 32, 32)
+hist = trace(Sphere(1.0), grid=2048).histogram
 mask = hist.counts >= 50
 print(f"  |f_cl|^2 over {mask.sum()} bins: mean {hist.values[mask].mean():.4f}, "
       f"spread {np.abs(hist.values[mask] - 0.25).max() / 0.25:.2%} "

@@ -47,8 +47,8 @@ _EXPORTS = {
         "fig1_sweep", "low_k_extrapolate", "phase_shifts",
     ),
     "classical": (
-        "FclHistogram", "RayTraceResult", "TrappingError", "fcl_histogram",
-        "theorem2_check", "trace",
+        "FclHistogram", "RayTraceResult", "TrappingError", "theorem2_check",
+        "trace",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

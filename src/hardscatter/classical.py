@@ -34,7 +34,6 @@ __all__ = [
     "RayTraceResult",
     "FclHistogram",
     "trace",
-    "fcl_histogram",
     "Theorem2Report",
     "theorem2_check",
     "trace_to_csv",
@@ -93,9 +92,9 @@ class RayTraceResult:
     """Outcome of one grid trace.
 
     ``r_cl`` is the momentum-transfer integral; ``r_cl_cos_weighted`` is the
-    direction-space cos(theta) integral reported for comparison.  Outgoing
-    unit directions of the hitting rays are kept (float32) so histograms can
-    be rebinned.
+    direction-space cos(theta) integral reported for comparison.  The rays
+    themselves are not kept: ``histogram`` holds their ``DEFAULT_BINS``
+    counts.
     """
 
     sigma_cl: float
@@ -104,8 +103,6 @@ class RayTraceResult:
     rays_total: int
     rays_hit: int
     max_bounces_seen: int
-    cell_area: float
-    outgoing: np.ndarray
     histogram: FclHistogram
 
 
@@ -358,7 +355,7 @@ def _thread_budget() -> int:
 def _bounce(body, origins, dirs, t_min, bounce_cap, pair_budget):
     """The bounce loop of one block of rays.
 
-    Writes each ray's outgoing direction into ``dirs`` and returns the
+    Writes each ray's final direction into ``dirs`` and returns the
     indices of the rays that hit and the number of bounce passes that had
     hits.
     """
@@ -390,8 +387,10 @@ def _trace_part(body, origins, dirs, t_min, bounce_cap, pair_budget):
     ``_PART_BLOCK`` rays at a time so that its temporaries stay small.
 
     Returns the indices (into the part) of the rays that hit, the number of
-    bounce passes that had hits, and the hit rays' outgoing directions in
-    float32 with their flat ``DEFAULT_BINS`` counts.
+    bounce passes that had hits, and the flat ``DEFAULT_BINS`` counts of the
+    hit rays' final directions.  The directions are rounded to float32
+    before binning, so that a ray near a bin edge falls where the histogram
+    CSVs have always put it.
     """
     struck, bounces = [], 0
     for b0 in range(0, len(origins), _PART_BLOCK):
@@ -401,8 +400,7 @@ def _trace_part(body, origins, dirs, t_min, bounce_cap, pair_budget):
         struck.append(hits + b0)
         bounces = max(bounces, passes)
     struck = np.concatenate(struck)
-    out = dirs[struck].astype(np.float32)
-    return struck, bounces, out, _bin_counts(out, *DEFAULT_BINS)
+    return struck, bounces, _bin_counts(dirs[struck].astype(np.float32))
 
 
 def trace(
@@ -425,8 +423,9 @@ def trace(
     order, so the result does not depend on the budget, bit for bit.  Of
     several parts that trap, the first raises its :class:`TrappingError`.
 
-    The attached histogram uses ``DEFAULT_BINS``; :func:`fcl_histogram`
-    rebins the stored outgoing directions.
+    The rays are not kept: each part bins its rays' final directions into
+    ``DEFAULT_BINS``, and the result holds the summed counts, so the memory
+    of a trace grows with ``_RAY_CHUNK``, not with the grid.
     """
     if grid < 64:
         raise ValueError("grid must be >= 64")
@@ -447,7 +446,6 @@ def trace(
     max_bounces = 0
     r_sum = 0.0
     cos_sum = 0.0
-    outgoing_chunks = [np.empty((0, 3), dtype=np.float32)]
     counts = np.zeros(DEFAULT_BINS[0] * DEFAULT_BINS[1], dtype=np.int64)
 
     rows_per_chunk = max(1, _RAY_CHUNK // grid)
@@ -474,11 +472,9 @@ def trace(
             out = dirs[struck]
             r_sum += float(np.sum(1.0 - out[:, 2]))
             cos_sum += float(np.sum(out[:, 2]))
-            for _, _, part_out, part_counts in results:
-                outgoing_chunks.append(part_out)
+            for _, _, part_counts in results:
                 counts += part_counts
 
-    outgoing = np.concatenate(outgoing_chunks)
     return RayTraceResult(
         sigma_cl=cell * rays_hit,
         r_cl=cell * r_sum,
@@ -486,50 +482,36 @@ def trace(
         rays_total=grid * grid,
         rays_hit=rays_hit,
         max_bounces_seen=max_bounces,
-        cell_area=cell,
-        outgoing=outgoing,
-        histogram=_histogram(counts, cell, *DEFAULT_BINS),
+        histogram=_histogram(counts, cell),
     )
 
 
-def _bin_counts(outgoing, n_cos, n_phi) -> np.ndarray:
-    """Rays per direction bin, flat (cos(theta) major), of the float32
-    directions ``outgoing``."""
-    ct = np.clip(outgoing[:, 2].astype(float), -1.0, 1.0)
-    phi = np.arctan2(outgoing[:, 1].astype(float), outgoing[:, 0].astype(float))
+def _bin_counts(directions) -> np.ndarray:
+    """Rays per ``DEFAULT_BINS`` direction bin, flat (cos(theta) major), of
+    the float32 unit ``directions``."""
+    n_cos, n_phi = DEFAULT_BINS
+    ct = np.clip(directions[:, 2].astype(float), -1.0, 1.0)
+    phi = np.arctan2(directions[:, 1].astype(float), directions[:, 0].astype(float))
     i_ct = np.minimum(((ct + 1.0) / 2.0 * n_cos).astype(np.int64), n_cos - 1)
     i_phi = np.minimum(((phi + np.pi) / (2.0 * np.pi) * n_phi).astype(np.int64), n_phi - 1)
     return np.bincount(i_ct * n_phi + i_phi, minlength=n_cos * n_phi)
 
 
-def _histogram(counts, cell_area, n_cos, n_phi) -> FclHistogram:
+def _histogram(counts, cell) -> FclHistogram:
+    """|f_cl|^2 from the flat ``DEFAULT_BINS`` counts: in each bin, the
+    initial area mapped into it divided by its solid angle, the
+    measure-ratio form of the Jacobian definition of the classical
+    amplitude."""
+    n_cos, n_phi = DEFAULT_BINS
     counts = counts.reshape(n_cos, n_phi)
     omega = (2.0 / n_cos) * (2.0 * np.pi / n_phi)
     return FclHistogram(
-        values=counts * (cell_area / omega),
+        values=counts * (cell / omega),
         counts=counts,
         n_cos=n_cos,
         n_phi=n_phi,
         bin_solid_angle=omega,
     )
-
-
-def fcl_histogram(result: RayTraceResult, n_cos: int = 64, n_phi: int = 64) -> FclHistogram:
-    """Rebin |f_cl|^2 from the stored outgoing directions.
-
-    The estimate in each bin is (initial area mapped into the bin) divided
-    by the bin solid angle, the measure-ratio form of the Jacobian
-    definition of the classical amplitude.
-    """
-    if n_cos < 1 or n_phi < 1:
-        raise ValueError(f"n_cos and n_phi must be >= 1, got {n_cos} and {n_phi}")
-    if result.rays_hit == 0:
-        raise ValueError("no hitting rays to bin")
-    # a block at a time, so that the float64 temporaries stay small
-    out = result.outgoing
-    counts = sum(_bin_counts(out[i:i + _RAY_CHUNK], n_cos, n_phi)
-                 for i in range(0, len(out), _RAY_CHUNK))
-    return _histogram(counts, result.cell_area, n_cos, n_phi)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ _CONVENTION = "incident direction is +z; forward means cos_theta near +1"
 
 
 # largest ray grid per side: a 4096^2 trace of an analytic sphere takes
-# about 6.4 s and 0.5 GiB on a 2-vCPU VM (9.2 s on one thread)
+# 6-8 s and about 300 MiB peak RSS on a 2-vCPU VM (8-9.5 s and 250 MiB on
+# one thread)
 _MAX_GRID = 4096
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from cli_env import cli_env
-from hardscatter.classical import fcl_histogram, trace
+from hardscatter.classical import trace
 from hardscatter.geometry import (
     CappedCylinder,
     Ellipsoid,
@@ -229,7 +229,7 @@ def test_criterion_8_classical():
     sigma_err = abs(sphere.sigma_cl / np.pi - 1.0)
     r_err = abs(sphere.r_cl / np.pi - 1.0)
 
-    flat = fcl_histogram(trace(Sphere(1.0), grid=4096), 64, 64)
+    flat = trace(Sphere(1.0), grid=4096).histogram
     mask = flat.counts >= 50
     flat_dev = np.abs(flat.values[mask] / 0.25 - 1.0).max()
 

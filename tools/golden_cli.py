@@ -59,6 +59,8 @@ GOLDEN = {
     "mie_log": "mie --body sphere:1 --k-min 0.05 --k-max 600 --samples 120 "
                "--log --out mie.csv",
     "raytrace_sphere": "raytrace --body sphere:1 --grid 256 --out rays.csv",
+    # two chunks of grid rows, 909 and 191, whose counts are summed
+    "raytrace_sphere_chunks": "raytrace --body sphere:1 --grid 1100 --out rays.csv",
     "raytrace_cylinder": "raytrace --body cylinder:1,2 --grid 256 --out rays.csv",
     "raytrace_ellipsoid": "raytrace --body ellipsoid:1.2,1,0.8 --grid 256 --out rays.csv",
     "raytrace_mesh": f"raytrace --mesh {MESH} --grid 256 --out rays.csv",
