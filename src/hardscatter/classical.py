@@ -212,12 +212,19 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
     t, the lowest triangle index on ties.  ``pair_budget`` sizes the blocks
     and batches; it does not change the hits.
 
+    Moller-Trumbore runs on coordinate columns: the rays' origins and
+    directions and the triangles' ``p0``, ``e1`` and ``e2`` are split once
+    into contiguous x, y and z columns, and each batch gathers fifteen
+    one-dimensional columns by ray and by triangle.  The cross products are
+    written out as ``np.cross`` evaluates them (``a1 b2 - a2 b1``, ...), and
+    each dot product is summed as ``(x x' + z z') + y y'``, the order of
+    numpy's ``einsum("ij,ij->i")`` over three terms, so the hits equal
+    those of the row-wise test bit for bit.
+
     Hits landing numerically on an edge are retraced once from an origin
     nudged by 1e-9 * diameter, the documented deterministic tie-break.
     """
     p0, p1, p2 = mesh.corners()
-    e1 = p1 - p0
-    e2 = p2 - p0
     n_tri = mesh.n_triangles
     n = len(origins)
     t_best = np.full(n, np.inf)
@@ -257,21 +264,36 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
         pairs.append(np.flatnonzero(keep) + s0 * n_tri)
     pairs = np.concatenate(pairs)
 
+    # (x x' + z z') + y y' is the order in which numpy 2.4's
+    # einsum("ij,ij->i") sums three terms on x86-64 with AVX-512: no mismatch
+    # over random rows of 1 to 65537 triples, contiguous and strided, at
+    # magnitudes 1e-8 to 1e8.  test_degenerate_pairs_match_brute_force fails
+    # on a numpy that sums in another order.
+    ox, oy, oz = origins.T.copy()
+    dx, dy, dz = dirs.T.copy()
+    px, py, pz = p0.T.copy()
+    ax, ay, az = (p1 - p0).T.copy()   # e1
+    bx, by, bz = (p2 - p0).T.copy()   # e2
     for c0 in range(0, len(pairs), pair_budget):
         ray, tri = np.divmod(pairs[c0:c0 + pair_budget], n_tri)
-        o = origins[ray]
-        d = dirs[ray]
-        e1_p = e1[tri]
-        e2_p = e2[tri]
-        h = np.cross(d, e2_p)
-        det = np.einsum("ij,ij->i", e1_p, h)
+        d_x, d_y, d_z = dx[ray], dy[ray], dz[ray]
+        a_x, a_y, a_z = ax[tri], ay[tri], az[tri]
+        b_x, b_y, b_z = bx[tri], by[tri], bz[tri]
+        h_x = d_y * b_z - d_z * b_y
+        h_y = d_z * b_x - d_x * b_z
+        h_z = d_x * b_y - d_y * b_x
+        det = (a_x * h_x + a_z * h_z) + a_y * h_y
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / det
-            s = o - p0[tri]
-            u = inv * np.einsum("ij,ij->i", s, h)
-            q = np.cross(s, e1_p)
-            v = inv * np.einsum("ij,ij->i", d, q)
-            t = inv * np.einsum("ij,ij->i", e2_p, q)
+            s_x = ox[ray] - px[tri]
+            s_y = oy[ray] - py[tri]
+            s_z = oz[ray] - pz[tri]
+            u = inv * ((s_x * h_x + s_z * h_z) + s_y * h_y)
+            q_x = s_y * a_z - s_z * a_y
+            q_y = s_z * a_x - s_x * a_z
+            q_z = s_x * a_y - s_y * a_x
+            v = inv * ((d_x * q_x + d_z * q_z) + d_y * q_y)
+            t = inv * ((b_x * q_x + b_z * q_z) + b_y * q_y)
             valid = (
                 (np.abs(det) > 1e-300)
                 & (u >= -bary_eps)

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -401,6 +402,67 @@ def test_cull_never_changes_a_hit(body, kind, grid, seed):
         for budget in (classical._PAIR_BUDGET, 997):
             t_new, n_new = classical._mesh_hit(mesh, origins, dirs, t_min, retrace,
                                                pair_budget=budget)
+            assert np.array_equal(t_new, t_ref)
+            assert np.array_equal(n_new, n_ref)
+
+
+def _degenerate_rays():
+    """Rays along +x, +y or +z in the planes of the unit cube's faces, whose
+    pairs with those faces have det == 0, and rays aimed exactly at each
+    corner from several sides."""
+    across = np.linspace(-0.25, 1.25, 13)
+    origins, dirs = [], []
+    for axis in range(3):
+        plane, other = [b for b in range(3) if b != axis]
+        for level in (0.0, 1.0):
+            for value in across:
+                o = np.zeros(3)
+                o[axis], o[plane], o[other] = -1.0, level, value
+                origins.append(o)
+                dirs.append(np.eye(3)[axis])
+    offsets = [(0, 0, 2), (0.5, 0.25, 2), (-0.75, 0.5, 1.5), (2, -1, 0.5),
+               (1, 1, 1), (-1, -1, -1), (0.25, -2, 0)]
+    corners = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    for corner in corners:
+        for offset in offsets:
+            # dyadic offsets: origin + direction is the corner exactly
+            origins.append(corner - np.array(offset, dtype=float))
+            dirs.append(np.array(offset, dtype=float))
+    return np.array(origins), np.array(dirs)
+
+
+# a shear with few-bit dyadic entries: the sheared corners, face-parallel
+# directions and corner offsets are exact, so det is still exactly 0 for
+# the face-parallel pairs, while the dot products of the other pairs round
+# differently in another summation order
+_SHEAR = np.array([[1.0, 0.5, 0.25], [0.25, 1.0, 0.5], [0.5, 0.25, 1.0]])
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e4])
+@pytest.mark.parametrize("shear", [False, True])
+def test_degenerate_pairs_match_brute_force(shear, shift):
+    # det == 0 pairs and exact corner hits go through the inf and nan
+    # branches of Moller-Trumbore; the column form must give the brute-force
+    # row form's t and normals bit for bit, and every op that can make an
+    # inf or a nan must sit inside the errstate block.  A numpy whose
+    # einsum sums three terms in another order fails this test.
+    linear = _SHEAR if shear else np.eye(3)
+    cube = diagonal_cube()
+    mesh = TriMesh.from_arrays(cube.vertices @ linear.T + shift, cube.triangles)
+    origins, dirs = _degenerate_rays()
+    origins = origins @ linear.T + shift
+    dirs = dirs @ linear.T
+    t_min = 1e-9 * mesh.diameter
+    for retrace in (True, False):
+        # the reference warns: it keeps the inf barycentrics of its misses
+        with np.errstate(invalid="ignore"):
+            t_ref, n_ref = brute_force_mesh_hit(mesh, origins, dirs, t_min, retrace)
+        assert np.isfinite(t_ref).any() and not np.isfinite(t_ref).all()
+        for budget in (classical._PAIR_BUDGET, 7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                t_new, n_new = classical._mesh_hit(mesh, origins, dirs, t_min,
+                                                   retrace, pair_budget=budget)
             assert np.array_equal(t_new, t_ref)
             assert np.array_equal(n_new, n_ref)
 

@@ -31,16 +31,44 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# inputs of the --mesh configs, written once by the REV tree (in its root,
-# so that its perfbench imports) and copied into every run directory, so
-# both trees read the same bytes: a level-3 icosphere, and the benchmark's
-# dented sphere, whose pits reflect rays up to five times
+# inputs of the --mesh configs, written once into the REV tree's root and
+# copied into every run directory, so both trees read the same bytes: a
+# level-3 icosphere and the benchmark's dented sphere, whose pits reflect
+# rays up to five times, both written by the REV tree (from its root, so
+# that its perfbench imports); and a unit cube with every face split along
+# a diagonal, written from SPLIT_CUBE_OFF, where the 256 grid rays on the
+# diagonal land exactly on the lit face's split edge and are retraced
 MESH = "sphere3.off"
 DENTED = "dented.off"
+EDGES = "split_cube.off"
+MESHES = (MESH, DENTED, EDGES)
 MAKE_MESH = ("from hardscatter.geometry import Sphere, make_body, save_mesh; "
              "from perfbench.workloads import dented_sphere; "
              f"save_mesh(make_body(Sphere(1.0), 3), {MESH!r}); "
              f"save_mesh(dented_sphere(1.37)[0], {DENTED!r})")
+SPLIT_CUBE_OFF = """OFF
+8 12 0
+0 0 0
+1 0 0
+1 1 0
+0 1 0
+0 0 1
+1 0 1
+1 1 1
+0 1 1
+3 0 2 1
+3 0 3 2
+3 4 5 6
+3 4 6 7
+3 0 1 5
+3 0 5 4
+3 2 3 7
+3 2 7 6
+3 0 4 7
+3 0 7 3
+3 1 2 6
+3 1 6 5
+"""
 
 GOLDEN = {
     "capacity_sphere": "capacity --body sphere:1 --level 4 --out cap.json",
@@ -65,6 +93,7 @@ GOLDEN = {
     "raytrace_ellipsoid": "raytrace --body ellipsoid:1.2,1,0.8 --grid 256 --out rays.csv",
     "raytrace_mesh": f"raytrace --mesh {MESH} --grid 256 --out rays.csv",
     "raytrace_dented": f"raytrace --mesh {DENTED} --grid 256 --out rays.csv",
+    "raytrace_edges": f"raytrace --mesh {EDGES} --grid 256 --out rays.csv",
 }
 # config errors: each must exit 2 in both trees
 ERRORS = {
@@ -106,12 +135,12 @@ def _run(tree: Path, work: Path, meshes: Path, threads: int) -> dict:
     for name, args in {**jobs, **demos}.items():
         run = work / name.replace(" ", "_")
         run.mkdir(parents=True)
-        for mesh in (MESH, DENTED):
+        for mesh in MESHES:
             shutil.copy(meshes / mesh, run / mesh)
         proc = subprocess.run([sys.executable, *args], cwd=run,
                               env=_env(tree, threads), capture_output=True)
         files = {p.name: p.read_bytes() for p in sorted(run.iterdir())
-                 if p.name not in (MESH, DENTED)}
+                 if p.name not in MESHES}
         if name in demos:
             files["<stdout>"] = proc.stdout
         results[name] = (proc.returncode, files)
@@ -131,6 +160,7 @@ def main(argv=None) -> int:
         _extract(rev, tmp / "rev")
         subprocess.run([sys.executable, "-c", MAKE_MESH], cwd=tmp / "rev",
                        env=_env(tmp / "rev", 1), check=True)
+        (tmp / "rev" / EDGES).write_text(SPLIT_CUBE_OFF, encoding="utf-8")
         before = _run(tmp / "rev", tmp / "runs_rev", tmp / "rev", args.threads)
         after = _run(ROOT, tmp / "runs_work", tmp / "rev", args.threads)
 
