@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -196,43 +197,19 @@ def _cylinder_hit(body: CappedCylinder, origins, dirs, t_min):
     return t, normal
 
 
-def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
-              pair_budget=_PAIR_BUDGET):
-    """Closest intersection of each ray with the mesh: a bounding-sphere
-    cull, then Moller-Trumbore on the ray/triangle pairs that survive it.
+def _sphere_cull(mesh: TriMesh, origins, dirs, pair_budget):
+    """Candidate pairs of arbitrary rays, as ascending flat indices
+    ``ray * n_tri + tri``: those whose ray, the half-line from its origin,
+    meets the triangle's bounding sphere.
 
-    Each triangle has a bounding sphere (centre = centroid, radius =
-    farthest corner, padded by a relative 1e-6 plus 1e-9 * diameter).  A
-    pair survives when the ray, the half-line from its origin, meets that
-    sphere; per block of rays the test comes from two small matrix products
-    over all triangles, in coordinates centred on the mesh.  The pad dwarfs
-    the rounding of those products and the 1e-12 barycentric slack, so the
-    cull drops no pair that Moller-Trumbore would accept, and the hits equal
-    those of a test of every pair bit for bit.  Each ray takes its smallest
-    t, the lowest triangle index on ties.  ``pair_budget`` sizes the blocks
-    and batches; it does not change the hits.
-
-    Moller-Trumbore runs on coordinate columns: the rays' origins and
-    directions and the triangles' ``p0``, ``e1`` and ``e2`` are split once
-    into contiguous x, y and z columns, and each batch gathers fifteen
-    one-dimensional columns by ray and by triangle.  The cross products are
-    written out as ``np.cross`` evaluates them (``a1 b2 - a2 b1``, ...), and
-    each dot product is summed as ``(x x' + z z') + y y'``, the order of
-    numpy's ``einsum("ij,ij->i")`` over three terms, so the hits equal
-    those of the row-wise test bit for bit.
-
-    Hits landing numerically on an edge are retraced once from an origin
-    nudged by 1e-9 * diameter, the documented deterministic tie-break.
+    Each triangle's sphere has centre = centroid and radius = farthest
+    corner, padded by a relative 1e-6 plus 1e-9 * diameter.  Per block of
+    rays the test comes from two small matrix products over all triangles,
+    in coordinates centred on the mesh.
     """
     p0, p1, p2 = mesh.corners()
     n_tri = mesh.n_triangles
     n = len(origins)
-    t_best = np.full(n, np.inf)
-    tri_best = np.zeros(n, dtype=np.int64)
-    u_best = np.zeros(n)
-    v_best = np.zeros(n)
-    bary_eps = 1e-12
-
     # bounding spheres and rays in coordinates centred on the mesh, so the
     # expanded |o|^2 - 2 o.c + |c|^2 does not cancel far from the origin
     center = mesh.vertices.mean(axis=0)
@@ -251,7 +228,6 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
         [-2.0 * c.T, np.einsum("ij,ij->i", c, c) - radius**2, np.ones(n_tri)]
     )
 
-    # candidate pairs as flat indices ray * n_tri + tri, in ascending order
     block = max(_MIN_BLOCK_RAYS, pair_budget // n_tri)
     pairs = [np.empty(0, dtype=np.int64)]
     for s0 in range(0, n, block):
@@ -262,7 +238,112 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
         np.maximum(along, 0.0, out=along)
         keep = gap <= np.square(along, out=along)
         pairs.append(np.flatnonzero(keep) + s0 * n_tri)
-    pairs = np.concatenate(pairs)
+    return np.concatenate(pairs)
+
+
+def _ranges(starts, counts):
+    """The integer ranges ``starts[i] .. starts[i] + counts[i] - 1``, one
+    after the other."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def _lattice_pairs(mesh: TriMesh, lattice, n, pair_budget):
+    """Candidate pairs of a block of ``n`` +z rays on the trace lattice, as
+    ascending flat indices ``ray * n_tri + tri``, one band of grid rows at a
+    time: those whose ray lies in the triangle's padded xy bounding box.
+
+    ``lattice = (xs, ys, first)``: ray k of the block starts at
+    ``(xs[g // len(ys)], ys[g % len(ys)])``, g = first + k, so a block can
+    start and end mid-row.  Each band holds at most ``pair_budget`` pairs,
+    or one row that holds more, whatever the grid or the triangles.
+    """
+    xs, ys, first = lattice
+    n_cols = len(ys)
+    n_tri = mesh.n_triangles
+    corners = np.stack(mesh.corners())
+    pad = 1e-6 * mesh.diameter
+    lo = corners.min(axis=0) - pad
+    hi = corners.max(axis=0) + pad
+    # each triangle's rows, clipped to the block's, and columns
+    row_lo = first // n_cols
+    n_rows = (first + n - 1) // n_cols + 1 - row_lo
+    r0 = np.clip(np.searchsorted(xs, lo[:, 0], "left") - row_lo, 0, n_rows)
+    r1 = np.clip(np.searchsorted(xs, hi[:, 0], "right") - row_lo, 0, n_rows)
+    c0 = np.searchsorted(ys, lo[:, 1], "left")
+    width = np.searchsorted(ys, hi[:, 1], "right") - c0
+    # pairs up to the end of each row, the partial first and last rows
+    # counted whole
+    step = np.bincount(r0, width, n_rows + 1) - np.bincount(r1, width, n_rows + 1)
+    ends = np.cumsum(np.cumsum(step[:-1])).astype(np.int64)
+
+    b0 = 0
+    while b0 < n_rows:
+        done = ends[b0 - 1] if b0 else 0
+        b1 = max(b0 + 1, int(np.searchsorted(ends, done + pair_budget, "right")))
+        lo_row = np.maximum(r0, b0)
+        rows = np.minimum(r1, b1) - lo_row
+        tri = np.flatnonzero(rows > 0)
+        # one entry per triangle and row, then one per column
+        row = _ranges(lo_row[tri], rows[tri])
+        tri = np.repeat(tri, rows[tri])
+        ray = _ranges((row + row_lo) * n_cols + c0[tri] - first, width[tri])
+        tri = np.repeat(tri, width[tri])
+        keep = (ray >= 0) & (ray < n)
+        pairs = ray[keep] * n_tri + tri[keep]
+        pairs.sort()
+        yield pairs
+        b0 = b1
+
+
+def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
+              pair_budget=_PAIR_BUDGET, lattice=None):
+    """Closest intersection of each ray with the mesh: a cull, then
+    Moller-Trumbore on the ray/triangle pairs that survive it.
+
+    Arbitrary rays take the bounding-sphere cull (:func:`_sphere_cull`).
+    A block of +z rays on the trace lattice, ``lattice = (xs, ys, first)``
+    (see :func:`_lattice_pairs`), takes the lattice cull instead: a ray is
+    a candidate of the triangles whose xy bounding box, padded by 1e-6 *
+    diameter, holds it, and the index ranges come from ``np.searchsorted``
+    on ``xs`` and ``ys`` themselves.  The pad is enough: Moller-Trumbore
+    accepts barycentrics down to -1e-12, so an accepted hit lies within
+    1e-12 * (|e1| + |e2|) <= 2e-12 * diameter of its triangle, plus the
+    rounding of a few ulps of the coordinates; and a +z ray's x and y are
+    those of its hit.  The sphere cull's pad likewise dwarfs the rounding
+    of its products and the barycentric slack.  So neither cull drops a
+    pair that Moller-Trumbore would accept, and the hits equal those of a
+    test of every pair bit for bit.  Each ray takes its smallest t, the
+    lowest triangle index on ties.  ``pair_budget`` sizes the cull's blocks
+    and bands and the test's batches; it does not change the hits.
+
+    Moller-Trumbore runs on coordinate columns: the rays' origins and
+    directions and the triangles' ``p0``, ``e1`` and ``e2`` are split once
+    into contiguous x, y and z columns, and each batch gathers fifteen
+    one-dimensional columns by ray and by triangle.  The cross products are
+    written out as ``np.cross`` evaluates them (``a1 b2 - a2 b1``, ...), and
+    each dot product is summed as ``(x x' + z z') + y y'``, the order of
+    numpy's ``einsum("ij,ij->i")`` over three terms, so the hits equal
+    those of the row-wise test bit for bit.
+
+    Hits landing numerically on an edge are retraced once from an origin
+    nudged by 1e-9 * diameter, the documented deterministic tie-break, and
+    the retraced hit is moved back onto the original ray, at the retraced
+    triangle's plane, so that it does not lie inside a body next to a face
+    that is not coplanar.
+    """
+    p0, p1, p2 = mesh.corners()
+    n_tri = mesh.n_triangles
+    n = len(origins)
+    t_best = np.full(n, np.inf)
+    tri_best = np.zeros(n, dtype=np.int64)
+    u_best = np.zeros(n)
+    v_best = np.zeros(n)
+    bary_eps = 1e-12
+
+    if lattice is None:
+        bands = [_sphere_cull(mesh, origins, dirs, pair_budget)]
+    else:
+        bands = _lattice_pairs(mesh, lattice, n, pair_budget)
 
     # (x x' + z z') + y y' is the order in which numpy 2.4's
     # einsum("ij,ij->i") sums three terms on x86-64 with AVX-512: no mismatch
@@ -274,8 +355,10 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
     px, py, pz = p0.T.copy()
     ax, ay, az = (p1 - p0).T.copy()   # e1
     bx, by, bz = (p2 - p0).T.copy()   # e2
-    for c0 in range(0, len(pairs), pair_budget):
-        ray, tri = np.divmod(pairs[c0:c0 + pair_budget], n_tri)
+    batches = (pairs[c0:c0 + pair_budget]
+               for pairs in bands for c0 in range(0, len(pairs), pair_budget))
+    for batch in batches:
+        ray, tri = np.divmod(batch, n_tri)
         d_x, d_y, d_z = dx[ray], dy[ray], dz[ray]
         a_x, a_y, a_z = ax[tri], ay[tri], az[tri]
         b_x, b_y, b_z = bx[tri], by[tri], bz[tri]
@@ -332,14 +415,22 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
                 mesh, origins[on_edge] + nudge, dirs[on_edge], t_min,
                 _retrace=False, pair_budget=pair_budget,
             )
+            # each retraced hit lies on the nudged ray; move it along the
+            # original ray onto the retraced triangle's plane, t + n.nudge /
+            # n.d (on a horizontal face n.nudge is 0, and t keeps its bits)
+            back = np.isfinite(t_re)
+            n_back = n_re[back]
+            t_re[back] += (np.einsum("ij,j->i", n_back, nudge)
+                           / np.einsum("ij,ij->i", n_back, dirs[on_edge][back]))
             t_best[on_edge] = t_re
             normal[on_edge] = n_re
     return t_best, normal
 
 
-def _first_hit(body, origins, dirs, t_min, pair_budget):
+def _first_hit(body, origins, dirs, t_min, pair_budget, lattice=None):
     if isinstance(body, TriMesh):
-        return _mesh_hit(body, origins, dirs, t_min, pair_budget=pair_budget)
+        return _mesh_hit(body, origins, dirs, t_min, pair_budget=pair_budget,
+                         lattice=lattice)
     if isinstance(body, Sphere):
         return _sphere_hit(body, origins, dirs, t_min)
     if isinstance(body, Ellipsoid):
@@ -374,17 +465,19 @@ def _thread_budget() -> int:
     return usable
 
 
-def _bounce(body, origins, dirs, t_min, bounce_cap, pair_budget):
+def _bounce(body, origins, dirs, t_min, bounce_cap, pair_budget, lattice=None):
     """The bounce loop of one block of rays.
 
     Writes each ray's final direction into ``dirs`` and returns the
     indices of the rays that hit and the number of bounce passes that had
-    hits.
+    hits.  ``lattice``, if given, places the block's rays on the trace
+    lattice (see :func:`_lattice_pairs`) for the first pass.
     """
     # the live rays: their indices in the block, origins and directions
     ray, o, d = np.arange(len(origins)), origins, dirs
     for bounce in range(bounce_cap + 1):
-        t, normal = _first_hit(body, o, d, t_min, pair_budget)
+        t, normal = _first_hit(body, o, d, t_min, pair_budget,
+                               lattice=lattice if bounce == 0 else None)
         hit = np.isfinite(t)
         ray = ray[hit]
         if bounce == 0:
@@ -404,9 +497,11 @@ def _bounce(body, origins, dirs, t_min, bounce_cap, pair_budget):
     return struck, bounce
 
 
-def _trace_part(body, origins, dirs, t_min, bounce_cap, pair_budget):
+def _trace_part(body, origins, dirs, t_min, bounce_cap, pair_budget, *, lattice):
     """One worker's part of a chunk, bounced a block of at most
     ``_PART_BLOCK`` rays at a time so that its temporaries stay small.
+    ``lattice = (xs, ys, first)`` places the part's rays on the trace
+    lattice, the first at flat index ``first``.
 
     Returns the indices (into the part) of the rays that hit, the number of
     bounce passes that had hits, and the flat ``DEFAULT_BINS`` counts of the
@@ -414,11 +509,13 @@ def _trace_part(body, origins, dirs, t_min, bounce_cap, pair_budget):
     before binning, so that a ray near a bin edge falls where the histogram
     CSVs have always put it.
     """
+    xs, ys, first = lattice
     struck, bounces = [], 0
     for b0 in range(0, len(origins), _PART_BLOCK):
         block = slice(b0, b0 + _PART_BLOCK)
         hits, passes = _bounce(body, origins[block], dirs[block], t_min,
-                               bounce_cap, pair_budget)
+                               bounce_cap, pair_budget,
+                               lattice=(xs, ys, first + b0))
         struck.append(hits + b0)
         bounces = max(bounces, passes)
     struck = np.concatenate(struck)
@@ -483,10 +580,11 @@ def trace(
             dirs[:, 2] = 1.0
 
             edges = [m * p // workers for p in range(workers + 1)]
-            parts = [(body, origins[a:b], dirs[a:b], t_min, bounce_cap, pair_budget)
+            parts = [partial(_trace_part, body, origins[a:b], dirs[a:b], t_min,
+                             bounce_cap, pair_budget, lattice=(xs, ys, r0 * grid + a))
                      for a, b in zip(edges, edges[1:])]
-            rest = [pool.submit(_trace_part, *part) for part in parts[1:]]
-            results = [_trace_part(*parts[0])] + [f.result() for f in rest]
+            rest = [pool.submit(part) for part in parts[1:]]
+            results = [parts[0]()] + [f.result() for f in rest]
 
             struck = np.concatenate([r[0] + a for r, a in zip(results, edges)])
             max_bounces = max(max_bounces, *(r[1] for r in results))

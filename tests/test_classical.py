@@ -79,6 +79,18 @@ def diagonal_cube() -> TriMesh:
     return TriMesh.from_arrays(verts, tris)
 
 
+def octahedron() -> TriMesh:
+    """Regular octahedron of radius 1: each face's xy bounding box is a
+    quadrant of the shadow's, shared with one other face."""
+    verts = np.array(
+        [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+        dtype=float,
+    )
+    ring = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    tris = [[a, b, 4] for a, b in ring] + [[b, a, 5] for a, b in ring]
+    return TriMesh.from_arrays(verts, np.array(tris))
+
+
 def brute_force_mesh_hit(mesh, origins, dirs, t_min, _retrace=True):
     """Reference first hit: Moller-Trumbore over every ray x triangle pair,
     as the tracer ran it before its bounding-sphere cull."""
@@ -137,6 +149,11 @@ def brute_force_mesh_hit(mesh, origins, dirs, t_min, _retrace=True):
             t_re, n_re = brute_force_mesh_hit(
                 mesh, origins[on_edge] + nudge, dirs[on_edge], t_min, _retrace=False
             )
+            # back onto the original ray, at the retraced triangle's plane
+            back = np.isfinite(t_re)
+            n_back = n_re[back]
+            t_re[back] += (np.einsum("ij,j->i", n_back, nudge)
+                           / np.einsum("ij,ij->i", n_back, dirs[on_edge][back]))
             t_best[on_edge] = t_re
             normal[on_edge] = n_re
     return t_best, normal
@@ -270,8 +287,16 @@ def test_shadow_consistency_with_rasterizer():
 
 
 def test_mesh_sphere_single_bounce():
-    result = trace(make_body(Sphere(1.0), 3), grid=128)
-    assert result.max_bounces_seen == 1
+    # also on the mesh of an ellipsoid, and at odd grids, whose centre
+    # column lies at y = 0, in the plane of icosphere edges: a retraced edge
+    # hit must stay on the surface, or its reflection starts inside the body
+    # and bounces there until the cap
+    for shape in (Sphere(1.0), Ellipsoid(1.2, 1.0, 0.8)):
+        mesh = make_body(shape, 3)
+        for grid in (128, 65, 255):
+            result = trace(mesh, grid)
+            assert result.max_bounces_seen == 1, (shape, grid)
+            assert result.sigma_cl == shadow_area(mesh, grid), (shape, grid)
 
 
 def test_exact_edge_hits_are_retraced():
@@ -359,18 +384,32 @@ CULL_BODIES = {
 @settings(max_examples=40, deadline=None)
 @given(
     body=st.sampled_from(sorted(CULL_BODIES)),
-    kind=st.sampled_from(["lattice", "reflected", "arbitrary"]),
+    kind=st.sampled_from(["lattice", "cells", "reflected", "arbitrary"]),
     grid=st.integers(64, 160),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_cull_never_changes_a_hit(body, kind, grid, seed):
-    # the bounding-sphere cull must drop only pairs that Moller-Trumbore
-    # rejects: t and normals equal the brute-force ones bit for bit
+    # the bounding-sphere and lattice culls must drop only pairs that
+    # Moller-Trumbore rejects: t and normals equal the brute-force ones bit
+    # for bit
     mesh = CULL_BODIES[body]
     rng = np.random.default_rng(seed)
     lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     t_min = 1e-9 * mesh.diameter  # as trace sets it
-    if kind == "arbitrary":
+    lattice = None
+    if kind == "lattice":
+        # a block of the trace lattice's first pass that starts mid-row, as
+        # trace hands it to _mesh_hit
+        xs = lo[0] + (np.arange(grid) + 0.5) * (hi[0] - lo[0]) / grid
+        ys = lo[1] + (np.arange(grid) + 0.5) * (hi[1] - lo[1]) / grid
+        first = grid * int(rng.integers(0, grid - 1500 // grid - 1)) + int(rng.integers(1, grid))
+        g = first + np.arange(1500)
+        origins = np.stack([xs[g // grid], ys[g % grid],
+                            np.full(1500, lo[2] - 0.5 * mesh.diameter)], axis=1)
+        dirs = np.zeros((1500, 3))
+        dirs[:, 2] = 1.0
+        lattice = (xs, ys, first)
+    elif kind == "arbitrary":
         origins = rng.uniform(lo - 0.5 * mesh.diameter, hi + 0.5 * mesh.diameter,
                               (1500, 3))
         dirs = rng.standard_normal((1500, 3))
@@ -401,7 +440,7 @@ def test_cull_never_changes_a_hit(body, kind, grid, seed):
         t_ref, n_ref = brute_force_mesh_hit(mesh, origins, dirs, t_min, retrace)
         for budget in (classical._PAIR_BUDGET, 997):
             t_new, n_new = classical._mesh_hit(mesh, origins, dirs, t_min, retrace,
-                                               pair_budget=budget)
+                                               pair_budget=budget, lattice=lattice)
             assert np.array_equal(t_new, t_ref)
             assert np.array_equal(n_new, n_ref)
 
@@ -438,6 +477,24 @@ def _degenerate_rays():
 _SHEAR = np.array([[1.0, 0.5, 0.25], [0.25, 1.0, 0.5], [0.5, 0.25, 1.0]])
 
 
+def _dyadic_lattice(shift):
+    """A +z lattice block for the (sheared, shifted) unit cube: rows and
+    columns every 1/16 from -0.25 to 2, so they fall exactly on the corner
+    coordinates, the edges and the split diagonals, plus rows and columns
+    2^-41 outside 0 and 1, within the 1e-12 barycentric slack of the
+    unsheared cube's edges.  The block starts mid-row.  Returns origins,
+    directions and the lattice."""
+    steps = np.concatenate([np.arange(-4, 33) / 16.0, [-2.0**-41, 1.0 + 2.0**-41]])
+    xs = ys = np.unique(steps + shift)
+    first = 5
+    g = np.arange(first, len(xs) * len(ys))
+    origins = np.stack([xs[g // len(ys)], ys[g % len(ys)], np.full(len(g), shift - 1.0)],
+                       axis=1)
+    dirs = np.zeros_like(origins)
+    dirs[:, 2] = 1.0
+    return origins, dirs, (xs, ys, first)
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e4])
 @pytest.mark.parametrize("shear", [False, True])
 def test_degenerate_pairs_match_brute_force(shear, shift):
@@ -445,26 +502,29 @@ def test_degenerate_pairs_match_brute_force(shear, shift):
     # branches of Moller-Trumbore; the column form must give the brute-force
     # row form's t and normals bit for bit, and every op that can make an
     # inf or a nan must sit inside the errstate block.  A numpy whose
-    # einsum sums three terms in another order fails this test.
+    # einsum sums three terms in another order fails this test.  The +z
+    # lattice rays take the lattice cull, whose padded boxes must keep the
+    # rays on and just outside the edges.
     linear = _SHEAR if shear else np.eye(3)
     cube = diagonal_cube()
     mesh = TriMesh.from_arrays(cube.vertices @ linear.T + shift, cube.triangles)
     origins, dirs = _degenerate_rays()
-    origins = origins @ linear.T + shift
-    dirs = dirs @ linear.T
+    cases = [(origins @ linear.T + shift, dirs @ linear.T, None), _dyadic_lattice(shift)]
     t_min = 1e-9 * mesh.diameter
-    for retrace in (True, False):
-        # the reference warns: it keeps the inf barycentrics of its misses
-        with np.errstate(invalid="ignore"):
-            t_ref, n_ref = brute_force_mesh_hit(mesh, origins, dirs, t_min, retrace)
-        assert np.isfinite(t_ref).any() and not np.isfinite(t_ref).all()
-        for budget in (classical._PAIR_BUDGET, 7):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                t_new, n_new = classical._mesh_hit(mesh, origins, dirs, t_min,
-                                                   retrace, pair_budget=budget)
-            assert np.array_equal(t_new, t_ref)
-            assert np.array_equal(n_new, n_ref)
+    for origins, dirs, lattice in cases:
+        for retrace in (True, False):
+            # the reference warns: it keeps the inf barycentrics of its misses
+            with np.errstate(invalid="ignore"):
+                t_ref, n_ref = brute_force_mesh_hit(mesh, origins, dirs, t_min, retrace)
+            assert np.isfinite(t_ref).any() and not np.isfinite(t_ref).all()
+            for budget in (classical._PAIR_BUDGET, 7):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    t_new, n_new = classical._mesh_hit(mesh, origins, dirs, t_min,
+                                                       retrace, pair_budget=budget,
+                                                       lattice=lattice)
+                assert np.array_equal(t_new, t_ref)
+                assert np.array_equal(n_new, n_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -591,18 +651,54 @@ def test_trapping_does_not_depend_on_the_thread_budget(budget, cap):
 
 def test_trace_memory_follows_the_chunk_not_the_grid(budget, monkeypatch):
     # no ray outlives its chunk: each part bins its own rays, so at a fixed
-    # chunk size the traced peak does not grow with the grid
+    # chunk size the traced peak does not grow with the grid.  On a mesh,
+    # the lattice cull builds a block's pairs band by band, from the rows
+    # the block holds, so the octahedron's faces, whose boxes each span a
+    # quadrant of the grid, cost no more memory at a finer grid either.
     budget(1)
     monkeypatch.setattr(classical, "_RAY_CHUNK", 65536)
-    peaks = []
-    for grid in (512, 1024, 2048):
-        tracemalloc.start()
-        try:
-            trace(Sphere(1.0), grid)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert max(peaks) < 1.2 * min(peaks), [p / 2**20 for p in peaks]
+    for body in (Sphere(1.0), octahedron()):
+        peaks = []
+        for grid in (512, 1024, 2048):
+            tracemalloc.start()
+            try:
+                trace(body, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 1.2 * min(peaks), (body, [p / 2**20 for p in peaks])
+
+
+ORACLE_BODIES = {
+    "dented": (dented_sphere(1.37)[0], 128),
+    "groove": (groove_prism(), 128),
+    "pinwheel": (pinwheel_cube(1), 128),
+    "diagonal_cube": (diagonal_cube(), 128),
+    # an odd grid: the centre column lies in the plane of icosphere edges
+    "sphere3": (_SPHERE3, 129),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BODIES))
+def test_trace_matches_the_brute_force_oracle(budget, monkeypatch, name):
+    # the first pass's lattice cull, the later passes' sphere cull and the
+    # edge retrace give the trace of a test of every ray/triangle pair, bit
+    # for bit, also where parts and blocks start mid-row
+    body, grid = ORACLE_BODIES[name]
+    got = []
+    for n, block in ((1, classical._PART_BLOCK), (3, 1021)):
+        budget(n, block)
+        got.append(trace(body, grid))
+    with monkeypatch.context() as m:
+        m.setattr(classical, "_mesh_hit",
+                  lambda mesh, origins, dirs, t_min, **_:
+                  brute_force_mesh_hit(mesh, origins, dirs, t_min))
+        budget(1)
+        want = trace(body, grid)
+    for result in got:
+        for a, b in zip(_fields(result), _fields(want), strict=True):
+            assert np.array_equal(a, b), name
+            assert np.asarray(a).dtype == np.asarray(b).dtype, name
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,10 @@ GOLDEN = {
     "raytrace_mesh": f"raytrace --mesh {MESH} --grid 256 --out rays.csv",
     "raytrace_dented": f"raytrace --mesh {DENTED} --grid 256 --out rays.csv",
     "raytrace_edges": f"raytrace --mesh {EDGES} --grid 256 --out rays.csv",
+    # an odd grid: the centre column lies at y = 0, in the plane of
+    # icosphere edges, whose hits are retraced; at --threads 2 the two parts
+    # of the 65025 rays split mid-row, at 32512 = 127 * 255 + 127
+    "raytrace_mesh_odd": f"raytrace --mesh {MESH} --grid 255 --out rays.csv",
 }
 # config errors: each must exit 2 in both trees
 ERRORS = {
