@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -45,8 +44,9 @@ DEFAULT_BOUNCE_CAP = 64
 DEFAULT_BINS = (64, 64)
 
 _RAY_CHUNK = 1_000_000       # rays per chunk of grid rows; sums are per chunk
-# Rays one worker bounces at a time; the bounce loop's temporaries for a
-# million rays would take about 150 MiB.
+# Most rays in one block of the trace lattice, the unit of work a thread
+# bounces; the bounce loop's temporaries for a million rays would take
+# about 150 MiB.
 _PART_BLOCK = 131_072
 # Meshes: ray*triangle pairs per block of the bounding-sphere cull (a block
 # of rays against every triangle) and per Moller-Trumbore batch of the pairs
@@ -247,17 +247,17 @@ def _ranges(starts, counts):
     return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
-def _lattice_pairs(mesh: TriMesh, lattice, n, pair_budget):
-    """Candidate pairs of a block of ``n`` +z rays on the trace lattice, as
+def _lattice_pairs(mesh: TriMesh, lattice, pair_budget):
+    """Candidate pairs of a block of +z rays on the trace lattice, as
     ascending flat indices ``ray * n_tri + tri``, one band of grid rows at a
     time: those whose ray lies in the triangle's padded xy bounding box.
 
-    ``lattice = (xs, ys, first)``: ray k of the block starts at
+    ``lattice = (xs, ys, first, n)``: ray k < n of the block starts at
     ``(xs[g // len(ys)], ys[g % len(ys)])``, g = first + k, so a block can
     start and end mid-row.  Each band holds at most ``pair_budget`` pairs,
     or one row that holds more, whatever the grid or the triangles.
     """
-    xs, ys, first = lattice
+    xs, ys, first, n = lattice
     n_cols = len(ys)
     n_tri = mesh.n_triangles
     corners = np.stack(mesh.corners())
@@ -301,7 +301,7 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
     Moller-Trumbore on the ray/triangle pairs that survive it.
 
     Arbitrary rays take the bounding-sphere cull (:func:`_sphere_cull`).
-    A block of +z rays on the trace lattice, ``lattice = (xs, ys, first)``
+    A block of +z rays on the trace lattice, ``lattice = (xs, ys, first, n)``
     (see :func:`_lattice_pairs`), takes the lattice cull instead: a ray is
     a candidate of the triangles whose xy bounding box, padded by 1e-6 *
     diameter, holds it, and the index ranges come from ``np.searchsorted``
@@ -343,7 +343,7 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
     if lattice is None:
         bands = [_sphere_cull(mesh, origins, dirs, pair_budget)]
     else:
-        bands = _lattice_pairs(mesh, lattice, n, pair_budget)
+        bands = _lattice_pairs(mesh, lattice, pair_budget)
 
     # (x x' + z z') + y y' is the order in which numpy 2.4's
     # einsum("ij,ij->i") sums three terms on x86-64 with AVX-512: no mismatch
@@ -465,16 +465,27 @@ def _thread_budget() -> int:
     return usable
 
 
-def _bounce(body, origins, dirs, t_min, bounce_cap, pair_budget, lattice=None):
-    """The bounce loop of one block of rays.
+def _trace_block(body, lattice, z_start, t_min, bounce_cap, pair_budget):
+    """Bounce one block of the trace lattice until its rays escape.
 
-    Writes each ray's final direction into ``dirs`` and returns the
-    indices of the rays that hit and the number of bounce passes that had
-    hits.  ``lattice``, if given, places the block's rays on the trace
-    lattice (see :func:`_lattice_pairs`) for the first pass.
+    ``lattice = (xs, ys, first, n)``: ray k of the block, g = first + k,
+    starts at ``(xs[g // len(ys)], ys[g % len(ys)], z_start)`` and travels
+    along +z, so a block can start and end mid-row.  The first pass hands
+    the lattice to :func:`_first_hit` (see :func:`_lattice_pairs`).
+
+    Returns the final directions of the rays that hit, in ray order, the
+    number of bounce passes that had hits, and the flat ``DEFAULT_BINS``
+    counts of those directions.  The directions are rounded to float32
+    before binning, so that a ray near a bin edge falls where the histogram
+    CSVs have always put it.
     """
+    xs, ys, first, n = lattice
+    row, col = np.divmod(first + np.arange(n), len(ys))
+    origins = np.column_stack([xs[row], ys[col], np.full(n, z_start)])
+    dirs = np.zeros((n, 3))
+    dirs[:, 2] = 1.0
     # the live rays: their indices in the block, origins and directions
-    ray, o, d = np.arange(len(origins)), origins, dirs
+    ray, o, d = np.arange(n), origins, dirs
     for bounce in range(bounce_cap + 1):
         t, normal = _first_hit(body, o, d, t_min, pair_budget,
                                lattice=lattice if bounce == 0 else None)
@@ -492,34 +503,10 @@ def _bounce(body, origins, dirs, t_min, bounce_cap, pair_budget, lattice=None):
         d = d - 2.0 * np.einsum("ij,ij->i", d, n_hat)[:, None] * n_hat
         o = pts + t_min * d
         dirs[ray] = d
+    out = dirs[struck]
     # the loop ends on the first pass without hits, so ``bounce`` counts
     # the passes that had some
-    return struck, bounce
-
-
-def _trace_part(body, origins, dirs, t_min, bounce_cap, pair_budget, *, lattice):
-    """One worker's part of a chunk, bounced a block of at most
-    ``_PART_BLOCK`` rays at a time so that its temporaries stay small.
-    ``lattice = (xs, ys, first)`` places the part's rays on the trace
-    lattice, the first at flat index ``first``.
-
-    Returns the indices (into the part) of the rays that hit, the number of
-    bounce passes that had hits, and the flat ``DEFAULT_BINS`` counts of the
-    hit rays' final directions.  The directions are rounded to float32
-    before binning, so that a ray near a bin edge falls where the histogram
-    CSVs have always put it.
-    """
-    xs, ys, first = lattice
-    struck, bounces = [], 0
-    for b0 in range(0, len(origins), _PART_BLOCK):
-        block = slice(b0, b0 + _PART_BLOCK)
-        hits, passes = _bounce(body, origins[block], dirs[block], t_min,
-                               bounce_cap, pair_budget,
-                               lattice=(xs, ys, first + b0))
-        struck.append(hits + b0)
-        bounces = max(bounces, passes)
-    struck = np.concatenate(struck)
-    return struck, bounces, _bin_counts(dirs[struck].astype(np.float32))
+    return out, bounce, _bin_counts(out.astype(np.float32))
 
 
 def trace(
@@ -535,16 +522,19 @@ def trace(
     grid : rays per side of the shadow bounding box (>= 64)
     bounce_cap : bounce budget per ray before a TrappingError is raised
 
-    Each chunk of grid rows is split into as many contiguous parts as the
-    thread budget (:func:`_thread_budget`) allows, traced in parallel; the
-    first part runs in the calling thread, so a budget of 1 starts no
-    thread.  Rays are independent and every sum is formed per chunk in ray
-    order, so the result does not depend on the budget, bit for bit.  Of
-    several parts that trap, the first raises its :class:`TrappingError`.
+    Each chunk of grid rows is cut into blocks of at most ``_PART_BLOCK``
+    rays, and at least as many blocks as the thread budget
+    (:func:`_thread_budget`) has threads; a pool of that many threads
+    bounces them, each block building its own rays, and a budget of 1
+    starts no thread.  Rays are independent and every sum is formed per
+    chunk in ray order, so the result does not depend on the budget, bit
+    for bit.  Of several blocks that trap, the first raises its
+    :class:`TrappingError`.
 
-    The rays are not kept: each part bins its rays' final directions into
+    The rays are not kept: each block bins its rays' final directions into
     ``DEFAULT_BINS``, and the result holds the summed counts, so the memory
-    of a trace grows with ``_RAY_CHUNK``, not with the grid.
+    of a trace grows with ``_RAY_CHUNK`` and the blocks in flight, not with
+    the grid.
     """
     if grid < 64:
         raise ValueError("grid must be >= 64")
@@ -561,39 +551,32 @@ def trace(
     workers = _thread_budget()
     pair_budget = _PAIR_BUDGET // workers
 
+    def trace_block(lattice):
+        return _trace_block(body, lattice, z_start, t_min, bounce_cap, pair_budget)
+
     rays_hit = 0
     max_bounces = 0
     r_sum = 0.0
     cos_sum = 0.0
     counts = np.zeros(DEFAULT_BINS[0] * DEFAULT_BINS[1], dtype=np.int64)
 
-    rows_per_chunk = max(1, _RAY_CHUNK // grid)
-    # the pool starts its threads on the first submit
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        for r0 in range(0, grid, rows_per_chunk):
-            rows = xs[r0:r0 + rows_per_chunk]
-            m = len(rows) * grid
-            origins = np.column_stack(
-                [np.repeat(rows, grid), np.tile(ys, len(rows)), np.full(m, z_start)]
-            )
-            dirs = np.zeros((m, 3))
-            dirs[:, 2] = 1.0
-
-            edges = [m * p // workers for p in range(workers + 1)]
-            parts = [partial(_trace_part, body, origins[a:b], dirs[a:b], t_min,
-                             bounce_cap, pair_budget, lattice=(xs, ys, r0 * grid + a))
-                     for a, b in zip(edges, edges[1:])]
-            rest = [pool.submit(part) for part in parts[1:]]
-            results = [parts[0]()] + [f.result() for f in rest]
-
-            struck = np.concatenate([r[0] + a for r, a in zip(results, edges)])
+    chunk = max(1, _RAY_CHUNK // grid) * grid
+    # the pool starts its threads on the first submit, so a budget of 1,
+    # which maps in this thread, starts none
+    with ThreadPoolExecutor(workers) as pool:
+        run = map if workers == 1 else pool.map
+        for c0 in range(0, grid * grid, chunk):
+            m = min(chunk, grid * grid - c0)
+            block = min(_PART_BLOCK, -(-m // workers))
+            results = list(run(trace_block, [(xs, ys, c0 + b0, min(block, m - b0))
+                                             for b0 in range(0, m, block)]))
+            out = np.concatenate([r[0] for r in results])
             max_bounces = max(max_bounces, *(r[1] for r in results))
-            rays_hit += len(struck)
-            out = dirs[struck]
+            rays_hit += len(out)
             r_sum += float(np.sum(1.0 - out[:, 2]))
             cos_sum += float(np.sum(out[:, 2]))
-            for _, _, part_counts in results:
-                counts += part_counts
+            for _, _, block_counts in results:
+                counts += block_counts
 
     return RayTraceResult(
         sigma_cl=cell * rays_hit,

@@ -22,8 +22,8 @@ _CONVENTION = "incident direction is +z; forward means cos_theta near +1"
 
 
 # largest ray grid per side: a 4096^2 trace of an analytic sphere takes
-# 6-8 s and about 300 MiB peak RSS on a 2-vCPU VM (8-9.5 s and 250 MiB on
-# one thread)
+# 3.7-4.5 s and about 240 MiB peak RSS on a 2-vCPU VM (5.9-6.7 s and
+# 195 MiB on one thread)
 _MAX_GRID = 4096
 
 

@@ -121,13 +121,18 @@ def _legendre_rows(order: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _coefficients(table: PhaseShiftTable) -> np.ndarray:
+    """The amplitude's partial-wave coefficients (2l+1) e^{i delta_l}
+    sin(delta_l) / k, l = 0..L."""
+    l = np.arange(table.truncation + 1)
+    return (2 * l + 1) * np.exp(1j * table.delta) * np.sin(table.delta) / table.k
+
+
 def amplitude(table: PhaseShiftTable, theta) -> np.ndarray:
     """Complex scattering amplitude at the given angles (radians)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    l = np.arange(table.truncation + 1)
-    coeff = (2 * l + 1) * np.exp(1j * table.delta) * np.sin(table.delta) / table.k
     legendre = _legendre_rows(table.truncation, np.cos(theta))
-    return coeff @ legendre
+    return _coefficients(table) @ legendre
 
 
 @dataclass(frozen=True)
@@ -155,11 +160,9 @@ class CrossSections:
 
     @cached_property
     def series_quad_mismatch(self) -> float:
-        delta = self.table.delta
-        l = np.arange(len(delta))
         mu, w = _gauss_rule(_QUAD_POINTS)
-        coeff = (2 * l + 1) * np.exp(1j * delta) * np.sin(delta) / self.k
-        intensity = np.abs(coeff @ _legendre_rows(self.table.truncation, mu)) ** 2
+        legendre = _legendre_rows(self.table.truncation, mu)
+        intensity = np.abs(_coefficients(self.table) @ legendre) ** 2
         sigma_quad = 2.0 * np.pi * float(np.sum(w * intensity))
         sigma_t_quad = 2.0 * np.pi * float(np.sum(w * (1.0 - mu) * intensity))
         return max(
@@ -183,8 +186,7 @@ def cross_sections(table: PhaseShiftTable) -> CrossSections:
     if not (sigma > 0):  # before the optical residual divides by it
         raise ValueError("sigma must be positive")
 
-    coeff = (2 * l + 1) * np.exp(1j * delta) * np.sin(delta) / k
-    forward = complex(np.sum(coeff))  # P_l(1) = 1
+    forward = complex(np.sum(_coefficients(table)))  # P_l(1) = 1
     optical = abs(4.0 * np.pi / k * forward.imag - sigma) / sigma
     return CrossSections(k, sigma, sigma_t, optical, table)
 

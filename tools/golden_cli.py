@@ -93,10 +93,14 @@ GOLDEN = {
     "raytrace_ellipsoid": "raytrace --body ellipsoid:1.2,1,0.8 --grid 256 --out rays.csv",
     "raytrace_mesh": f"raytrace --mesh {MESH} --grid 256 --out rays.csv",
     "raytrace_dented": f"raytrace --mesh {DENTED} --grid 256 --out rays.csv",
+    # two blocks of the trace lattice on one thread, 131072 and 28928 rays;
+    # the second starts mid-row, at row 327, column 272, and its rays bounce
+    # up to five times
+    "raytrace_dented_blocks": f"raytrace --mesh {DENTED} --grid 400 --out rays.csv",
     "raytrace_edges": f"raytrace --mesh {EDGES} --grid 256 --out rays.csv",
     # an odd grid: the centre column lies at y = 0, in the plane of
-    # icosphere edges, whose hits are retraced; at --threads 2 the two parts
-    # of the 65025 rays split mid-row, at 32512 = 127 * 255 + 127
+    # icosphere edges, whose hits are retraced; at --threads 2 the two blocks
+    # of the 65025 rays split mid-row, at 32513 = 127 * 255 + 128
     "raytrace_mesh_odd": f"raytrace --mesh {MESH} --grid 255 --out rays.csv",
 }
 # config errors: each must exit 2 in both trees
