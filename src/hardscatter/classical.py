@@ -49,11 +49,12 @@ _RAY_CHUNK = 1_000_000       # rays per chunk of grid rows; sums are per chunk
 # about 150 MiB.
 _PART_BLOCK = 131_072
 # Meshes: ray*triangle pairs per block of the bounding-sphere cull (a block
-# of rays against every triangle) and per Moller-Trumbore batch of the pairs
-# it keeps, so that a block's arrays stay in cache.  The workers of a trace
-# share it.  A cull block has at least _MIN_BLOCK_RAYS rays, so that a large
-# mesh does not loop over blocks of a few rays.
-_PAIR_BUDGET = 65_536
+# of rays against every triangle), per group of the lattice cull (give or
+# take one triangle's pairs) and per Moller-Trumbore batch, so that a
+# block's arrays stay in cache.  It is per worker: each thread of a trace
+# works on its own block.  A cull block has at least _MIN_BLOCK_RAYS rays,
+# so that a large mesh does not loop over blocks of a few rays.
+_PAIR_BUDGET = 32_768
 _MIN_BLOCK_RAYS = 8
 
 
@@ -200,7 +201,8 @@ def _cylinder_hit(body: CappedCylinder, origins, dirs, t_min):
 def _sphere_cull(mesh: TriMesh, origins, dirs, pair_budget):
     """Candidate pairs of arbitrary rays, as ascending flat indices
     ``ray * n_tri + tri``: those whose ray, the half-line from its origin,
-    meets the triangle's bounding sphere.
+    meets the triangle's bounding sphere.  So each ray's triangles ascend,
+    as :func:`_mesh_hit` needs.
 
     Each triangle's sphere has centre = centroid and radius = farthest
     corner, padded by a relative 1e-6 plus 1e-9 * diameter.  Per block of
@@ -248,14 +250,17 @@ def _ranges(starts, counts):
 
 
 def _lattice_pairs(mesh: TriMesh, lattice, pair_budget):
-    """Candidate pairs of a block of +z rays on the trace lattice, as
-    ascending flat indices ``ray * n_tri + tri``, one band of grid rows at a
+    """Candidate pairs of a block of +z rays on the trace lattice, as flat
+    indices ``ray * n_tri + tri``, one group of consecutive triangles at a
     time: those whose ray lies in the triangle's padded xy bounding box.
 
     ``lattice = (xs, ys, first, n)``: ray k < n of the block starts at
     ``(xs[g // len(ys)], ys[g % len(ys)])``, g = first + k, so a block can
-    start and end mid-row.  Each band holds at most ``pair_budget`` pairs,
-    or one row that holds more, whatever the grid or the triangles.
+    start and end mid-row.  A group holds at most ``pair_budget`` pairs plus
+    one triangle's, whatever the grid or the triangles.  The pairs of a
+    group come triangle by triangle and the groups in triangle order, so
+    each ray's triangles ascend across the groups, as :func:`_mesh_hit`
+    needs.
     """
     xs, ys, first, n = lattice
     n_cols = len(ys)
@@ -268,31 +273,21 @@ def _lattice_pairs(mesh: TriMesh, lattice, pair_budget):
     row_lo = first // n_cols
     n_rows = (first + n - 1) // n_cols + 1 - row_lo
     r0 = np.clip(np.searchsorted(xs, lo[:, 0], "left") - row_lo, 0, n_rows)
-    r1 = np.clip(np.searchsorted(xs, hi[:, 0], "right") - row_lo, 0, n_rows)
+    rows = np.clip(np.searchsorted(xs, hi[:, 0], "right") - row_lo, 0, n_rows) - r0
     c0 = np.searchsorted(ys, lo[:, 1], "left")
     width = np.searchsorted(ys, hi[:, 1], "right") - c0
-    # pairs up to the end of each row, the partial first and last rows
-    # counted whole
-    step = np.bincount(r0, width, n_rows + 1) - np.bincount(r1, width, n_rows + 1)
-    ends = np.cumsum(np.cumsum(step[:-1])).astype(np.int64)
-
-    b0 = 0
-    while b0 < n_rows:
-        done = ends[b0 - 1] if b0 else 0
-        b1 = max(b0 + 1, int(np.searchsorted(ends, done + pair_budget, "right")))
-        lo_row = np.maximum(r0, b0)
-        rows = np.minimum(r1, b1) - lo_row
-        tri = np.flatnonzero(rows > 0)
+    # each triangle's pairs, the partial first and last rows counted whole
+    counts = rows * width
+    tris = np.flatnonzero(counts)
+    group = np.cumsum(counts[tris]) // pair_budget
+    for tri in np.split(tris, np.flatnonzero(np.diff(group)) + 1):
         # one entry per triangle and row, then one per column
-        row = _ranges(lo_row[tri], rows[tri])
+        row = _ranges(r0[tri], rows[tri])
         tri = np.repeat(tri, rows[tri])
         ray = _ranges((row + row_lo) * n_cols + c0[tri] - first, width[tri])
         tri = np.repeat(tri, width[tri])
         keep = (ray >= 0) & (ray < n)
-        pairs = ray[keep] * n_tri + tri[keep]
-        pairs.sort()
-        yield pairs
-        b0 = b1
+        yield ray[keep] * n_tri + tri[keep]
 
 
 def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
@@ -314,7 +309,9 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
     pair that Moller-Trumbore would accept, and the hits equal those of a
     test of every pair bit for bit.  Each ray takes its smallest t, the
     lowest triangle index on ties.  ``pair_budget`` sizes the cull's blocks
-    and bands and the test's batches; it does not change the hits.
+    and groups and the test's batches; it does not change the hits, because
+    both culls hand each ray's triangles over in ascending order, so a later
+    batch that wins with a strictly smaller t is all the tie rule needs.
 
     Moller-Trumbore runs on coordinate columns: the rays' origins and
     directions and the triangles' ``p0``, ``e1`` and ``e2`` are split once
@@ -341,9 +338,9 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
     bary_eps = 1e-12
 
     if lattice is None:
-        bands = [_sphere_cull(mesh, origins, dirs, pair_budget)]
+        groups = [_sphere_cull(mesh, origins, dirs, pair_budget)]
     else:
-        bands = _lattice_pairs(mesh, lattice, pair_budget)
+        groups = _lattice_pairs(mesh, lattice, pair_budget)
 
     # (x x' + z z') + y y' is the order in which numpy 2.4's
     # einsum("ij,ij->i") sums three terms on x86-64 with AVX-512: no mismatch
@@ -356,7 +353,7 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
     ax, ay, az = (p1 - p0).T.copy()   # e1
     bx, by, bz = (p2 - p0).T.copy()   # e2
     batches = (pairs[c0:c0 + pair_budget]
-               for pairs in bands for c0 in range(0, len(pairs), pair_budget))
+               for pairs in groups for c0 in range(0, len(pairs), pair_budget))
     for batch in batches:
         ray, tri = np.divmod(batch, n_tri)
         d_x, d_y, d_z = dx[ray], dy[ray], dz[ray]
@@ -427,10 +424,9 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
     return t_best, normal
 
 
-def _first_hit(body, origins, dirs, t_min, pair_budget, lattice=None):
+def _first_hit(body, origins, dirs, t_min, lattice=None):
     if isinstance(body, TriMesh):
-        return _mesh_hit(body, origins, dirs, t_min, pair_budget=pair_budget,
-                         lattice=lattice)
+        return _mesh_hit(body, origins, dirs, t_min, lattice=lattice)
     if isinstance(body, Sphere):
         return _sphere_hit(body, origins, dirs, t_min)
     if isinstance(body, Ellipsoid):
@@ -465,7 +461,7 @@ def _thread_budget() -> int:
     return usable
 
 
-def _trace_block(body, lattice, z_start, t_min, bounce_cap, pair_budget):
+def _trace_block(body, lattice, z_start, t_min, bounce_cap):
     """Bounce one block of the trace lattice until its rays escape.
 
     ``lattice = (xs, ys, first, n)``: ray k of the block, g = first + k,
@@ -487,7 +483,7 @@ def _trace_block(body, lattice, z_start, t_min, bounce_cap, pair_budget):
     # the live rays: their indices in the block, origins and directions
     ray, o, d = np.arange(n), origins, dirs
     for bounce in range(bounce_cap + 1):
-        t, normal = _first_hit(body, o, d, t_min, pair_budget,
+        t, normal = _first_hit(body, o, d, t_min,
                                lattice=lattice if bounce == 0 else None)
         hit = np.isfinite(t)
         ray = ray[hit]
@@ -549,10 +545,9 @@ def trace(
     xs = x0 + (np.arange(grid) + 0.5) * (x1 - x0) / grid
     ys = y0 + (np.arange(grid) + 0.5) * (y1 - y0) / grid
     workers = _thread_budget()
-    pair_budget = _PAIR_BUDGET // workers
 
     def trace_block(lattice):
-        return _trace_block(body, lattice, z_start, t_min, bounce_cap, pair_budget)
+        return _trace_block(body, lattice, z_start, t_min, bounce_cap)
 
     rays_hit = 0
     max_bounces = 0

@@ -26,6 +26,12 @@ _CONVENTION = "incident direction is +z; forward means cos_theta near +1"
 # 195 MiB on one thread)
 _MAX_GRID = 4096
 
+# smallest ka of a partial-wave sweep: a phase shift from atan2(j_l, y_l),
+# folded by pi, is good to about ulp(pi) / 2 = 2.2e-16 absolute, and
+# delta_0 is about -ka, so its relative error grows as ka shrinks (7e-12 at
+# ka 1e-5, 6e-9 at 1e-8), and below ka 1e-15 sigma is wrong or not positive
+_MIN_SERIES_KA = 1e-5
+
 
 class ConfigError(ValueError):
     pass
@@ -107,8 +113,9 @@ def _k_grid(args):
 
 
 def _series_k_grid(args, radius: float):
-    """The k grid of a partial-wave sweep, refused before any work when the
-    sweep outgrows one of 200 samples up to ka 3000.
+    """The k grid of a partial-wave sweep, refused before any work when it
+    starts below ka ``_MIN_SERIES_KA`` or the sweep outgrows one of 200
+    samples up to ka 3000.
 
     Each sample costs about its series order L = ``default_truncation(ka)``
     in Legendre rows; past ka 3000 the phase shifts dominate, and they cost
@@ -118,6 +125,12 @@ def _series_k_grid(args, radius: float):
     from .sphere_oracle import default_truncation
 
     k_values = _k_grid(args)
+    if args.k_min * radius < _MIN_SERIES_KA:
+        raise ConfigError(
+            f"--k-min {args.k_min:g} gives ka {args.k_min * radius:g}, below "
+            f"ka {_MIN_SERIES_KA:g}, where the phase shifts lose accuracy; "
+            "raise --k-min"
+        )
     order = default_truncation(args.k_max * radius)
     ref = default_truncation(3000.0)
     if args.samples * order * max(order, ref) > 200 * ref * ref:

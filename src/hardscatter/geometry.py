@@ -186,13 +186,26 @@ def _point_set_diameter(points: np.ndarray) -> float:
 # analytic bodies and generators
 
 
+# Dimensions of an analytic body that the float kernels handle: the tracer
+# squares and multiplies lengths, so each dimension lies in
+# [_MIN_LENGTH, _MAX_LENGTH], and an ellipsoid's largest semi-axis is at
+# most _MAX_ELLIPSOID_RATIO times its smallest, past which a grid-256 trace
+# traps or its discriminant cancels at some scales.
+_MIN_LENGTH, _MAX_LENGTH = 1e-50, 1e50
+_MAX_ELLIPSOID_RATIO = 1e5
+
+
+def _check_lengths(what: str, *lengths) -> None:
+    if not all(_MIN_LENGTH <= v <= _MAX_LENGTH for v in lengths):
+        raise ValueError(f"{what} must lie in [{_MIN_LENGTH:g}, {_MAX_LENGTH:g}]")
+
+
 @dataclass(frozen=True)
 class Sphere:
     radius: float
 
     def __post_init__(self):
-        if not 0 < self.radius < np.inf:
-            raise ValueError("sphere radius must be positive and finite")
+        _check_lengths("sphere radius", self.radius)
 
 
 @dataclass(frozen=True)
@@ -204,8 +217,11 @@ class Ellipsoid:
     c: float
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.a, self.b, self.c)):
-            raise ValueError("ellipsoid semi-axes must be positive and finite")
+        axes = (self.a, self.b, self.c)
+        _check_lengths("ellipsoid semi-axes", *axes)
+        if max(axes) > _MAX_ELLIPSOID_RATIO * min(axes):
+            raise ValueError("ellipsoid semi-axes must lie within a ratio of "
+                             f"{_MAX_ELLIPSOID_RATIO:g} of each other")
 
 
 @dataclass(frozen=True)
@@ -216,11 +232,16 @@ class CappedCylinder:
     height: float
 
     def __post_init__(self):
-        if not (0 < self.radius < np.inf and 0 < self.height < np.inf):
-            raise ValueError("cylinder radius and height must be positive and finite")
+        _check_lengths("cylinder radius and height", self.radius, self.height)
 
 
 _GOLD = (1.0 + np.sqrt(5.0)) / 2.0
+
+# most triangles on a capped cylinder's side, the level-7 icosphere's count:
+# the side's count grows with height / radius, and past this it would build
+# millions of vertices and ask for gigabytes in _point_set_diameter.  A
+# (1, 2) cylinder at level 6, the CLI's finest, has 41984.
+_MAX_SIDE_TRIANGLES = 81_920
 
 
 def _icosahedron():
@@ -326,6 +347,12 @@ def _cylinder_mesh(radius: float, height: float, level: int):
     n_phi = 8 * 2 ** max(level - 1, 0)
     # even band count keeps the triangulation mirror-symmetric in z
     n_z = 2 * max(1, round(n_phi * height / (4.0 * np.pi * radius)))
+    if 2 * n_phi * n_z > _MAX_SIDE_TRIANGLES:
+        raise MeshError(
+            f"a cylinder of height / radius {height / radius:g} at level {level} "
+            f"needs {2 * n_phi * n_z:.3g} side triangles, more than "
+            f"{_MAX_SIDE_TRIANGLES}"
+        )
     n_r = max(1, round(n_phi / (2.0 * np.pi)))
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     zs = -height / 2.0 + height * np.arange(n_z + 1) / n_z
@@ -376,7 +403,8 @@ def make_body(body: Sphere | Ellipsoid | CappedCylinder, level: int) -> TriMesh:
     Sphere and ellipsoid meshes are subdivided icosahedra with
     ``20 * 4**(level-1)`` faces (level <= 1 gives the base solid); the
     capped cylinder uses ring bands plus fan caps, roughly quadrupling
-    faces per level.
+    faces per level; one whose side would need more than
+    ``_MAX_SIDE_TRIANGLES`` raises :class:`MeshError` before it is built.
     """
     if level < 0:
         raise ValueError("refinement level must be >= 0")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import threading
 import tracemalloc
@@ -203,8 +204,7 @@ def test_energy_conservation():
         ((x0, x1), (y0, y1), z_low), scale = classical._body_box(body)
         lattice = (x0 + cells * (x1 - x0), y0 + cells * (y1 - y0), 0, grid * grid)
         out, _, _ = classical._trace_block(body, lattice, z_low - 0.5 * scale,
-                                           1e-9 * scale, classical.DEFAULT_BOUNCE_CAP,
-                                           classical._PAIR_BUDGET)
+                                           1e-9 * scale, classical.DEFAULT_BOUNCE_CAP)
         assert len(out) > grid * grid // 2, name
         norms = np.linalg.norm(out, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-12, name
@@ -245,6 +245,31 @@ def test_ellipsoid_trace_invariants(a, b, c):
     assert result.max_bounces_seen == 1
     assert 0.0 < result.r_cl < 2.0 * result.sigma_cl
     assert abs(result.sigma_cl / (np.pi * a * b) - 1.0) < 1e-2
+
+
+# each shape at its unit scale, its smallest dimension 1; the accepted range
+# puts every dimension in [1e-50, 1e50] and an ellipsoid's axes within a
+# ratio of 1e5
+SCALED_SHAPES = (
+    [(Sphere, (1.0,))]
+    + [(Ellipsoid, axes) for axes in sorted(set(itertools.permutations((1e5, 1.0, 1.0)))
+                                            | set(itertools.permutations((1e5, 1e5, 1.0))))]
+    + [(CappedCylinder, (1.0, 1e5)), (CappedCylinder, (1e5, 1.0))]
+)
+
+
+@pytest.mark.parametrize("shape, dims", SCALED_SHAPES)
+def test_analytic_trace_does_not_depend_on_the_scale(shape, dims):
+    # at the corners of the accepted range, the smallest dimension at 1e-50
+    # or the largest at 1e50, a trace hits the same rays with the same
+    # bounces as at unit scale; outside it, the discriminants cancel or
+    # overflow and the bodies are refused
+    want = trace(shape(*dims), grid=128)
+    for scale in (1e-50, 1e50 / max(dims)):
+        got = trace(shape(*(scale * d for d in dims)), grid=128)
+        assert got.rays_hit == want.rays_hit, scale
+        assert got.max_bounces_seen == want.max_bounces_seen, scale
+        assert got.r_cl / got.sigma_cl == pytest.approx(want.r_cl / want.sigma_cl, rel=1e-5)
 
 
 def test_transfer_between_zero_and_twice_sigma(sphere_trace, cylinder_trace):
@@ -449,6 +474,50 @@ def test_cull_never_changes_a_hit(body, kind, grid, seed):
                                                pair_budget=budget, lattice=lattice)
             assert np.array_equal(t_new, t_ref)
             assert np.array_equal(n_new, n_ref)
+
+
+@pytest.mark.parametrize("budget", [classical._PAIR_BUDGET, 997, 7])
+@pytest.mark.parametrize("body", sorted(CULL_BODIES))
+def test_lattice_cull_yields_each_box_pair_once_in_triangle_order(body, budget):
+    # the lattice cull's contract with _mesh_hit: its pairs are exactly
+    # those of a ray inside a triangle's padded xy box, each once; each
+    # ray's triangles ascend in yield order, which is all the tie rule
+    # across batches needs; and no yield holds more than the budget plus
+    # one triangle's pairs
+    mesh = CULL_BODIES[body]
+    n_tri = mesh.n_triangles
+    corners = np.stack(mesh.corners())
+    pad = 1e-6 * mesh.diameter
+    box_lo = corners.min(axis=0) - pad
+    box_hi = corners.max(axis=0) + pad
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    cells = (np.arange(97) + 0.5) / 97
+    regular = [lo[a] + cells * (hi[a] - lo[a]) for a in (0, 1)]
+    lattices = [
+        regular,
+        # more rows and columns, exactly on the padded boxes' edges and on
+        # the corners, a pad inside them
+        [np.unique(np.concatenate([regular[a], box_lo[:, a], box_hi[:, a],
+                                   corners[..., a].ravel()])) for a in (0, 1)],
+    ]
+    for xs, ys in lattices:
+        size, n_cols = len(xs) * len(ys), len(ys)
+        # blocks that start and end mid-row, the first one the whole regular
+        # grid
+        for first, n in ((0, min(size, 10_000)), (size // 3 + 17, 1500),
+                         (size // 2 + n_cols - 1, 2 * n_cols + 3), (size - 50, 50)):
+            g = first + np.arange(n)
+            x, y = xs[g // n_cols, None], ys[g % n_cols, None]
+            inside = ((box_lo[:, 0] <= x) & (x <= box_hi[:, 0])
+                      & (box_lo[:, 1] <= y) & (y <= box_hi[:, 1]))
+            yields = list(classical._lattice_pairs(mesh, (xs, ys, first, n), budget))
+            pairs = np.concatenate(yields)
+            assert np.array_equal(np.sort(pairs), np.flatnonzero(inside)), (first, n)
+            assert max(map(len, yields)) <= budget + inside.sum(axis=0).max()
+            ray, tri = np.divmod(pairs, n_tri)
+            order = np.argsort(ray, kind="stable")
+            same_ray = np.diff(ray[order]) == 0
+            assert np.all(np.diff(tri[order])[same_ray] > 0), (first, n)
 
 
 def _degenerate_rays():
@@ -688,9 +757,10 @@ def test_trace_splits_each_chunk_into_blocks(budget, monkeypatch):
 def test_trace_memory_follows_the_chunk_not_the_grid(budget, monkeypatch):
     # no ray outlives its chunk: each block bins its own rays, so at a fixed
     # chunk size the traced peak does not grow with the grid.  On a mesh,
-    # the lattice cull builds a block's pairs band by band, from the rows
-    # the block holds, so the octahedron's faces, whose boxes each span a
-    # quadrant of the grid, cost no more memory at a finer grid either.
+    # the lattice cull builds a block's pairs a group of triangles at a
+    # time, from the rows the block holds, so the octahedron's faces, whose
+    # boxes each span a quadrant of the grid, cost no more memory at a finer
+    # grid either.
     budget(1)
     monkeypatch.setattr(classical, "_RAY_CHUNK", 65536)
     for body in (Sphere(1.0), octahedron()):

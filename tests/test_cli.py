@@ -222,6 +222,38 @@ def test_series_work_bound_admits_the_reference_sweep():
         _series_k_grid(args, 1.0)
 
 
+def test_series_sweep_below_the_ka_floor_exits_2(tmp_path, capsys):
+    # a phase shift folded by pi is good to about 2.2e-16 absolute, and
+    # delta_0 is about -ka: at ka 1e-15 the sweep wrote sigma = 9.913 for
+    # 4 pi, and from ka 1e-16 down it raised
+    for job in (["mie", "--body", "sphere:1", "--k-min", "1e-15", "--k-max", "1"],
+                ["mie", "--body", "sphere:1", "--k-min", "1e-16", "--k-max", "1"],
+                ["mie", "--body", "sphere:2", "--k-min", "4e-6", "--k-max", "1"],
+                ["fig1", "--k-min", "1e-200", "--k-max", "1"]):
+        assert main(job + ["--out", str(tmp_path / "x.csv")]) == 2, job
+        assert "below ka 1e-05" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["mie", "--body", "sphere:1", "--k-min", "1e-5", "--k-max", "1",
+                 "--samples", "3", "--out", str(tmp_path / "x.csv")]) == 0
+
+
+@pytest.mark.parametrize("command, spec", [
+    ("raytrace", "ellipsoid:1,1,1e-10"),       # traced the whole box
+    ("raytrace", "ellipsoid:1e60,1e60,1e54"),  # reported as trapping
+    ("raytrace", "sphere:1e-170"),             # traced nothing
+    ("raytrace", "sphere:1e-160"),             # reported as trapping
+    ("raytrace", "sphere:1e160"),              # overflowed
+    ("raytrace", "cylinder:1e-51,1"),
+    ("raytrace", "cylinder:1,1e51"),
+    ("capacity", "sphere:1e-80"),              # a capacity off in the 5th digit
+    ("mie", "sphere:1e51"),
+])
+def test_body_outside_the_float_range_exits_2(tmp_path, capsys, command, spec):
+    assert main([command, "--body", spec, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: --body:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_finite_values_exit_2(tmp_path):
     # NaN and inf pass a plain "> 0" check, and an infinite radius would
     # trace to NaN cross sections

@@ -7,6 +7,7 @@ from hardscatter.geometry import (
     CappedCylinder,
     Ellipsoid,
     MeshDegeneracyError,
+    MeshError,
     MeshFormatError,
     MeshOrientationError,
     MeshTopologyError,
@@ -194,6 +195,30 @@ def test_bad_body_parameters():
         CappedCylinder(1.0, 0.0)
     with pytest.raises(ValueError):
         make_body(Sphere(1.0), -1)
+    # every dimension in [1e-50, 1e50], an ellipsoid's axes within 1e5
+    Sphere(1e-50), Sphere(1e50)
+    Ellipsoid(1e-50, 0.99e-45, 1e-50), Ellipsoid(1e50, 1.01e45, 1.01e45)
+    CappedCylinder(1e-50, 1e50)
+    for bad in (lambda: Sphere(0.99e-50), lambda: Sphere(1.01e50),
+                lambda: Sphere(float("nan")), lambda: Ellipsoid(1.0, 1.0, 0.99e-5),
+                lambda: Ellipsoid(1e50, 1.0, 1e50), lambda: CappedCylinder(1e-51, 1.0),
+                lambda: CappedCylinder(1.0, float("inf"))):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_long_cylinder_is_refused_before_it_is_built(monkeypatch):
+    # the side's triangle count follows from height / radius and the level
+    # alone: h / r = 1e5 at level 2 would need 8.1 million, and the diameter
+    # search over their 4 million vertices would ask for 31 GiB.  The
+    # refusal comes before any ring of vertices is built.
+    def no_vertices(*args, **kwargs):
+        raise AssertionError("cylinder vertices built")
+
+    monkeypatch.setattr(np, "column_stack", no_vertices)
+    for radius, height, level in ((1.0, 1e5, 2), (1e-50, 1e50, 0), (1.0, 600.0, 4)):
+        with pytest.raises(MeshError, match="side triangles"):
+            make_body(CappedCylinder(radius, height), level)
 
 
 # ---------------------------------------------------------------------------

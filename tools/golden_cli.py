@@ -33,18 +33,21 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # inputs of the --mesh configs, written once into the REV tree's root and
 # copied into every run directory, so both trees read the same bytes: a
-# level-3 icosphere and the benchmark's dented sphere, whose pits reflect
-# rays up to five times, both written by the REV tree (from its root, so
-# that its perfbench imports); and a unit cube with every face split along
-# a diagonal, written from SPLIT_CUBE_OFF, where the 256 grid rays on the
-# diagonal land exactly on the lit face's split edge and are retraced
+# level-3 icosphere, a level-5 one (5120 triangles) and the benchmark's
+# dented sphere, whose pits reflect rays up to five times, all written by
+# the REV tree (from its root, so that its perfbench imports); and a unit
+# cube with every face split along a diagonal, written from SPLIT_CUBE_OFF,
+# where the 256 grid rays on the diagonal land exactly on the lit face's
+# split edge and are retraced
 MESH = "sphere3.off"
+MESH5 = "sphere5.off"
 DENTED = "dented.off"
 EDGES = "split_cube.off"
-MESHES = (MESH, DENTED, EDGES)
+MESHES = (MESH, MESH5, DENTED, EDGES)
 MAKE_MESH = ("from hardscatter.geometry import Sphere, make_body, save_mesh; "
              "from perfbench.workloads import dented_sphere; "
              f"save_mesh(make_body(Sphere(1.0), 3), {MESH!r}); "
+             f"save_mesh(make_body(Sphere(1.0), 5), {MESH5!r}); "
              f"save_mesh(dented_sphere(1.37)[0], {DENTED!r})")
 SPLIT_CUBE_OFF = """OFF
 8 12 0
@@ -102,6 +105,10 @@ GOLDEN = {
     # icosphere edges, whose hits are retraced; at --threads 2 the two blocks
     # of the 65025 rays split mid-row, at 32513 = 127 * 255 + 128
     "raytrace_mesh_odd": f"raytrace --mesh {MESH} --grid 255 --out rays.csv",
+    # 5120 triangles: each block's first pass cuts its pairs into many
+    # triangle groups, and the later passes' sphere cull takes blocks of
+    # _MIN_BLOCK_RAYS rays, at any thread count
+    "raytrace_mesh5": f"raytrace --mesh {MESH5} --grid 256 --out rays.csv",
 }
 # config errors: each must exit 2 in both trees
 ERRORS = {
