@@ -129,48 +129,87 @@ def _body_box(body):
 
 
 # ---------------------------------------------------------------------------
-# first-hit kernels; each returns (t, normal) with t = +inf for misses
+# first-hit kernels.  Each takes (n, 3) origins and directions of any
+# layout and returns (t, normal), with t = +inf and a zero normal for misses.
+# The bounce loop keeps its rays coordinate-major, as (3, n) arrays, and
+# hands the kernels their transposed views, so the kernels read coordinate
+# rows through ``.T`` and build their normals coordinate-major too.
+
+
+def _dot3(a, b):
+    """Row-wise dot products of (n, 3) arrays of any layout, or of one
+    against a 3-vector, summed as ``(x x' + z z') + y y'``.
+
+    That is the order of numpy 2.4's ``einsum("ij,ij->i")`` and
+    ``einsum("ij,j->i")`` over C-contiguous rows on x86-64 with AVX-512;
+    over Fortran-ordered rows einsum sums ``(x x' + y y') + z z'`` instead.
+    The tracer's rays are coordinate-major, so it spells the order out and
+    its bits do not depend on the layout.  test_dot3_sums_as_einsum fails
+    on a numpy that sums in another order.
+    """
+    ax, ay, az = a.T
+    bx, by, bz = b.T
+    return (ax * bx + az * bz) + ay * by
+
+
+def _scatter_rows(n, idx, rows):
+    """An (n, 3) array, zero but in the rows ``idx``, which take the columns
+    of the (3, len(idx)) ``rows``; coordinate-major, as the tracer reads it
+    back.  It is filled one coordinate row at a time, about twice as fast
+    as ``out[:, idx] = rows``."""
+    out = np.zeros((3, n))
+    for column, values in zip(out, rows):
+        column[idx] = values
+    return out.T
+
+
+def _cross(a, b):
+    """Cross products of coordinate-major (3, m) arrays, as (3, m), each
+    component evaluated as ``np.cross`` does (``a1 b2 - a2 b1``, ...)."""
+    out = np.empty_like(a)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(a[j] * b[k], a[k] * b[j], out=out[i])
+    return out
+
+
+def _hit_points(origins, dirs, t):
+    """The rays that hit (finite ``t``) and their hit points, (3, m)."""
+    idx = np.flatnonzero(np.isfinite(t))
+    return idx, origins.T.take(idx, axis=1) + t[idx] * dirs.T.take(idx, axis=1)
 
 
 def _nearest_root(aa, bb, cc, t_min, keep=None):
     """Per ray, the smaller root t > t_min of aa t^2 + 2 bb t + cc = 0, or
     +inf; ``keep(t)``, if given, masks the roots that count."""
     disc = bb * bb - aa * cc
+    real = disc >= 0.0
     root = np.sqrt(np.maximum(disc, 0.0))
     t = np.full(len(bb), np.inf)
     for candidate in ((-bb - root) / aa, (-bb + root) / aa):
-        ok = (disc >= 0.0) & (candidate > t_min) & (candidate < t)
+        ok = real & (candidate > t_min) & (candidate < t)
         if keep is not None:
             ok &= keep(candidate)
-        t[ok] = candidate[ok]
+        t = np.where(ok, candidate, t)
     return t
 
 
 def _sphere_hit(body: Sphere, origins, dirs, t_min):
-    b = np.einsum("ij,ij->i", origins, dirs)
-    c = np.einsum("ij,ij->i", origins, origins) - body.radius**2
-    t = _nearest_root(1.0, b, c, t_min)
-    hit = np.isfinite(t)
-    normal = np.zeros_like(origins)
-    pts = origins[hit] + t[hit, None] * dirs[hit]
-    normal[hit] = pts / body.radius
-    return t, normal
+    t = _nearest_root(1.0, _dot3(origins, dirs),
+                      _dot3(origins, origins) - body.radius**2, t_min)
+    idx, pts = _hit_points(origins, dirs, t)
+    return t, _scatter_rows(len(t), idx, pts / body.radius)
 
 
 def _ellipsoid_hit(body: Ellipsoid, origins, dirs, t_min):
     s = np.array([body.a, body.b, body.c])
     o = origins / s
     d = dirs / s
-    aa = np.einsum("ij,ij->i", d, d)
-    bb = np.einsum("ij,ij->i", o, d)
-    cc = np.einsum("ij,ij->i", o, o) - 1.0
-    t = _nearest_root(aa, bb, cc, t_min)
-    hit = np.isfinite(t)
-    normal = np.zeros_like(origins)
-    pts = origins[hit] + t[hit, None] * dirs[hit]
-    grad = pts / s**2
-    normal[hit] = grad / np.linalg.norm(grad, axis=1)[:, None]
-    return t, normal
+    t = _nearest_root(_dot3(d, d), _dot3(o, d), _dot3(o, o) - 1.0, t_min)
+    idx, pts = _hit_points(origins, dirs, t)
+    grad = pts / (s**2)[:, None]
+    gx, gy, gz = grad
+    # np.linalg.norm(axis=1)'s order, not _dot3's
+    return t, _scatter_rows(len(t), idx, grad / np.sqrt((gx * gx + gy * gy) + gz * gz))
 
 
 def _cylinder_hit(body: CappedCylinder, origins, dirs, t_min):
@@ -184,18 +223,19 @@ def _cylinder_hit(body: CappedCylinder, origins, dirs, t_min):
         t = _nearest_root(dx**2 + dy**2, ox * dx + oy * dy, ox**2 + oy**2 - r * r,
                           t_min, lambda s: np.abs(oz + s * dz) <= half)
         side = np.isfinite(t)
-        normal = np.zeros((len(t), 3))
+        normal = np.zeros((3, len(t)))
         for z_cap, nz in ((-half, -1.0), (half, 1.0)):
             candidate = (z_cap - oz) / dz
             x = ox + candidate * dx
             y = oy + candidate * dy
             better = (x * x + y * y <= r * r) & (candidate > t_min) & (candidate < t)
-            t[better] = candidate[better]
-            normal[better, 2] = nz
-            side[better] = False
-    normal[side, 0] = (ox[side] + t[side] * dx[side]) / r
-    normal[side, 1] = (oy[side] + t[side] * dy[side]) / r
-    return t, normal
+            t = np.where(better, candidate, t)
+            normal[2, better] = nz
+            side &= ~better
+    side = np.flatnonzero(side)
+    normal[0, side] = (ox[side] + t[side] * dx[side]) / r
+    normal[1, side] = (oy[side] + t[side] * dy[side]) / r
+    return t, normal.T
 
 
 def _sphere_cull(mesh: TriMesh, origins, dirs, pair_budget):
@@ -223,11 +263,11 @@ def _sphere_cull(mesh: TriMesh, origins, dirs, pair_budget):
     d_hat = dirs / np.linalg.norm(dirs, axis=1)[:, None]
     # with w = c - o: [d_hat, -o.d_hat] . [c, 1] = w.d_hat and
     # [o, 1, |o|^2] . [-2c, |c|^2 - r^2, 1] = |w|^2 - r^2
-    ray_along = np.column_stack([d_hat, -np.einsum("ij,ij->i", oc, d_hat)])
+    ray_along = np.column_stack([d_hat, -_dot3(oc, d_hat)])
     tri_along = np.vstack([c.T, np.ones(n_tri)])
-    ray_gap = np.column_stack([oc, np.ones(n), np.einsum("ij,ij->i", oc, oc)])
+    ray_gap = np.column_stack([oc, np.ones(n), _dot3(oc, oc)])
     tri_gap = np.vstack(
-        [-2.0 * c.T, np.einsum("ij,ij->i", c, c) - radius**2, np.ones(n_tri)]
+        [-2.0 * c.T, _dot3(c, c) - radius**2, np.ones(n_tri)]
     )
 
     block = max(_MIN_BLOCK_RAYS, pair_budget // n_tri)
@@ -313,14 +353,12 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
     both culls hand each ray's triangles over in ascending order, so a later
     batch that wins with a strictly smaller t is all the tie rule needs.
 
-    Moller-Trumbore runs on coordinate columns: the rays' origins and
-    directions and the triangles' ``p0``, ``e1`` and ``e2`` are split once
-    into contiguous x, y and z columns, and each batch gathers fifteen
-    one-dimensional columns by ray and by triangle.  The cross products are
-    written out as ``np.cross`` evaluates them (``a1 b2 - a2 b1``, ...), and
-    each dot product is summed as ``(x x' + z z') + y y'``, the order of
-    numpy's ``einsum("ij,ij->i")`` over three terms, so the hits equal
-    those of the row-wise test bit for bit.
+    Moller-Trumbore runs on coordinate-major arrays: the rays' ``origins.T``
+    and ``dirs.T`` (contiguous when the bounce loop passes them) and the
+    triangles' ``p0``, ``e1`` and ``e2`` as (3, n_tri) arrays, from which
+    each batch takes its pairs' columns.  The cross products are evaluated
+    as ``np.cross`` does (:func:`_cross`) and the dot products by
+    :func:`_dot3`, so the hits equal those of the row-wise test bit for bit.
 
     Hits landing numerically on an edge are retraced once from an origin
     nudged by 1e-9 * diameter, the documented deterministic tie-break, and
@@ -342,38 +380,26 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
     else:
         groups = _lattice_pairs(mesh, lattice, pair_budget)
 
-    # (x x' + z z') + y y' is the order in which numpy 2.4's
-    # einsum("ij,ij->i") sums three terms on x86-64 with AVX-512: no mismatch
-    # over random rows of 1 to 65537 triples, contiguous and strided, at
-    # magnitudes 1e-8 to 1e8.  test_degenerate_pairs_match_brute_force fails
-    # on a numpy that sums in another order.
-    ox, oy, oz = origins.T.copy()
-    dx, dy, dz = dirs.T.copy()
-    px, py, pz = p0.T.copy()
-    ax, ay, az = (p1 - p0).T.copy()   # e1
-    bx, by, bz = (p2 - p0).T.copy()   # e2
+    # coordinate-major rays and triangles: each batch gathers its pairs'
+    # columns with one take per array
+    o, d = origins.T, dirs.T
+    p, e1, e2 = (np.ascontiguousarray(x.T) for x in (p0, p1 - p0, p2 - p0))
     batches = (pairs[c0:c0 + pair_budget]
                for pairs in groups for c0 in range(0, len(pairs), pair_budget))
     for batch in batches:
         ray, tri = np.divmod(batch, n_tri)
-        d_x, d_y, d_z = dx[ray], dy[ray], dz[ray]
-        a_x, a_y, a_z = ax[tri], ay[tri], az[tri]
-        b_x, b_y, b_z = bx[tri], by[tri], bz[tri]
-        h_x = d_y * b_z - d_z * b_y
-        h_y = d_z * b_x - d_x * b_z
-        h_z = d_x * b_y - d_y * b_x
-        det = (a_x * h_x + a_z * h_z) + a_y * h_y
+        d_r = d.take(ray, axis=1)
+        a = e1.take(tri, axis=1)
+        b = e2.take(tri, axis=1)
+        h = _cross(d_r, b)
+        det = _dot3(a.T, h.T)
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / det
-            s_x = ox[ray] - px[tri]
-            s_y = oy[ray] - py[tri]
-            s_z = oz[ray] - pz[tri]
-            u = inv * ((s_x * h_x + s_z * h_z) + s_y * h_y)
-            q_x = s_y * a_z - s_z * a_y
-            q_y = s_z * a_x - s_x * a_z
-            q_z = s_x * a_y - s_y * a_x
-            v = inv * ((d_x * q_x + d_z * q_z) + d_y * q_y)
-            t = inv * ((b_x * q_x + b_z * q_z) + b_y * q_y)
+            s = o.take(ray, axis=1) - p.take(tri, axis=1)
+            u = inv * _dot3(s.T, h.T)
+            q = _cross(s, a)
+            v = inv * _dot3(d_r.T, q.T)
+            t = inv * _dot3(b.T, q.T)
             valid = (
                 (np.abs(det) > 1e-300)
                 & (u >= -bary_eps)
@@ -394,31 +420,30 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
         u_best[hit_rays] = u[first]
         v_best[hit_rays] = v[first]
 
-    hit = np.isfinite(t_best)
-    normal = np.zeros_like(origins)
-    normal[hit] = mesh.normals[tri_best[hit]]
+    hit = np.flatnonzero(np.isfinite(t_best))
+    normal = _scatter_rows(n, hit, mesh.normals[tri_best[hit]].T)
     if _retrace:
-        w_best = 1.0 - u_best - v_best
-        on_edge = hit & (
-            (np.abs(u_best) < bary_eps)
-            | (np.abs(v_best) < bary_eps)
-            | (np.abs(w_best) < bary_eps)
-        )
-        if np.any(on_edge):
+        u, v = u_best[hit], v_best[hit]
+        on_edge = hit[
+            (np.abs(u) < bary_eps)
+            | (np.abs(v) < bary_eps)
+            | (np.abs(1.0 - u - v) < bary_eps)
+        ]
+        if len(on_edge):
             # irrational slope so the nudge cannot stay aligned with a
             # lattice-aligned or diagonal mesh edge
             nudge = 1e-9 * mesh.diameter * np.array([0.75487767, 0.65595059, 0.0])
+            d_edge = dirs.T.take(on_edge, axis=1).T
             t_re, n_re = _mesh_hit(
-                mesh, origins[on_edge] + nudge, dirs[on_edge], t_min,
-                _retrace=False, pair_budget=pair_budget,
+                mesh, (origins.T.take(on_edge, axis=1) + nudge[:, None]).T, d_edge,
+                t_min, _retrace=False, pair_budget=pair_budget,
             )
             # each retraced hit lies on the nudged ray; move it along the
             # original ray onto the retraced triangle's plane, t + n.nudge /
             # n.d (on a horizontal face n.nudge is 0, and t keeps its bits)
             back = np.isfinite(t_re)
             n_back = n_re[back]
-            t_re[back] += (np.einsum("ij,j->i", n_back, nudge)
-                           / np.einsum("ij,ij->i", n_back, dirs[on_edge][back]))
+            t_re[back] += _dot3(n_back, nudge) / _dot3(n_back, d_edge[back])
             t_best[on_edge] = t_re
             normal[on_edge] = n_re
     return t_best, normal
@@ -461,6 +486,27 @@ def _thread_budget() -> int:
     return usable
 
 
+def _lattice_xy(lattice, k):
+    """The x and y of the rays ``k`` of a block of the trace lattice."""
+    xs, ys, first, _ = lattice
+    row, col = np.divmod(first + k, len(ys))
+    return xs[row], ys[col]
+
+
+def _reflect(o, d, t_min, t, normal):
+    """The rays of the coordinate-major ``o`` and ``d`` that hit (finite
+    ``t``), as indices, and their origins and directions after the specular
+    reflection ``k+ = k - 2 (k.n) n``, each origin ``t_min`` off the
+    surface along its new direction."""
+    live = np.flatnonzero(np.isfinite(t))
+    d = d.take(live, axis=1)
+    n_hat = normal.T.take(live, axis=1)
+    o = o.take(live, axis=1) + t[live] * d
+    d -= 2.0 * _dot3(d.T, n_hat.T) * n_hat
+    o += t_min * d
+    return live, o, d
+
+
 def _trace_block(body, lattice, z_start, t_min, bounce_cap):
     """Bounce one block of the trace lattice until its rays escape.
 
@@ -475,31 +521,31 @@ def _trace_block(body, lattice, z_start, t_min, bounce_cap):
     before binning, so that a ray near a bin edge falls where the histogram
     CSVs have always put it.
     """
-    xs, ys, first, n = lattice
-    row, col = np.divmod(first + np.arange(n), len(ys))
-    origins = np.column_stack([xs[row], ys[col], np.full(n, z_start)])
-    dirs = np.zeros((n, 3))
-    dirs[:, 2] = 1.0
-    # the live rays: their indices in the block, origins and directions
-    ray, o, d = np.arange(n), origins, dirs
+    n = lattice[3]
+    # the live rays, coordinate-major: their indices in the block, origins
+    # and directions; ``dirs`` holds every ray's latest direction
+    ray = np.arange(n)
+    o = np.empty((3, n))
+    o[0], o[1] = _lattice_xy(lattice, ray)
+    o[2] = z_start
+    d = np.zeros((3, n))
+    d[2] = 1.0
+    dirs = np.empty((3, n))
     for bounce in range(bounce_cap + 1):
-        t, normal = _first_hit(body, o, d, t_min,
-                               lattice=lattice if bounce == 0 else None)
-        hit = np.isfinite(t)
-        ray = ray[hit]
+        # the pass's t and normals live only inside _reflect
+        live, o, d = _reflect(o, d, t_min, *_first_hit(
+            body, o.T, d.T, t_min, lattice=lattice if bounce == 0 else None))
+        ray = ray[live]
         if bounce == 0:
             struck = ray
         if not len(ray):
             break
         if bounce == bounce_cap:
-            raise TrappingError(origins[ray[0], :2], bounce_cap)
-        d = d[hit]
-        n_hat = normal[hit]
-        pts = o[hit] + t[hit, None] * d
-        d = d - 2.0 * np.einsum("ij,ij->i", d, n_hat)[:, None] * n_hat
-        o = pts + t_min * d
-        dirs[ray] = d
-    out = dirs[struck]
+            x, y = _lattice_xy(lattice, ray[:1])
+            raise TrappingError((x[0], y[0]), bounce_cap)
+        for column, values in zip(dirs, d):   # as in _scatter_rows
+            column[ray] = values
+    out = dirs.take(struck, axis=1).T
     # the loop ends on the first pass without hits, so ``bounce`` counts
     # the passes that had some
     return out, bounce, _bin_counts(out.astype(np.float32))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -160,6 +161,101 @@ def brute_force_mesh_hit(mesh, origins, dirs, t_min, _retrace=True):
     return t_best, normal
 
 
+def _row_form_nearest_root(aa, bb, cc, t_min, keep=None):
+    disc = bb * bb - aa * cc
+    root = np.sqrt(np.maximum(disc, 0.0))
+    t = np.full(len(bb), np.inf)
+    for candidate in ((-bb - root) / aa, (-bb + root) / aa):
+        ok = (disc >= 0.0) & (candidate > t_min) & (candidate < t)
+        if keep is not None:
+            ok &= keep(candidate)
+        t[ok] = candidate[ok]
+    return t
+
+
+def _row_form_sphere_hit(body, origins, dirs, t_min):
+    b = np.einsum("ij,ij->i", origins, dirs)
+    c = np.einsum("ij,ij->i", origins, origins) - body.radius**2
+    t = _row_form_nearest_root(1.0, b, c, t_min)
+    hit = np.isfinite(t)
+    normal = np.zeros_like(origins)
+    pts = origins[hit] + t[hit, None] * dirs[hit]
+    normal[hit] = pts / body.radius
+    return t, normal
+
+
+def _row_form_ellipsoid_hit(body, origins, dirs, t_min):
+    s = np.array([body.a, body.b, body.c])
+    o = origins / s
+    d = dirs / s
+    aa = np.einsum("ij,ij->i", d, d)
+    bb = np.einsum("ij,ij->i", o, d)
+    cc = np.einsum("ij,ij->i", o, o) - 1.0
+    t = _row_form_nearest_root(aa, bb, cc, t_min)
+    hit = np.isfinite(t)
+    normal = np.zeros_like(origins)
+    pts = origins[hit] + t[hit, None] * dirs[hit]
+    grad = pts / s**2
+    normal[hit] = grad / np.linalg.norm(grad, axis=1)[:, None]
+    return t, normal
+
+
+def _row_form_cylinder_hit(body, origins, dirs, t_min):
+    r, half = body.radius, body.height / 2.0
+    ox, oy, oz = origins.T
+    dx, dy, dz = dirs.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _row_form_nearest_root(dx**2 + dy**2, ox * dx + oy * dy,
+                                   ox**2 + oy**2 - r * r, t_min,
+                                   lambda s: np.abs(oz + s * dz) <= half)
+        side = np.isfinite(t)
+        normal = np.zeros((len(t), 3))
+        for z_cap, nz in ((-half, -1.0), (half, 1.0)):
+            candidate = (z_cap - oz) / dz
+            x = ox + candidate * dx
+            y = oy + candidate * dy
+            better = (x * x + y * y <= r * r) & (candidate > t_min) & (candidate < t)
+            t[better] = candidate[better]
+            normal[better, 2] = nz
+            side[better] = False
+    normal[side, 0] = (ox[side] + t[side] * dx[side]) / r
+    normal[side, 1] = (oy[side] + t[side] * dy[side]) / r
+    return t, normal
+
+
+def row_form_trace_block(body, lattice, z_start, t_min, bounce_cap):
+    """Reference bounce loop: the tracer's block loop and analytic kernels
+    on rows of 3-vectors, with einsum dot products, as they ran before the
+    rays went coordinate-major; meshes take the brute-force first hit."""
+    kernels = {Sphere: _row_form_sphere_hit, Ellipsoid: _row_form_ellipsoid_hit,
+               CappedCylinder: _row_form_cylinder_hit, TriMesh: brute_force_mesh_hit}
+    first_hit = kernels[type(body)]
+    xs, ys, first, n = lattice
+    row, col = np.divmod(first + np.arange(n), len(ys))
+    origins = np.column_stack([xs[row], ys[col], np.full(n, z_start)])
+    dirs = np.zeros((n, 3))
+    dirs[:, 2] = 1.0
+    ray, o, d = np.arange(n), origins, dirs
+    for bounce in range(bounce_cap + 1):
+        t, normal = first_hit(body, o, d, t_min)
+        hit = np.isfinite(t)
+        ray = ray[hit]
+        if bounce == 0:
+            struck = ray
+        if not len(ray):
+            break
+        if bounce == bounce_cap:
+            raise TrappingError(origins[ray[0], :2], bounce_cap)
+        d = d[hit]
+        n_hat = normal[hit]
+        pts = o[hit] + t[hit, None] * d
+        d = d - 2.0 * np.einsum("ij,ij->i", d, n_hat)[:, None] * n_hat
+        o = pts + t_min * d
+        dirs[ray] = d
+    out = dirs[struck]
+    return out, bounce, classical._bin_counts(out.astype(np.float32))
+
+
 @pytest.fixture(scope="module")
 def sphere_trace():
     return trace(Sphere(1.0), grid=1024)
@@ -208,6 +304,40 @@ def test_energy_conservation():
         assert len(out) > grid * grid // 2, name
         norms = np.linalg.norm(out, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-12, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(["sphere", "ellipsoid", "cylinder", "dented"]),
+    dims=st.tuples(*[st.floats(0.05, 20.0)] * 3),
+    grid=st.integers(64, 160),
+    start=st.floats(0.0, 1.0),
+    size=st.integers(1, 6000),
+)
+def test_trace_block_matches_the_row_form(shape, dims, grid, start, size):
+    # the coordinate-major bounce loop and kernels give the row-form loop's
+    # directions, pass count and histogram counts bit for bit, on blocks
+    # that start and end mid-row
+    body = {"sphere": lambda: Sphere(dims[0]), "ellipsoid": lambda: Ellipsoid(*dims),
+            "cylinder": lambda: CappedCylinder(dims[0], dims[1]),
+            "dented": lambda: INVARIANCE_BODIES["dented"][0]}[shape]()
+    ((x0, x1), (y0, y1), z_low), scale = classical._body_box(body)
+    cells = (np.arange(grid) + 0.5) / grid
+    first = int(start * (grid * grid - 1))
+    lattice = (x0 + cells * (x1 - x0), y0 + cells * (y1 - y0), first,
+               min(size, grid * grid - first))
+    args = (body, lattice, z_low - 0.5 * scale, 1e-9 * scale, classical.DEFAULT_BOUNCE_CAP)
+    try:
+        want = row_form_trace_block(*args)
+    except TrappingError as error:
+        # the dented body traps at some grids
+        with pytest.raises(TrappingError, match=re.escape(str(error))):
+            classical._trace_block(*args)
+        return
+    got = classical._trace_block(*args)
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+        assert np.asarray(a).dtype == np.asarray(b).dtype
 
 
 def test_flat_cap_cylinder_r_cl(cylinder_trace):
@@ -602,6 +732,28 @@ def test_degenerate_pairs_match_brute_force(shear, shift):
                 assert np.array_equal(n_new, n_ref)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 2000),
+    layouts=st.tuples(st.sampled_from("CF"), st.sampled_from("CF")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dot3_sums_as_einsum(n, layouts, seed):
+    # the tracer's dot products, on rows of any layout, equal numpy's einsum
+    # over C-contiguous rows bit for bit, at magnitudes 1e-8 to 1e8; a numpy
+    # whose einsum sums three terms in another order fails this test
+    rng = np.random.default_rng(seed)
+
+    def rows():
+        return rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, 3))
+
+    a, b = rows(), rows()
+    vector = rows()[0]
+    la, lb = (np.asarray(x, order=layout) for x, layout in zip((a, b), layouts))
+    assert np.array_equal(classical._dot3(la, lb), np.einsum("ij,ij->i", a, b))
+    assert np.array_equal(classical._dot3(la, vector), np.einsum("ij,j->i", a, vector))
+
+
 # ---------------------------------------------------------------------------
 # histogram
 
@@ -752,6 +904,38 @@ def test_trace_splits_each_chunk_into_blocks(budget, monkeypatch):
         ends = [first + n for first, n in blocks]
         assert [first for first, _ in blocks] == [start] + ends[:-1]
         assert ends[-1] == end
+
+
+def test_first_hit_arguments_show_the_bounce_passes(budget, monkeypatch):
+    # the benchmark's tracer reads the bounce passes off _first_hit's
+    # arguments: a pass whose directions all have z exactly 1.0 starts a
+    # block, and len(origins) is the number of live rays.  Each block's
+    # first pass takes all its rays along +z; each later pass takes the
+    # rays that hit on the pass before, reflected.
+    calls = []
+    first_hit = classical._first_hit
+
+    def record(body, origins, dirs, t_min, lattice=None):
+        result = first_hit(body, origins, dirs, t_min, lattice=lattice)
+        calls.append((lattice, len(origins), bool(np.all(dirs[:, 2] == 1.0)),
+                      int(np.count_nonzero(np.isfinite(result[0])))))
+        return result
+
+    monkeypatch.setattr(classical, "_first_hit", record)
+    # one thread: the blocks' passes come one block after the other
+    budget(1, 4099)
+    for body, grid in ((Sphere(1.0), 128), (INVARIANCE_BODIES["dented"][0], 128)):
+        calls.clear()
+        trace(body, grid)
+        blocks = [i for i, call in enumerate(calls) if call[0] is not None]
+        assert [calls[i][0][2:] for i in blocks] == [
+            (first, min(4099, grid * grid - first)) for first in range(0, grid * grid, 4099)]
+        for i, (lattice, n, along_z, hits) in enumerate(calls):
+            if lattice is not None:
+                assert along_z and n == lattice[3]
+            else:
+                assert not along_z and n == calls[i - 1][3]
+        assert len(calls) > len(blocks)
 
 
 def test_trace_memory_follows_the_chunk_not_the_grid(budget, monkeypatch):

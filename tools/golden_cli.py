@@ -94,6 +94,13 @@ GOLDEN = {
     "raytrace_sphere_chunks": "raytrace --body sphere:1 --grid 1100 --out rays.csv",
     "raytrace_cylinder": "raytrace --body cylinder:1,2 --grid 256 --out rays.csv",
     "raytrace_ellipsoid": "raytrace --body ellipsoid:1.2,1,0.8 --grid 256 --out rays.csv",
+    # the analytic kernels past grid 256: two chunks of rows, 909 and 191,
+    # each cut into blocks of at most 131072 rays
+    "raytrace_ellipsoid_chunks": "raytrace --body ellipsoid:1.2,1,0.8 --grid 1100 "
+                                 "--out rays.csv",
+    # an odd grid: at --threads 2 the second of the two blocks starts
+    # mid-row, at ray 32513 = 127 * 255 + 128
+    "raytrace_cylinder_odd": "raytrace --body cylinder:1,2 --grid 255 --out rays.csv",
     "raytrace_mesh": f"raytrace --mesh {MESH} --grid 256 --out rays.csv",
     "raytrace_dented": f"raytrace --mesh {DENTED} --grid 256 --out rays.csv",
     # two blocks of the trace lattice on one thread, 131072 and 28928 rays;
