@@ -26,11 +26,16 @@ _CONVENTION = "incident direction is +z; forward means cos_theta near +1"
 # 195 MiB on one thread)
 _MAX_GRID = 4096
 
-# smallest ka of a partial-wave sweep: a phase shift from atan2(j_l, y_l),
-# folded by pi, is good to about ulp(pi) / 2 = 2.2e-16 absolute, and
-# delta_0 is about -ka, so its relative error grows as ka shrinks (7e-12 at
-# ka 1e-5, 6e-9 at 1e-8), and below ka 1e-15 sigma is wrong or not positive
-_MIN_SERIES_KA = 1e-5
+# smallest ka of a partial-wave sweep: from ka 1e-6 down to 2.2e-38 the
+# phase shifts give delta_0 = -ka within 1e-13 relative and sigma = 4 pi a^2
+# within 1e-12 (measured at four points a decade); from about ka 1.3e-38
+# down, y_7 overflows and the series no longer converges
+_MIN_SERIES_KA = 1e-37
+
+# largest partial-wave sweep: 200 samples from ka 1 up to ka 1e5 take
+# 5.3-6.1 s on one thread of a 2-vCPU VM, within the 6.7-6.8 s that 200
+# samples up to ka 3000 took while the phase shifts cost L^2 a sample
+_MAX_SERIES_KA = 1e5
 
 
 class ConfigError(ValueError):
@@ -115,12 +120,14 @@ def _k_grid(args):
 def _series_k_grid(args, radius: float):
     """The k grid of a partial-wave sweep, refused before any work when it
     starts below ka ``_MIN_SERIES_KA`` or the sweep outgrows one of 200
-    samples up to ka 3000.
+    samples up to ka ``_MAX_SERIES_KA``.
 
-    Each sample costs about its series order L = ``default_truncation(ka)``
-    in Legendre rows; past ka 3000 the phase shifts dominate, and they cost
-    about L^2.  So ``samples * L * max(L, L_3000)`` is held to
-    ``200 * L_3000^2``, with L taken at ``k_max``.
+    A sample costs about its series order L = ``default_truncation(ka)``:
+    the recurrence makes one pass over the orders, and the sums another.
+    So ``samples * L`` is held to ``200 * L_max``, with L taken at
+    ``k_max``.  L itself is held to ``L_max`` too: the recurrence's loop
+    over the orders costs about as much for a chunk of a few samples as
+    for a full chunk, so fewer samples do not make a higher order cheap.
     """
     from .sphere_oracle import default_truncation
 
@@ -132,12 +139,12 @@ def _series_k_grid(args, radius: float):
             "raise --k-min"
         )
     order = default_truncation(args.k_max * radius)
-    ref = default_truncation(3000.0)
-    if args.samples * order * max(order, ref) > 200 * ref * ref:
+    limit = default_truncation(_MAX_SERIES_KA)
+    if max(args.samples, 200) * order > 200 * limit:
         raise ConfigError(
             f"--samples {args.samples} up to ka {args.k_max * radius:g} "
             f"(series order {order}) is more work than 200 samples up to "
-            "ka 3000; lower --k-max or --samples"
+            f"ka {_MAX_SERIES_KA:g}; lower --k-max or --samples"
         )
     return k_values
 

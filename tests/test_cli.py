@@ -196,16 +196,16 @@ def test_config_errors(tmp_path):
     assert main(job + ["--quad-theta", "1"]) == 2
     assert main(job + ["--quad-phi", "3"]) == 2
     # oversized jobs: a ray grid past 4096, and series sweeps that outgrow
-    # 200 samples up to ka 3000 (in samples, or in one sample's order)
+    # 200 samples up to ka 1e5 (in samples, or in one sample's order)
     assert main(["raytrace", "--body", "sphere:1", "--grid", "4097",
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["compare", "--body", "sphere:1", "--grid", "8192",
                  "--out", str(tmp_path / "x.json")]) == 2
-    assert main(["mie", "--body", "sphere:1", "--k-min", "1", "--k-max", "3100",
+    assert main(["mie", "--body", "sphere:1", "--k-min", "1", "--k-max", "1.001e5",
                  "--samples", "200", "--out", str(tmp_path / "x.csv")]) == 2
-    assert main(["mie", "--body", "sphere:2", "--k-min", "1", "--k-max", "5e4",
+    assert main(["mie", "--body", "sphere:2", "--k-min", "1", "--k-max", "5.001e4",
                  "--samples", "2", "--out", str(tmp_path / "x.csv")]) == 2
-    assert main(["fig1", "--k-min", "1", "--k-max", "1e4",
+    assert main(["fig1", "--k-min", "1", "--k-max", "2e5",
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert list(tmp_path.iterdir()) == []
 
@@ -215,26 +215,37 @@ def test_series_work_bound_admits_the_reference_sweep():
 
     from hardscatter.cli import ConfigError, _series_k_grid
 
-    args = Namespace(k_min=0.05, k_max=3000.0, samples=200, log=True)
+    # 200 samples up to ka 1e5, and past it in samples or in the order
+    args = Namespace(k_min=0.05, k_max=1e5, samples=200, log=True)
     assert len(_series_k_grid(args, 1.0)) == 200
     args.samples = 201
-    with pytest.raises(ConfigError, match="more work than 200 samples"):
+    with pytest.raises(ConfigError, match="more work than 200 samples up to ka 100000"):
         _series_k_grid(args, 1.0)
+    # fewer samples do not buy a higher order
+    args.samples, args.k_max = 2, 5e4
+    assert len(_series_k_grid(args, 2.0)) == 2
+    args.k_max = 5.001e4
+    with pytest.raises(ConfigError, match="more work than 200 samples"):
+        _series_k_grid(args, 2.0)
 
 
 def test_series_sweep_below_the_ka_floor_exits_2(tmp_path, capsys):
-    # a phase shift folded by pi is good to about 2.2e-16 absolute, and
-    # delta_0 is about -ka: at ka 1e-15 the sweep wrote sigma = 9.913 for
-    # 4 pi, and from ka 1e-16 down it raised
-    for job in (["mie", "--body", "sphere:1", "--k-min", "1e-15", "--k-max", "1"],
-                ["mie", "--body", "sphere:1", "--k-min", "1e-16", "--k-max", "1"],
-                ["mie", "--body", "sphere:2", "--k-min", "4e-6", "--k-max", "1"],
+    # from about ka 1.3e-38 down y_7 overflows, and the truncation search
+    # finds no converged order
+    for job in (["mie", "--body", "sphere:1", "--k-min", "9.9e-38", "--k-max", "1"],
+                ["mie", "--body", "sphere:1", "--k-min", "1e-39", "--k-max", "1"],
+                ["mie", "--body", "sphere:2", "--k-min", "4e-38", "--k-max", "1"],
                 ["fig1", "--k-min", "1e-200", "--k-max", "1"]):
         assert main(job + ["--out", str(tmp_path / "x.csv")]) == 2, job
-        assert "below ka 1e-05" in capsys.readouterr().err
+        assert "below ka 1e-37" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    assert main(["mie", "--body", "sphere:1", "--k-min", "1e-5", "--k-max", "1",
-                 "--samples", "3", "--out", str(tmp_path / "x.csv")]) == 0
+    assert main(["mie", "--body", "sphere:1", "--k-min", "1e-37", "--k-max", "1",
+                 "--samples", "3", "--log", "--out", str(tmp_path / "x.csv")]) == 0
+    rows = [line for line in (tmp_path / "x.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    row = rows[1].split(",")
+    assert float(row[0]) == 1e-37
+    assert abs(float(row[1]) / (4.0 * np.pi) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("command, spec", [

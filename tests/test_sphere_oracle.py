@@ -71,6 +71,87 @@ def test_bessel_wronskian(x):
 
 
 # ---------------------------------------------------------------------------
+# the recurrence
+
+
+def bessel_columns(x):
+    ka = np.array([x])
+    j, y = sphere_oracle._bessel_columns(ka, sphere_oracle._reach(ka))
+    return j[:, 0], y[:, 0]
+
+
+# the doubles nearest pi and 2 pi (zeros of j_0) and the first two zeros of
+# j_1; and two doubles near zeros of j_3 and j_4 where the downward
+# recurrence's denominator x j_{l-1} / j_l rounds to exactly 0
+ZEROS = [np.pi, 2.0 * np.pi, 4.493409457909064, 7.725251836937707,
+         13.698023153249249, 8.182561452571242]
+
+
+@pytest.mark.parametrize("x", [0.05, 50.0, 500.0, 3000.0, 3e4] + ZEROS)
+def test_recurrence_matches_scipy(x):
+    j, y = bessel_columns(x)
+    ls = np.arange(len(j))
+    if x > 3000.0:
+        # scipy's cost grows with the order: every 97th order, and all
+        # orders from just below the turning point l = x up
+        ls = np.union1d(ls[::97], ls[int(x) - 60:])
+    js, ys = spherical_jn(ls, x), spherical_yn(ls, x)
+    # errors on the scale of |h_l| = hypot(j_l, y_l), which sets delta_l's;
+    # near a zero of j_l only that scale means anything
+    scale = 5e-15 * max(1.0, np.sqrt(x)) * np.hypot(js, ys)
+    assert np.all(np.abs(j[ls] - js) <= scale)
+    assert np.all(np.abs(y[ls] - ys) <= scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.floats(0.05, 3000.0))
+def test_recurrence_cross_wronskian(x):
+    j, y = bessel_columns(x)
+    wronskian = j[1:] * y[:-1] - j[:-1] * y[1:]
+    assert np.abs(wronskian * x * x - 1.0).max() < 1e-14 * max(1.0, np.sqrt(x))
+
+
+def test_sweep_columns_are_phase_shifts(monkeypatch):
+    k_values = np.geomspace(0.05, 200.0, 40)
+    columns = sphere_oracle._phase_shift_columns
+    chunks = []
+
+    def recorded(ka, reach):
+        delta = columns(ka, reach)
+        chunks.append((ka.copy(), delta.copy()))
+        return delta
+
+    monkeypatch.setattr(sphere_oracle, "_phase_shift_columns", recorded)
+    rows = fig1_sweep(k_values, 1.3)
+    assert len(chunks) == 1
+    # chunks of a few columns each do not change a bit
+    monkeypatch.setattr(sphere_oracle, "_WORK_BYTES", 2**16)
+    chunked = fig1_sweep(k_values, 1.3)
+    assert len(chunks) > 3
+    for name in ("sigma", "sigma_T", "optical_residual"):
+        assert np.array_equal(chunked[name], rows[name])
+
+    ka, delta = chunks[0]
+    for i, k in enumerate(k_values):
+        table = phase_shifts(1.3, k)
+        assert table.ka == ka[i]
+        assert np.array_equal(delta[: table.truncation + 1, i], table.delta)
+        xs = cross_sections(table)
+        assert xs.sigma == rows["sigma"][i]
+        assert xs.sigma_t == rows["sigma_T"][i]
+        assert xs.optical_residual == rows["optical_residual"][i]
+
+
+@pytest.mark.parametrize("ka", [1e-5, 1e-8, 1e-12, 1e-37])
+def test_delta0_at_small_ka(ka):
+    table = phase_shifts(1.0, ka)
+    assert abs(table.delta[0] / -ka - 1.0) <= 1e-13
+    # delta_0 = -ka gives 4 pi (sin(ka) / ka)^2, and the rest adds (ka)^4 / 3
+    sigma_0 = 4.0 * np.pi * (np.sin(ka) / ka) ** 2
+    assert abs(cross_sections(table).sigma / sigma_0 - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # phase shifts
 
 
@@ -232,13 +313,15 @@ def test_cross_sections_compare_by_series_values():
 @pytest.mark.filterwarnings("error")
 def test_sweep_validates_every_k(monkeypatch):
     k_values = np.geomspace(0.5, 50.0, 12)
+    columns = sphere_oracle._phase_shift_columns
 
-    def zero_at_last_k(radius, k):
-        if k == k_values[-1]:
-            return PhaseShiftTable(radius, k * radius, np.zeros(8))
-        return phase_shifts(radius, k)
+    def zero_at_last_k(ka, reach):
+        delta = columns(ka, reach)
+        if ka[-1] == k_values[-1]:
+            delta[:, -1] = 0.0
+        return delta
 
-    monkeypatch.setattr(sphere_oracle, "phase_shifts", zero_at_last_k)
+    monkeypatch.setattr(sphere_oracle, "_phase_shift_columns", zero_at_last_k)
     with pytest.raises(ValueError, match="sigma must be positive"):
         fig1_sweep(k_values, 1.0)
 

@@ -1,6 +1,6 @@
 """Byte-identity check of the CLI and the demos against an earlier revision.
 
-    python tools/golden_cli.py [--threads N] REV
+    python tools/golden_cli.py [--threads N] [--rel BOUND] REV
 
 Extracts ``git archive REV`` into a temporary directory (the repository's
 ``.git`` is only read) and runs a fixed set of CLI configs, and every script
@@ -15,13 +15,26 @@ everything agrees.
 
 A refactor that is meant to keep the CLI's outputs byte-identical is checked
 with ``python tools/golden_cli.py <parent commit>``.
+
+``--rel BOUND`` compares numbers instead of bytes, for a change that is meant
+to move output bits.  For each output file that differs it prints, per CSV
+column or JSON key, the largest change scaled by that column's largest
+magnitude in REV's output; a demo's stdout is compared number by number,
+each scaled by its own magnitude.  Columns and keys that only the working
+tree writes are listed as new and not counted.  Any other difference (an
+exit code, a file or column written by REV only, a changed row count or
+any text that is not a number) counts as an infinite change.  The exit
+status is 1 if any change exceeds BOUND.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -169,11 +182,141 @@ def _run(tree: Path, work: Path, meshes: Path, threads: int) -> dict:
     return results
 
 
+# a decimal number; "nan" and "inf" compare as text
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _as_number(value):
+    """A number from a CSV cell or a JSON scalar, or None; bools are not."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, (int, float)):
+        return float(value)
+    if isinstance(value, str) and _NUMBER.fullmatch(value.strip()):
+        return float(value)
+    return None
+
+
+def _column_change(old: list, new: list) -> float:
+    """Largest |new - old| over a column, scaled by the column's largest
+    magnitude in ``old``; inf for a changed length or non-numeric cell."""
+    if len(old) != len(new):
+        return math.inf
+    pairs = [(_as_number(a), _as_number(b), a, b) for a, b in zip(old, new)]
+    if any((x is None or y is None) and a != b for x, y, a, b in pairs):
+        return math.inf
+    numbers = [(x, y) for x, y, _, _ in pairs if x is not None and y is not None]
+    change = max((abs(y - x) for x, y in numbers), default=0.0)
+    scale = max((abs(x) for x, _ in numbers), default=0.0)
+    if change == 0.0:
+        return 0.0
+    return change / scale if scale > 0.0 else math.inf
+
+
+def _csv_columns(text: str) -> dict[str, list]:
+    """Columns of a CSV the package writes, by header name; its ``# ``
+    comment lines together form the column ``#``."""
+    lines = text.splitlines()
+    columns = {"#": [ln for ln in lines if ln.startswith("#")]}
+    rows = [ln.split(",") for ln in lines if ln and not ln.startswith("#")]
+    if rows:
+        header, body = rows[0], rows[1:]
+        for i, name in enumerate(header):
+            columns[name] = [row[i] if i < len(row) else None for row in body]
+    return columns
+
+
+def _json_columns(obj, path: str = "", out=None) -> dict[str, list]:
+    """JSON scalars by dotted key path; the items of a list share their
+    list's path, so a list of numbers is one column."""
+    out = {} if out is None else out
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _json_columns(value, f"{path}.{key}" if path else key, out)
+    elif isinstance(obj, list):
+        for value in obj:
+            _json_columns(value, path, out)
+    else:
+        out.setdefault(path, []).append(obj)
+    return out
+
+
+def _text_numbers(text: str) -> tuple[list[str], list[float]]:
+    """The text between numbers, and the numbers, of a demo's stdout."""
+    return _NUMBER.split(text), [float(m) for m in _NUMBER.findall(text)]
+
+
+def compare_file(file: str, old: bytes, new: bytes) -> tuple[dict[str, float], list[str]]:
+    """Numeric comparison of one output file written by both trees.
+
+    Returns the change per column (``_column_change``; for stdout, per line,
+    each number scaled by its own magnitude) and the columns only ``new``
+    has.  Files that are neither CSV nor JSON nor stdout compare as bytes.
+    """
+    old_text, new_text = old.decode(), new.decode()
+    if file == "<stdout>":
+        old_lines, new_lines = old_text.splitlines(), new_text.splitlines()
+        if len(old_lines) != len(new_lines):
+            return {"<lines>": math.inf}, []
+        changes = {}
+        for i, (a, b) in enumerate(zip(old_lines, new_lines), 1):
+            (a_text, a_nums), (b_text, b_nums) = _text_numbers(a), _text_numbers(b)
+            if a_text != b_text:
+                changes[f"line {i}"] = math.inf
+            elif a_nums != b_nums:
+                changes[f"line {i}"] = max(_column_change([x], [y])
+                                           for x, y in zip(a_nums, b_nums))
+        return changes, []
+    if file.endswith(".csv"):
+        before, after = _csv_columns(old_text), _csv_columns(new_text)
+    elif file.endswith(".json"):
+        before, after = _json_columns(json.loads(old_text)), _json_columns(json.loads(new_text))
+    else:
+        return ({"<bytes>": math.inf} if old != new else {}), []
+    changes = {name: (_column_change(column, after[name]) if name in after else math.inf)
+               for name, column in before.items()}
+    return ({name: c for name, c in changes.items() if c != 0.0},
+            [name for name in after if name not in before])
+
+
+def _differences(before: dict, after: dict, rev: str, numeric: bool) -> list:
+    """(label, change) of every difference between the two trees' runs.
+
+    A byte difference in a file is one infinite change; with ``numeric``
+    it is one change per column from ``compare_file``, whose new columns
+    are listed with change None.
+    """
+    found = [(f"{name}: run by one tree only", math.inf)
+             for name in sorted(before.keys() ^ after.keys())]
+    for name in (name for name in before if name in after):
+        (code, files), (new_code, new_files) = before[name], after[name]
+        if new_code != code:
+            found.append((f"{name}: exit {code} at {rev}, {new_code} now", math.inf))
+        if name in ERRORS and new_code != 2:
+            found.append((f"{name}: config error exits {new_code}, not 2", math.inf))
+        for file in sorted(files.keys() | new_files.keys()):
+            if files.get(file) == new_files.get(file):
+                continue
+            if file not in files or file not in new_files:
+                found.append((f"{name}: {file} written by one tree only", math.inf))
+            elif not numeric:
+                found.append((f"{name}: {file} differs", math.inf))
+            else:
+                changes, added = compare_file(file, files[file], new_files[file])
+                found += [(f"{name}: {file}: {column}", change)
+                          for column, change in changes.items()]
+                found += [(f"{name}: {file}: {column}", None) for column in added]
+    return found
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="byte-identity check of the CLI and the demos against REV")
     parser.add_argument("--threads", type=int, default=1,
                         help="thread budget of every run (default 1)")
+    parser.add_argument("--rel", type=float, default=None, metavar="BOUND",
+                        help="compare numbers, each change scaled by its "
+                             "column's largest magnitude, against BOUND")
     parser.add_argument("rev")
     args = parser.parse_args(argv)
     rev = args.rev
@@ -186,25 +329,25 @@ def main(argv=None) -> int:
         before = _run(tmp / "rev", tmp / "runs_rev", tmp / "rev", args.threads)
         after = _run(ROOT, tmp / "runs_work", tmp / "rev", args.threads)
 
-    differences = [f"{name}: run by one tree only"
-                   for name in sorted(before.keys() ^ after.keys())]
-    for name in (name for name in before if name in after):
-        (code, files), (new_code, new_files) = before[name], after[name]
-        if new_code != code:
-            differences.append(f"{name}: exit {code} at {rev}, {new_code} now")
-        if name in ERRORS and new_code != 2:
-            differences.append(f"{name}: config error exits {new_code}, not 2")
-        for file in sorted(files.keys() | new_files.keys()):
-            if files.get(file) != new_files.get(file):
-                both = file in files and file in new_files
-                differences.append(f"{name}: {file} "
-                                   + ("differs" if both else "written by one tree only"))
-    for line in differences:
-        print(line)
     n_files = sum(len(files) for _, files in after.values())
+    found = _differences(before, after, rev, numeric=args.rel is not None)
+    if args.rel is None:
+        for label, _ in found:
+            print(label)
+        print(f"{len(after)} configs and demos, {n_files} output files: "
+              f"{len(found)} difference(s) against {rev}")
+        return 1 if found else 0
+
+    over = 0
+    for label, change in found:
+        if change is None:
+            print(f"{label}: new")
+        else:
+            over += change > args.rel
+            print(f"{label}: {change:.3g}" + ("  ABOVE BOUND" if change > args.rel else ""))
     print(f"{len(after)} configs and demos, {n_files} output files: "
-          f"{len(differences)} difference(s) against {rev}")
-    return 1 if differences else 0
+          f"{over} change(s) above {args.rel:g} against {rev}")
+    return 1 if over else 0
 
 
 if __name__ == "__main__":
