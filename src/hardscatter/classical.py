@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _THREAD_VARS
 from ._table import write_csv
-from .geometry import CappedCylinder, Ellipsoid, Sphere, TriMesh
+from .geometry import CappedCylinder, Ellipsoid, Sphere, TriMesh, _dot3
 from .potential import SolverError
 from .sphere_oracle import fig1_sweep
 
@@ -134,22 +134,6 @@ def _body_box(body):
 # The bounce loop keeps its rays coordinate-major, as (3, n) arrays, and
 # hands the kernels their transposed views, so the kernels read coordinate
 # rows through ``.T`` and build their normals coordinate-major too.
-
-
-def _dot3(a, b):
-    """Row-wise dot products of (n, 3) arrays of any layout, or of one
-    against a 3-vector, summed as ``(x x' + z z') + y y'``.
-
-    That is the order of numpy 2.4's ``einsum("ij,ij->i")`` and
-    ``einsum("ij,j->i")`` over C-contiguous rows on x86-64 with AVX-512;
-    over Fortran-ordered rows einsum sums ``(x x' + y y') + z z'`` instead.
-    The tracer's rays are coordinate-major, so it spells the order out and
-    its bits do not depend on the layout.  test_dot3_sums_as_einsum fails
-    on a numpy that sums in another order.
-    """
-    ax, ay, az = a.T
-    bx, by, bz = b.T
-    return (ax * bx + az * bz) + ay * by
 
 
 def _scatter_rows(n, idx, rows):
@@ -497,13 +481,17 @@ def _reflect(o, d, t_min, t, normal):
     """The rays of the coordinate-major ``o`` and ``d`` that hit (finite
     ``t``), as indices, and their origins and directions after the specular
     reflection ``k+ = k - 2 (k.n) n``, each origin ``t_min`` off the
-    surface along its new direction."""
+    surface along the hit face's outward normal.
+
+    A step along the new direction could cross the plane of the face
+    across a concave crease, and the ray would then bounce inside the body
+    until the cap; the normal step leaves the hit face's side outward."""
     live = np.flatnonzero(np.isfinite(t))
     d = d.take(live, axis=1)
     n_hat = normal.T.take(live, axis=1)
     o = o.take(live, axis=1) + t[live] * d
     d -= 2.0 * _dot3(d.T, n_hat.T) * n_hat
-    o += t_min * d
+    o += t_min * n_hat
     return live, o, d
 
 

@@ -105,13 +105,17 @@ def _resolve_mesh(args):
     return geometry.make_body(_parse_body(args.body), args.level)
 
 
+def _check_k_range(args) -> None:
+    if not args.k_min > 0:
+        raise ConfigError("--k-min must be positive")
+    if not args.k_min < args.k_max < float("inf"):
+        raise ConfigError("--k-max must be finite and exceed --k-min")
+
+
 def _k_grid(args):
     import numpy as np
 
-    if not args.k_min > 0:
-        raise ConfigError("--k-min must be positive")
-    if not args.k_min < args.k_max < np.inf:
-        raise ConfigError("--k-max must be finite and exceed --k-min")
+    _check_k_range(args)
     if args.log:
         return np.geomspace(args.k_min, args.k_max, args.samples)
     return np.linspace(args.k_min, args.k_max, args.samples)
@@ -128,25 +132,27 @@ def _series_k_grid(args, radius: float):
     ``k_max``.  L itself is held to ``L_max`` too: the recurrence's loop
     over the orders costs about as much for a chunk of a few samples as
     for a full chunk, so fewer samples do not make a higher order cheap.
+    The limits are checked before the grid is built, which could overflow.
     """
     from .sphere_oracle import default_truncation
 
-    k_values = _k_grid(args)
+    _check_k_range(args)
     if args.k_min * radius < _MIN_SERIES_KA:
         raise ConfigError(
             f"--k-min {args.k_min:g} gives ka {args.k_min * radius:g}, below "
             f"ka {_MIN_SERIES_KA:g}, where the phase shifts lose accuracy; "
             "raise --k-min"
         )
-    order = default_truncation(args.k_max * radius)
+    ka_max = args.k_max * radius  # inf past the float range
+    order = default_truncation(ka_max) if ka_max < float("inf") else ka_max
     limit = default_truncation(_MAX_SERIES_KA)
     if max(args.samples, 200) * order > 200 * limit:
         raise ConfigError(
             f"--samples {args.samples} up to ka {args.k_max * radius:g} "
-            f"(series order {order}) is more work than 200 samples up to "
+            f"(series order {order:g}) is more work than 200 samples up to "
             f"ka {_MAX_SERIES_KA:g}; lower --k-max or --samples"
         )
-    return k_values
+    return _k_grid(args)
 
 
 def _config_echo(args) -> str:

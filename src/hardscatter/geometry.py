@@ -38,6 +38,23 @@ __all__ = [
 AREA_EPS = 1e-12
 
 
+def _dot3(a, b):
+    """Row-wise dot products of (n, 3) arrays of any layout, or of one
+    against a 3-vector, summed as ``(x x' + z z') + y y'``.
+
+    That is the order of numpy 2.4's ``einsum("ij,ij->i")`` and
+    ``einsum("ij,j->i")`` over C-contiguous rows on x86-64 with AVX-512;
+    over Fortran-ordered rows einsum sums ``(x x' + y y') + z z'`` instead.
+    Every dot product of 3-vectors in the package goes through here, so its
+    bits do not depend on the layout of the rows (the ray tracer keeps its
+    rays coordinate-major).  test_dot3_sums_as_einsum fails on a numpy that
+    sums in another order.
+    """
+    ax, ay, az = a.T
+    bx, by, bz = b.T
+    return (ax * bx + az * bz) + ay * by
+
+
 class MeshError(Exception):
     """Base class for mesh ingestion and validation failures."""
 
@@ -130,7 +147,7 @@ class TriMesh:
         normals = cross / (2.0 * areas)[:, None]
         centroids = (p0 + p1 + p2) / 3.0
 
-        signed_volume = np.sum(np.einsum("ij,ij->i", centroids, normals) * areas) / 3.0
+        signed_volume = np.sum(_dot3(centroids, normals) * areas) / 3.0
         if signed_volume <= 0.0:
             raise MeshOrientationError(
                 f"signed volume {signed_volume:g} <= 0; winding is inward"
@@ -506,7 +523,7 @@ def save_mesh(mesh: TriMesh, path) -> None:
 def mesh_volume(mesh: TriMesh) -> float:
     """Enclosed volume via the divergence theorem, (1/3) sum (c.n) A."""
     return float(
-        np.sum(np.einsum("ij,ij->i", mesh.centroids, mesh.normals) * mesh.areas) / 3.0
+        np.sum(_dot3(mesh.centroids, mesh.normals) * mesh.areas) / 3.0
     )
 
 

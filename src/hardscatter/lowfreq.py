@@ -32,7 +32,7 @@ from .potential import (
     SingleLayerOperator,
     SurfaceDensity,
     assemble_single_layer,
-    distance_moment,
+    solve_densities,
     solve_density,
 )
 
@@ -136,11 +136,13 @@ def solve_expansion_densities(mesh: TriMesh) -> ExpansionDensities:
     """
     operator = assemble_single_layer(mesh)
     z = mesh.centroids[:, 2]
-    density0 = solve_density(operator, -np.ones(operator.n))
+    # one pass over the regenerated rows checks both solves and gives the
+    # distance moment of mu0; mu2's check takes a second
+    (density0, mu1a), moment0 = solve_densities(
+        operator, [-np.ones(operator.n), -z], moment=True)
     cap = -density0.integral()
-    mu1a = solve_density(operator, -z)
     mu1 = SurfaceDensity(-cap * density0.values + mu1a.values, mesh)
-    data2 = -0.5 * z**2 - mu1.integral() - 0.5 * distance_moment(operator, density0)
+    data2 = -0.5 * z**2 - mu1.integral() - 0.5 * moment0
     density2 = solve_density(operator, data2)
     return ExpansionDensities(mesh, operator, density0, mu1, mu1a, density2, cap)
 

@@ -15,7 +15,6 @@ expansion, in :func:`hardscatter.lowfreq.solve_expansion_densities`.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 from scipy.spatial import cKDTree
 
-from .geometry import TriMesh
+from .geometry import TriMesh, _dot3
 
 __all__ = [
     "SolverError",
@@ -31,6 +30,7 @@ __all__ = [
     "SurfaceDensity",
     "assemble_single_layer",
     "solve_density",
+    "solve_densities",
     "mu0",
     "capacity",
     "distance_moment",
@@ -86,14 +86,25 @@ class SingleLayerOperator:
     rule for close pairs, one-point quadrature otherwise.  The matrix is
     stored column-major, the order LAPACK factorises in.
 
-    ``near`` is the near/far split, ``(ii, jj, distance)``: the close pairs
-    (i, j) and, per pair, the sum of ``|q - c_i|`` over the three rule
-    nodes q on triangle j, which :func:`distance_moment` reads.
+    :meth:`factorize` overwrites the matrix with its LU factors and sets
+    ``matrix`` to None, so the chain holds one n x n array.  Products with
+    the matrix are then formed on rows regenerated block by block
+    (:func:`_row_block_products`), bit for bit the rows assembly wrote.
+    They need, besides the centroids and areas:
+
+    * ``near``, the near/far split ``(ii, jj, distance)``: the close pairs
+      (i, j), sorted by row, and, per pair, the sum of ``|q - c_i|`` over
+      the three rule nodes q on triangle j, which :func:`distance_moment`
+      reads;
+    * ``near_values``, the matrix entries of those pairs;
+    * ``diagonal``, the self-integrals.
     """
 
     mesh: TriMesh
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     near: tuple = field(repr=False)
+    near_values: np.ndarray = field(repr=False)
+    diagonal: np.ndarray = field(repr=False)
     _lu: tuple | None = field(default=None, repr=False)
     _rcond: float | None = field(default=None, repr=False)
 
@@ -102,16 +113,22 @@ class SingleLayerOperator:
         return self.mesh.n_triangles
 
     def factorize(self):
-        """LU-factorize once; raise SolverError for singular systems."""
+        """LU-factorize once, in place; raise SolverError for a matrix with
+        a non-finite entry and for singular systems.
+
+        The 1-norm is NaN or inf when any entry is, so it doubles as the
+        finiteness check.  Returns ``(lu, piv)`` as ``scipy.linalg.lu_factor``
+        does.
+        """
         if self._lu is None:
             anorm = float(lapack.dlange("1", self.matrix))
-            try:
-                with warnings.catch_warnings():
-                    # exact singularity is reported via rcond below
-                    warnings.simplefilter("ignore", sla.LinAlgWarning)
-                    lu, piv = sla.lu_factor(self.matrix)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"LU factorization failed: {exc}") from exc
+            if not np.isfinite(anorm):
+                raise SolverError(f"non-finite single-layer matrix (1-norm {anorm})")
+            lu, piv, info = lapack.dgetrf(self.matrix, overwrite_a=True)
+            self.matrix = None
+            if info < 0:
+                raise SolverError(f"LU factorization failed: dgetrf info {info}")
+            # an exactly zero pivot (info > 0) gives rcond 0
             rcond, info = lapack.dgecon(lu, anorm)
             if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
                 raise SolverError(
@@ -133,8 +150,8 @@ def _triangle_self_integral(mesh: TriMesh) -> np.ndarray:
         tangent = b - a
         length = np.linalg.norm(tangent, axis=1)
         that = tangent / length[:, None]
-        sa = np.einsum("ij,ij->i", a - cent, that)
-        sb = np.einsum("ij,ij->i", b - cent, that)
+        sa = _dot3(a - cent, that)
+        sb = _dot3(b - cent, that)
         foot = a - sa[:, None] * that
         dist = np.linalg.norm(foot - cent, axis=1)
         ra = np.linalg.norm(a - cent, axis=1)
@@ -145,7 +162,7 @@ def _triangle_self_integral(mesh: TriMesh) -> np.ndarray:
 
 def _near_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     """Ordered index pairs (i, j), i != j, closer than twice the larger
-    triangle diameter; both orders included."""
+    triangle diameter; both orders included, sorted by i, then j."""
     diam = mesh.triangle_diameters()
     tree = cKDTree(mesh.centroids)
     pairs = tree.query_pairs(2.0 * float(diam.max()), output_type="ndarray")
@@ -155,7 +172,9 @@ def _near_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     dist = np.linalg.norm(mesh.centroids[i] - mesh.centroids[j], axis=1)
     keep = dist <= 2.0 * np.maximum(diam[i], diam[j])
     i, j = i[keep], j[keep]
-    return np.concatenate([i, j]), np.concatenate([j, i])
+    ii, jj = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.argsort(ii * mesh.n_triangles + jj)
+    return ii[order], jj[order]
 
 
 def _centred_centroids(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +185,7 @@ def _centred_centroids(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     distance from the origin.
     """
     c = mesh.centroids - mesh.centroids.mean(axis=0)
-    return c, np.einsum("ij,ij->i", c, c)
+    return c, _dot3(c, c)
 
 
 def _centroid_distances(mesh: TriMesh):
@@ -210,11 +229,11 @@ def _near_rule_sums(mesh: TriMesh):
 
 def _dense_solve_bytes(n: int, near_pairs: int = 0) -> int:
     """Bytes of the dense chain at n panels and ``near_pairs`` ordered near
-    pairs: the matrix, the copy that ``lu_factor`` makes, one distance
-    block, and the working set of :func:`_near_rule_sums` during assembly,
-    counted as 16 words a pair; ``distance_moment`` holds only the
-    operator's ``near`` record, three words a pair, next to the other three."""
-    return 8 * (2 * n * n + min(_ASSEMBLY_BLOCK, n) * n) + 128 * near_pairs
+    pairs: the matrix, factorised in place, one row block, and the working
+    set of :func:`_near_rule_sums` during assembly, counted as 16 words a
+    pair; the operator keeps four words a pair of that (``near`` and
+    ``near_values``)."""
+    return 8 * (n * n + min(_ASSEMBLY_BLOCK, n) * n) + 128 * near_pairs
 
 
 def _available_bytes() -> int:
@@ -261,38 +280,101 @@ def assemble_single_layer(mesh: TriMesh) -> SingleLayerOperator:
         with np.errstate(divide="ignore"):  # the diagonal is set below
             np.divide(areas[j0:j1, None], cols, out=cols)
 
-    matrix[ii, jj] = (areas[jj] / 3.0) * inverse
+    near_values = (areas[jj] / 3.0) * inverse
+    matrix[ii, jj] = near_values
 
     diag = _triangle_self_integral(mesh)
     if np.any(diag <= 0.0):
         raise SolverError("non-positive self-integral; degenerate triangle")
     matrix[np.arange(n), np.arange(n)] = diag
-    return SingleLayerOperator(mesh, matrix, (ii, jj, distance))
+    return SingleLayerOperator(mesh, matrix, (ii, jj, distance), near_values, diag)
 
 
-def solve_density(operator: SingleLayerOperator, data: np.ndarray) -> SurfaceDensity:
-    """Solve S mu = data by dense LU, with one refinement pass if needed.
+def _row_block_products(operator: SingleLayerOperator, columns=None, weighted=None):
+    """``S @ columns`` for an (n, m) ``columns``, and the distance moment
+    ``D @ weighted``, from one pass over the row blocks of
+    :func:`_centroid_distances`; either may be None, and so is its result.
 
-    The relative max-norm residual must come out below ``RESIDUAL_TOL``.
+    A block first meets ``weighted`` as the distance block, its near entries
+    replaced by their 3-point means.  It then becomes ``areas / dist``, with
+    the near values and the diagonal written over it, so its rows equal the
+    assembled matrix's bit for bit, and meets ``columns``.
     """
+    mesh = operator.mesh
+    ii, jj, distance = operator.near
+    product = None if columns is None else np.empty((operator.n, columns.shape[1]))
+    moment = None if weighted is None else np.empty(operator.n)
+    for i0, i1, dist in _centroid_distances(mesh):
+        lo, hi = np.searchsorted(ii, (i0, i1))
+        rows, cols = ii[lo:hi] - i0, jj[lo:hi]
+        if weighted is not None:
+            dist[rows, cols] = distance[lo:hi] / 3.0
+            moment[i0:i1] = dist @ weighted
+        if columns is not None:
+            with np.errstate(divide="ignore"):  # the diagonal is set below
+                np.divide(mesh.areas, dist, out=dist)
+            dist[rows, cols] = operator.near_values[lo:hi]
+            k = np.arange(i1 - i0)
+            dist[k, i0 + k] = operator.diagonal[i0:i1]
+            product[i0:i1] = dist @ columns
+    return product, moment
+
+
+def _boundary_data(operator: SingleLayerOperator, data) -> np.ndarray:
     g = np.asarray(data, dtype=float)
     if g.shape != (operator.n,):
         raise ValueError(f"data must have shape ({operator.n},)")
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite boundary data")
+    return g
+
+
+def solve_densities(operator: SingleLayerOperator, data, moment: bool = False):
+    """Solve ``S mu = g`` for each boundary data ``g`` in ``data`` by the
+    dense LU, with one refinement pass per solution if needed.
+
+    Each relative max-norm residual must come out below ``RESIDUAL_TOL``.
+    The residuals are taken on regenerated rows (:func:`_row_block_products`),
+    all in one pass.  With ``moment``, that pass also gives
+    ``distance_moment(operator, densities[0])``, bit for bit, and the
+    densities and that moment are returned; otherwise the densities.
+    """
+    gs = [_boundary_data(operator, g) for g in data]
     lu = operator.factorize()
-    x = sla.lu_solve(lu, g)
-    scale = float(np.abs(g).max()) or 1.0
-    residual = float(np.abs(operator.matrix @ x - g).max()) / scale
-    if residual >= RESIDUAL_TOL:
-        x = x + sla.lu_solve(lu, g - operator.matrix @ x)
-        residual = float(np.abs(operator.matrix @ x - g).max()) / scale
-        if residual >= RESIDUAL_TOL:
+    xs = [sla.lu_solve(lu, g, check_finite=False) for g in gs]
+    areas = operator.mesh.areas
+    product, first_moment = _row_block_products(
+        operator, np.column_stack(xs), xs[0] * areas if moment else None)
+    for col, g in enumerate(gs):
+        scale = float(np.abs(g).max()) or 1.0
+        residual = g - product[:, col]
+        if float(np.abs(residual).max()) / scale < RESIDUAL_TOL:
+            continue
+        x = xs[col] = xs[col] + sla.lu_solve(lu, residual, check_finite=False)
+        again = moment and col == 0  # the moment of the refined first density
+        sx, refined_moment = _row_block_products(operator, x[:, None],
+                                                 x * areas if again else None)
+        value = float(np.abs(sx[:, 0] - g).max()) / scale
+        if value >= RESIDUAL_TOL:
             raise SolverError(
-                f"solve residual {residual:.3e} exceeds {RESIDUAL_TOL:g} "
+                f"solve residual {value:.3e} exceeds {RESIDUAL_TOL:g} "
                 f"(rcond {operator._rcond:.3e})"
             )
-    return SurfaceDensity(x, operator.mesh)
+        if again:
+            first_moment = refined_moment
+    densities = [SurfaceDensity(x, operator.mesh) for x in xs]
+    return (densities, first_moment) if moment else densities
+
+
+def solve_density(operator: SingleLayerOperator, data: np.ndarray) -> SurfaceDensity:
+    """Solve S mu = data by dense LU, with one refinement pass if needed.
+
+    The first solve factorises the matrix in place
+    (:meth:`SingleLayerOperator.factorize`).  The relative max-norm residual,
+    taken on regenerated rows, must come out below ``RESIDUAL_TOL``; see
+    :func:`solve_densities`.
+    """
+    return solve_densities(operator, [data])[0]
 
 
 def mu0(mesh: TriMesh) -> SurfaceDensity:
@@ -316,12 +398,4 @@ def distance_moment(operator: SingleLayerOperator, density: SurfaceDensity) -> n
     the block meets the density.  The kernel is regular, so the diagonal
     uses the centroid value, exactly zero.
     """
-    mesh = operator.mesh
-    weighted = density.values * mesh.areas
-    out = np.empty(mesh.n_triangles)
-    ii, jj, distance = operator.near
-    for i0, i1, dist in _centroid_distances(mesh):
-        rows = (ii >= i0) & (ii < i1)
-        dist[ii[rows] - i0, jj[rows]] = distance[rows] / 3.0
-        out[i0:i1] = dist @ weighted
-    return out
+    return _row_block_products(operator, weighted=density.values * operator.mesh.areas)[1]

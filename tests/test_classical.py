@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import os
-import re
 import threading
 import tracemalloc
 import warnings
@@ -250,7 +249,7 @@ def row_form_trace_block(body, lattice, z_start, t_min, bounce_cap):
         n_hat = normal[hit]
         pts = o[hit] + t[hit, None] * d
         d = d - 2.0 * np.einsum("ij,ij->i", d, n_hat)[:, None] * n_hat
-        o = pts + t_min * d
+        o = pts + t_min * n_hat
         dirs[ray] = d
     out = dirs[struck]
     return out, bounce, classical._bin_counts(out.astype(np.float32))
@@ -327,13 +326,7 @@ def test_trace_block_matches_the_row_form(shape, dims, grid, start, size):
     lattice = (x0 + cells * (x1 - x0), y0 + cells * (y1 - y0), first,
                min(size, grid * grid - first))
     args = (body, lattice, z_low - 0.5 * scale, 1e-9 * scale, classical.DEFAULT_BOUNCE_CAP)
-    try:
-        want = row_form_trace_block(*args)
-    except TrappingError as error:
-        # the dented body traps at some grids
-        with pytest.raises(TrappingError, match=re.escape(str(error))):
-            classical._trace_block(*args)
-        return
+    want = row_form_trace_block(*args)
     got = classical._trace_block(*args)
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
@@ -474,15 +467,26 @@ def test_pinwheel_cube_counts():
     assert result.max_bounces_seen == 1
 
 
-@pytest.mark.xfail(strict=True, raises=TrappingError, reason=(
-    "the first-pass ray entering at (0.0, -0.3976) lands on the concave "
-    "crease between faces 138 and 293; the edge retrace picks face 138, and "
-    "the reflected ray's next origin, t_min along it, lies past face 293's "
-    "plane, so it crosses the body's interior and bounces there until the cap"))
 def test_dented_sphere_at_an_odd_grid_does_not_trap():
+    # the first-pass ray entering at (0.0, -0.3976) lands on the concave
+    # crease between faces 138 and 293, and the edge retrace picks face 138;
+    # a next origin t_min along the reflected ray would lie past face 293's
+    # plane, inside the body, where t_min along face 138's normal does not
     mesh = dented_sphere(1.37)[0]
     result = trace(mesh, 255)
     assert result.sigma_cl == shadow_area(mesh, 255)
+
+
+@pytest.mark.parametrize("notch", [0.5, 0.05])
+@pytest.mark.parametrize("grid", [65, 255])
+def test_sharp_groove_at_an_odd_grid_does_not_trap(notch, grid):
+    # the notch's apex is a concave crease sharper than a right angle (58
+    # and 6 degrees), and at an odd grid the centre column's rays land on
+    # it; with the step along the reflected ray they were trapped at every
+    # odd grid from 65 to 511
+    mesh = groove_prism(notch)
+    result = trace(mesh, grid)
+    assert result.sigma_cl == shadow_area(mesh, grid)
 
 
 def test_groove_trapping_error():
@@ -594,7 +598,7 @@ def test_cull_never_changes_a_hit(body, kind, grid, seed):
             n_hat = normal[hit]
             d = dirs[hit]
             dirs = d - 2.0 * np.einsum("ij,ij->i", d, n_hat)[:, None] * n_hat
-            origins = pts + t_min * dirs
+            origins = pts + t_min * n_hat
     # without the edge retrace, ties in t show the lowest-triangle rule; a
     # small pair budget makes a ray's candidate pairs straddle two batches
     for retrace in (True, False):

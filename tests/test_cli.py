@@ -248,6 +248,19 @@ def test_series_sweep_below_the_ka_floor_exits_2(tmp_path, capsys):
     assert abs(float(row[1]) / (4.0 * np.pi) - 1.0) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("job", [
+    # the grid itself would overflow in numpy's power
+    ["fig1", "--log", "--k-min", "1", "--k-max", "1.7976931348623157e308"],
+    # ka past the float range: the series order is infinite
+    ["mie", "--body", "sphere:2", "--k-min", "1", "--k-max", "1.7976931348623157e308"],
+])
+def test_series_sweep_past_the_float_range_exits_2_without_a_warning(tmp_path, capsys, job):
+    assert main(job + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert "more work than 200 samples" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, spec", [
     ("raytrace", "ellipsoid:1,1,1e-10"),       # traced the whole box
     ("raytrace", "ellipsoid:1e60,1e60,1e54"),  # reported as trapping
@@ -364,7 +377,7 @@ def test_trust_region_exit_code(tmp_path, monkeypatch):
 
 
 def test_job_too_large_for_memory_exits_4(tmp_path, monkeypatch, capsys):
-    # level 3 has 320 panels, about 3.7 MiB of dense work
+    # level 3 has 320 panels, about 2.7 MiB of dense work
     monkeypatch.setattr(potential, "_available_bytes", lambda: 2**20)
     mesh = make_body(Sphere(1.0), 3)
     pairs = len(potential._near_pairs(mesh)[0])

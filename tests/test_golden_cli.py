@@ -1,6 +1,6 @@
 import math
 
-from tools.golden_cli import compare_file
+from tools.golden_cli import _differences, compare_file
 
 
 def test_csv_columns_scaled_by_their_largest_magnitude():
@@ -42,3 +42,15 @@ def test_stdout_number_by_number():
     assert changes == {"line 1": math.inf}
     changes, _ = compare_file("<stdout>", old, old + b"done\n")
     assert changes == {"<lines>": math.inf}
+
+
+def test_file_of_one_tree_reports_both_exits_and_stderr_tails():
+    # equal exit codes, so only the missing file tells the trees apart
+    before = {"raytrace_x": (0, {}, b"one\ntwo\nthree\nfour\nfive\nsix\n")}
+    after = {"raytrace_x": (0, {"rays.csv": b"a\n"}, b"")}
+    [(label, change)] = _differences(before, after, "abc123", numeric=False)
+    assert change == math.inf
+    assert label == ("raytrace_x: rays.csv written by one tree only (exit 0 at abc123, 0 now)"
+                     "\n  stderr at abc123:\n    | two\n    | three\n    | four"
+                     "\n    | five\n    | six"
+                     "\n  stderr now:\n    | (empty)")

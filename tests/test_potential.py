@@ -122,8 +122,9 @@ def test_far_field_entry_against_oracle():
 
 
 def test_diagonal_positive_and_symmetry_smoke(sphere4_densities, cylinder3_densities):
+    # the operator's own matrix is overwritten by its LU factors
     for densities in (sphere4_densities, cylinder3_densities):
-        matrix = densities.operator.matrix
+        matrix = assemble_single_layer(densities.mesh).matrix
         assert np.all(np.diag(matrix) > 0)
         asym = np.abs(matrix - matrix.T).max() / np.abs(matrix).max()
         assert asym < 0.15
@@ -197,6 +198,60 @@ def test_far_entries_are_areas_over_centroid_distances(sphere3, monkeypatch):
     assert np.array_equal(matrix[far], expected)
 
 
+@pytest.mark.parametrize("level", [3, 4])
+def test_regenerated_rows_equal_the_assembled_matrix(level):
+    mesh = make_body(Sphere(1.0), level)
+    op = assemble_single_layer(mesh)
+    matrix = op.matrix.copy()
+    op.factorize()
+    assert op.matrix is None
+    rows, moment = potential._row_block_products(op, np.eye(op.n))
+    assert moment is None
+    assert np.array_equal(rows, matrix)
+
+
+def _distance_moment_with_masks(operator, density):
+    """distance_moment as it was written when the operator kept its matrix:
+    each row block masks the whole near record."""
+    mesh = operator.mesh
+    weighted = density.values * mesh.areas
+    out = np.empty(mesh.n_triangles)
+    ii, jj, distance = operator.near
+    for i0, i1, dist in _centroid_distances(mesh):
+        rows = (ii >= i0) & (ii < i1)
+        dist[ii[rows] - i0, jj[rows]] = distance[rows] / 3.0
+        out[i0:i1] = dist @ weighted
+    return out
+
+
+def test_distance_moment_bitwise_as_with_masks(sphere3, monkeypatch):
+    monkeypatch.setattr(potential, "_ASSEMBLY_BLOCK", 100)
+    op = assemble_single_layer(sphere3)
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, op.n)
+    density = SurfaceDensity(values, sphere3)
+    assert np.array_equal(distance_moment(op, density),
+                          _distance_moment_with_masks(op, density))
+
+
+def test_expansion_checks_its_solves_in_two_passes(sphere3, monkeypatch):
+    # mu0 and mu1a share one pass with the distance moment, mu2 takes one
+    passes = []
+    blocks = potential._centroid_distances
+
+    def counted(mesh):
+        passes.append(mesh)
+        return blocks(mesh)
+
+    monkeypatch.setattr(potential, "_centroid_distances", counted)
+    densities = solve_expansion_densities(sphere3)
+    assert len(passes) == 2
+    z = sphere3.centroids[:, 2]
+    moment = _distance_moment_with_masks(densities.operator, densities.mu0)
+    data2 = -0.5 * z**2 - densities.mu1.integral() - 0.5 * moment
+    mu2 = solve_density(densities.operator, data2)
+    assert np.array_equal(mu2.values, densities.mu2.values)
+
+
 def test_near_pairs_found_once_per_expansion(sphere3, monkeypatch):
     # distance_moment reads the operator's near/far split
     calls = []
@@ -229,7 +284,7 @@ def test_kernel_homogeneity(factor):
 def test_solve_roundtrip(sphere4_densities):
     op = sphere4_densities.operator
     ones = np.ones(op.n)
-    density = solve_density(op, op.matrix @ ones)
+    density = solve_density(op, assemble_single_layer(op.mesh).matrix @ ones)
     assert np.abs(density.values - 1.0).max() < 1e-10
 
 
@@ -254,6 +309,45 @@ def test_singular_system_reports_condition(sphere3):
     op = dataclasses.replace(assemble_single_layer(sphere3), matrix=matrix)
     with pytest.raises(SolverError, match="rcond"):
         solve_density(op, np.ones(op.n))
+
+
+def test_non_finite_matrix_entry_raises_before_the_lu(sphere3):
+    for value in (np.nan, np.inf):
+        op = assemble_single_layer(sphere3)
+        op.matrix[7, 3] = value
+        with pytest.raises(SolverError, match="non-finite single-layer matrix"):
+            op.factorize()
+        assert op._lu is None
+
+
+def _offset_solves(monkeypatch, offsets):
+    """Make the LU solves return their solution plus the next offset."""
+    solve = potential.sla.lu_solve
+    offsets = iter(offsets)
+
+    def offset(lu, b, **kwargs):
+        return solve(lu, b, **kwargs) + next(offsets)
+
+    monkeypatch.setattr(potential.sla, "lu_solve", offset)
+
+
+def test_residual_check_refines_a_perturbed_density(sphere3, monkeypatch):
+    op = assemble_single_layer(sphere3)
+    g = -np.ones(op.n)
+    exact = solve_density(op, g).values
+    # the first solve is off by 1e-6, its refinement is exact
+    _offset_solves(monkeypatch, [1e-6, 0.0, 0.0])
+    (refined, _), moment = potential.solve_densities(op, [g, g], moment=True)
+    assert np.abs(refined.values - exact).max() < 1e-12
+    # the moment is taken again, of the refined mu0
+    assert np.array_equal(moment, distance_moment(op, refined))
+
+
+def test_residual_check_rejects_a_perturbed_density(sphere3, monkeypatch):
+    op = assemble_single_layer(sphere3)
+    _offset_solves(monkeypatch, [1e-6, 1e-6])
+    with pytest.raises(SolverError, match="solve residual"):
+        solve_density(op, -np.ones(op.n))
 
 
 def test_mu0_sphere_uniform(sphere4_densities):
@@ -324,9 +418,27 @@ def test_capacity_translation_far_from_origin(sphere4_densities):
     assert capacity(shifted) == pytest.approx(sphere4_densities.capacity, rel=1e-12)
 
 
-def test_dense_solve_estimate_covers_matrix_and_lu_copy():
+def test_dense_solve_estimate_covers_the_matrix():
     for n in (1, 320, 2048, 5120, 20480):
-        assert _dense_solve_bytes(n) >= 16 * n * n
+        assert _dense_solve_bytes(n) >= 8 * n * n
+
+
+def test_level_6_sphere_preflight_below_3_4_gib():
+    # the matrix is factorised in place: one 8 n^2 array, not two
+    mesh = make_body(Sphere(1.0), 6)
+    pairs = len(potential._near_pairs(mesh)[0])
+    assert _dense_solve_bytes(mesh.n_triangles, pairs) <= 3.4 * 2**30
+
+
+def test_level_4_traced_peak_below_one_and_a_half_matrices(sphere4):
+    n = sphere4.n_triangles
+    tracemalloc.start()
+    try:
+        solve_expansion_densities(sphere4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
 
 
 def test_dense_solve_estimate_covers_traced_peak(sphere4):
@@ -400,7 +512,7 @@ def test_mu1_combined_data_residual(sphere4_densities, ellipsoid4_densities):
         mesh = densities.mesh
         combined = densities.mu1.values
         data = -mesh.centroids[:, 2] + densities.capacity
-        residual = densities.operator.matrix @ combined - data
+        residual = assemble_single_layer(mesh).matrix @ combined - data
         assert np.abs(residual).max() / np.abs(data).max() < 1e-9
 
 

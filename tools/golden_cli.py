@@ -9,9 +9,10 @@ Each run has a fresh directory, a thread budget of N (default 1: the BLAS
 pools and the ray tracer run single-threaded) in ``OMP_NUM_THREADS``,
 ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS``, and the tree's absolute
 ``src`` as ``PYTHONPATH``.  The exit code and every file a run
-writes are compared, and so is a demo's stdout; stderr is not.  Each
-difference is printed, and the exit status is 1 if there is any, 0 if
-everything agrees.
+writes are compared, and so is a demo's stdout; stderr is not, but when a
+file is written by one tree only, both exit codes and the last lines of
+both stderrs are printed with it.  Each difference is printed, and the exit
+status is 1 if there is any, 0 if everything agrees.
 
 A refactor that is meant to keep the CLI's outputs byte-identical is checked
 with ``python tools/golden_cli.py <parent commit>``.
@@ -120,6 +121,9 @@ GOLDEN = {
     # the second starts mid-row, at row 327, column 272, and its rays bounce
     # up to five times
     "raytrace_dented_blocks": f"raytrace --mesh {DENTED} --grid 400 --out rays.csv",
+    # an odd grid: the centre column's ray lands on a concave crease, and its
+    # reflection steps off along the hit face's normal
+    "raytrace_dented_odd": f"raytrace --mesh {DENTED} --grid 255 --out rays.csv",
     "raytrace_edges": f"raytrace --mesh {EDGES} --grid 256 --out rays.csv",
     # an odd grid: the centre column lies at y = 0, in the plane of
     # icosphere edges, whose hits are retraced; at --threads 2 the two blocks
@@ -161,8 +165,8 @@ def _extract(rev: str, dest: Path) -> None:
 
 
 def _run(tree: Path, work: Path, meshes: Path, threads: int) -> dict:
-    """Exit code and output files (name -> bytes) of every config and demo;
-    a demo's stdout counts as its file ``<stdout>``."""
+    """Exit code, output files (name -> bytes) and stderr of every config
+    and demo; a demo's stdout counts as its file ``<stdout>``."""
     jobs = {name: ["-m", "hardscatter.cli", *command.split()]
             for name, command in {**GOLDEN, **ERRORS}.items()}
     demos = {f"demo {p.name}": [str(p)] for p in sorted((tree / "demos").glob("*.py"))}
@@ -178,8 +182,13 @@ def _run(tree: Path, work: Path, meshes: Path, threads: int) -> dict:
                  if p.name not in MESHES}
         if name in demos:
             files["<stdout>"] = proc.stdout
-        results[name] = (proc.returncode, files)
+        results[name] = (proc.returncode, files, proc.stderr)
     return results
+
+
+def _stderr_tail(stderr: bytes, lines: int = 5) -> str:
+    tail = stderr.decode(errors="replace").splitlines()[-lines:] or ["(empty)"]
+    return "".join(f"\n    | {line}" for line in tail)
 
 
 # a decimal number; "nan" and "inf" compare as text
@@ -289,7 +298,7 @@ def _differences(before: dict, after: dict, rev: str, numeric: bool) -> list:
     found = [(f"{name}: run by one tree only", math.inf)
              for name in sorted(before.keys() ^ after.keys())]
     for name in (name for name in before if name in after):
-        (code, files), (new_code, new_files) = before[name], after[name]
+        (code, files, err), (new_code, new_files, new_err) = before[name], after[name]
         if new_code != code:
             found.append((f"{name}: exit {code} at {rev}, {new_code} now", math.inf))
         if name in ERRORS and new_code != 2:
@@ -298,7 +307,10 @@ def _differences(before: dict, after: dict, rev: str, numeric: bool) -> list:
             if files.get(file) == new_files.get(file):
                 continue
             if file not in files or file not in new_files:
-                found.append((f"{name}: {file} written by one tree only", math.inf))
+                found.append((f"{name}: {file} written by one tree only "
+                              f"(exit {code} at {rev}, {new_code} now)"
+                              f"\n  stderr at {rev}:{_stderr_tail(err)}"
+                              f"\n  stderr now:{_stderr_tail(new_err)}", math.inf))
             elif not numeric:
                 found.append((f"{name}: {file} differs", math.inf))
             else:
@@ -329,7 +341,7 @@ def main(argv=None) -> int:
         before = _run(tmp / "rev", tmp / "runs_rev", tmp / "rev", args.threads)
         after = _run(ROOT, tmp / "runs_work", tmp / "rev", args.threads)
 
-    n_files = sum(len(files) for _, files in after.values())
+    n_files = sum(len(files) for _, files, _ in after.values())
     found = _differences(before, after, rev, numeric=args.rel is not None)
     if args.rel is None:
         for label, _ in found:
