@@ -28,17 +28,17 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # budget before numpy starts its thread pools.
 _EXPORTS = {
     "geometry": (
-        "CappedCylinder", "Ellipsoid", "MeshError", "Sphere", "TriMesh",
-        "load_mesh", "loads_mesh", "make_body", "mesh_volume", "reflect",
-        "save_mesh", "shadow_area",
+        "CappedCylinder", "Ellipsoid", "MeshError", "SolverError", "Sphere",
+        "TriMesh", "TrustRegionError", "load_mesh", "loads_mesh", "make_body",
+        "mesh_volume", "reflect", "save_mesh", "shadow_area",
     ),
     "potential": (
-        "SingleLayerOperator", "SolverError", "SurfaceDensity",
+        "SingleLayerOperator", "SurfaceDensity",
         "assemble_single_layer", "capacity", "mu0", "solve_density",
     ),
     "lowfreq": (
         "AmplitudeExpansion", "LowFreqFunctionals", "SphereQuadrature",
-        "TrustRegionError", "amplitude_expansion", "cross_sections_lowfreq",
+        "amplitude_expansion", "cross_sections_lowfreq",
         "d2_direct", "functionals", "make_quadrature",
         "solve_expansion_densities",
     ),

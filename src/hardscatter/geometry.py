@@ -20,6 +20,8 @@ __all__ = [
     "MeshTopologyError",
     "MeshOrientationError",
     "MeshDegeneracyError",
+    "SolverError",
+    "TrustRegionError",
     "TriMesh",
     "Sphere",
     "Ellipsoid",
@@ -73,6 +75,19 @@ class MeshOrientationError(MeshError):
 
 class MeshDegeneracyError(MeshError):
     """Triangle with (near-)zero area."""
+
+
+# The errors of the other engines live here too, beside MeshError, so that
+# the ray tracer (whose TrappingError is a SolverError) and the CLI can catch
+# them without importing scipy; potential and lowfreq re-export them.
+
+
+class SolverError(Exception):
+    """Dense solve failed: singular system or unacceptable residual."""
+
+
+class TrustRegionError(ValueError):
+    """k * diameter outside the validated range of the low-k expansion."""
 
 
 @dataclass(frozen=True)

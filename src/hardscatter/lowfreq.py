@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import write_csv
-from .geometry import TriMesh, mesh_volume
+from .geometry import TriMesh, TrustRegionError, mesh_volume
 from .potential import (
     SingleLayerOperator,
     SurfaceDensity,
@@ -57,10 +57,6 @@ TRUST_LIMIT = 0.5
 
 # Relative slack allowed in the inequality checks (discretization headroom).
 INEQUALITY_SLACK = 1e-3
-
-
-class TrustRegionError(ValueError):
-    """k * diameter outside the validated range of the expansion."""
 
 
 def check_trust_region(k: float, diameter: float) -> None:

@@ -22,7 +22,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 from scipy.spatial import cKDTree
 
-from .geometry import TriMesh, _dot3
+from .geometry import SolverError, TriMesh, _dot3
 
 __all__ = [
     "SolverError",
@@ -49,10 +49,6 @@ _NEAR_RULE = np.array([
 ])
 
 _ASSEMBLY_BLOCK = 256
-
-
-class SolverError(Exception):
-    """Dense solve failed: singular system or unacceptable residual."""
 
 
 @dataclass(frozen=True)

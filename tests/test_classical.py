@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -94,7 +95,8 @@ def octahedron() -> TriMesh:
 
 def brute_force_mesh_hit(mesh, origins, dirs, t_min, _retrace=True):
     """Reference first hit: Moller-Trumbore over every ray x triangle pair,
-    as the tracer ran it before its bounding-sphere cull."""
+    as the tracer ran it before its bounding-sphere cull.  Returns t, the
+    normals (zero for a miss) and the hit triangles."""
     p0, p1, p2 = mesh.corners()
     e1 = p1 - p0
     e2 = p2 - p0
@@ -147,7 +149,7 @@ def brute_force_mesh_hit(mesh, origins, dirs, t_min, _retrace=True):
         )
         if np.any(on_edge):
             nudge = 1e-9 * mesh.diameter * np.array([0.75487767, 0.65595059, 0.0])
-            t_re, n_re = brute_force_mesh_hit(
+            t_re, n_re, tri_re = brute_force_mesh_hit(
                 mesh, origins[on_edge] + nudge, dirs[on_edge], t_min, _retrace=False
             )
             # back onto the original ray, at the retraced triangle's plane
@@ -157,7 +159,32 @@ def brute_force_mesh_hit(mesh, origins, dirs, t_min, _retrace=True):
                            / np.einsum("ij,ij->i", n_back, dirs[on_edge][back]))
             t_best[on_edge] = t_re
             normal[on_edge] = n_re
-    return t_best, normal
+            tri_best[on_edge] = tri_re
+    return t_best, normal, tri_best
+
+
+def as_hits(origins, dirs, t, normal, tri):
+    """A reference's per-ray t, normals and triangles as the hits a kernel
+    returns: indices, hit points and normals, coordinate-major, and
+    triangles."""
+    idx = np.flatnonzero(np.isfinite(t))
+    pts = origins[idx] + t[idx, None] * dirs[idx]
+    return idx, pts.T, normal[idx].T, tri[idx]
+
+
+def assert_hits_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+
+
+def brute_force_supporting(mesh):
+    """Reference supporting flags: every vertex tested against every face."""
+    p0 = mesh.vertices[mesh.triangles[:, 0]]
+    return np.array([
+        np.all(classical._dot3(mesh.vertices - p0[f], mesh.normals[f])
+               <= 1e-12 * mesh.diameter)
+        for f in range(mesh.n_triangles)
+    ])
 
 
 def _row_form_nearest_root(aa, bb, cc, t_min, keep=None):
@@ -225,7 +252,8 @@ def _row_form_cylinder_hit(body, origins, dirs, t_min):
 def row_form_trace_block(body, lattice, z_start, t_min, bounce_cap):
     """Reference bounce loop: the tracer's block loop and analytic kernels
     on rows of 3-vectors, with einsum dot products, as they ran before the
-    rays went coordinate-major; meshes take the brute-force first hit."""
+    rays went coordinate-major; meshes take the brute-force first hit.  It
+    runs every pass, to the first without a hit: no ray is done early."""
     kernels = {Sphere: _row_form_sphere_hit, Ellipsoid: _row_form_ellipsoid_hit,
                CappedCylinder: _row_form_cylinder_hit, TriMesh: brute_force_mesh_hit}
     first_hit = kernels[type(body)]
@@ -236,7 +264,7 @@ def row_form_trace_block(body, lattice, z_start, t_min, bounce_cap):
     dirs[:, 2] = 1.0
     ray, o, d = np.arange(n), origins, dirs
     for bounce in range(bounce_cap + 1):
-        t, normal = first_hit(body, o, d, t_min)
+        t, normal = first_hit(body, o, d, t_min)[:2]
         hit = np.isfinite(t)
         ray = ray[hit]
         if bounce == 0:
@@ -305,9 +333,10 @@ def test_energy_conservation():
         assert np.abs(norms - 1.0).max() < 1e-12, name
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    shape=st.sampled_from(["sphere", "ellipsoid", "cylinder", "dented"]),
+    shape=st.sampled_from(["sphere", "ellipsoid", "cylinder", "dented", "groove",
+                           "sharp_groove", "icosphere"]),
     dims=st.tuples(*[st.floats(0.05, 20.0)] * 3),
     grid=st.integers(64, 160),
     start=st.floats(0.0, 1.0),
@@ -316,10 +345,18 @@ def test_energy_conservation():
 def test_trace_block_matches_the_row_form(shape, dims, grid, start, size):
     # the coordinate-major bounce loop and kernels give the row-form loop's
     # directions, pass count and histogram counts bit for bit, on blocks
-    # that start and end mid-row
+    # that start and end mid-row; the row form runs every pass, so a ray
+    # that the tracer drops after a front hit on a supporting face must
+    # miss on every later pass.  The groove prisms take odd grids, whose
+    # centre column meets the notch's apex, where rays slip through the
+    # crease and meet faces from behind.
     body = {"sphere": lambda: Sphere(dims[0]), "ellipsoid": lambda: Ellipsoid(*dims),
             "cylinder": lambda: CappedCylinder(dims[0], dims[1]),
-            "dented": lambda: INVARIANCE_BODIES["dented"][0]}[shape]()
+            "dented": lambda: INVARIANCE_BODIES["dented"][0],
+            "groove": groove_prism, "sharp_groove": lambda: groove_prism(0.05),
+            "icosphere": lambda: make_body(Ellipsoid(*dims), 3)}[shape]()
+    if "groove" in shape:
+        grid |= 1
     ((x0, x1), (y0, y1), z_low), scale = classical._body_box(body)
     cells = (np.arange(grid) + 0.5) / grid
     first = int(start * (grid * grid - 1))
@@ -531,9 +568,11 @@ def test_cylinder_kernel_side_caps_and_miss():
     ]
     origins = np.array([r[0] for r in rays])
     dirs = np.array([r[1] for r in rays])
-    t, normal = classical._cylinder_hit(body, origins, dirs, 1e-9)
-    assert t == pytest.approx([r[2] for r in rays], rel=1e-14)
-    assert normal == pytest.approx(np.array([r[3] for r in rays]), abs=1e-14)
+    idx, pts, normal = classical._cylinder_hit(body, origins, dirs, 1e-9)
+    assert list(idx) == [0, 1, 2, 3]
+    t = np.array([r[2] for r in rays[:4]])
+    assert pts.T == pytest.approx(origins[:4] + t[:, None] * dirs[:4], rel=1e-14)
+    assert normal.T == pytest.approx(np.array([r[3] for r in rays[:4]]), abs=1e-14)
 
 
 _SPHERE3 = make_body(Sphere(1.0), 3)
@@ -592,22 +631,58 @@ def test_cull_never_changes_a_hit(body, kind, grid, seed):
         if kind == "reflected":
             # the second bounce pass of a trace: specular reflections
             # leaving the first hits
-            t, normal = brute_force_mesh_hit(mesh, origins, dirs, t_min)
+            t, normal, _ = brute_force_mesh_hit(mesh, origins, dirs, t_min)
             hit = np.isfinite(t)
             pts = origins[hit] + t[hit, None] * dirs[hit]
             n_hat = normal[hit]
             d = dirs[hit]
             dirs = d - 2.0 * np.einsum("ij,ij->i", d, n_hat)[:, None] * n_hat
             origins = pts + t_min * n_hat
-    # without the edge retrace, ties in t show the lowest-triangle rule; a
-    # small pair budget makes a ray's candidate pairs straddle two batches
-    for retrace in (True, False):
-        t_ref, n_ref = brute_force_mesh_hit(mesh, origins, dirs, t_min, retrace)
-        for budget in (classical._PAIR_BUDGET, 997):
-            t_new, n_new = classical._mesh_hit(mesh, origins, dirs, t_min, retrace,
-                                               pair_budget=budget, lattice=lattice)
-            assert np.array_equal(t_new, t_ref)
-            assert np.array_equal(n_new, n_ref)
+    # without the edge retrace (_closest_triangles), ties in t show the
+    # lowest-triangle rule; a small pair budget makes a ray's candidate
+    # pairs straddle two batches
+    want = as_hits(origins, dirs, *brute_force_mesh_hit(mesh, origins, dirs, t_min))
+    t_ref, _, tri_ref = brute_force_mesh_hit(mesh, origins, dirs, t_min, False)
+    hit = np.isfinite(t_ref)
+    for budget in (classical._PAIR_BUDGET, 997):
+        assert_hits_equal(classical._mesh_hit(mesh, origins, dirs, t_min,
+                                              pair_budget=budget, lattice=lattice), want)
+        t, tri, _, _ = classical._closest_triangles(mesh, origins, dirs, t_min, budget,
+                                                    lattice)
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(tri[hit], tri_ref[hit])
+
+
+SUPPORT_BODIES = {
+    **CULL_BODIES,
+    "dented": dented_sphere(1.37)[0],
+    "sharp_groove": groove_prism(0.05),
+    "octahedron": octahedron(),
+    "cylinder3": make_body(CappedCylinder(1.0, 2.0), 3),
+}
+
+
+@pytest.mark.parametrize("turn", [False, True])
+@pytest.mark.parametrize("name", sorted(SUPPORT_BODIES))
+def test_supporting_flags_match_a_test_of_every_vertex(name, turn):
+    # the box tree passes over only leaves whose every vertex passes the
+    # per-vertex test, so the flags equal a test of every vertex against
+    # every face, bit for bit; also turned, shrunk and moved off the origin,
+    # where the vertices of a flat face round to either side of its plane
+    mesh = SUPPORT_BODIES[name]
+    if turn:
+        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+        mesh = TriMesh.from_arrays(mesh.vertices @ q.T * 1e-3 + 1e3, mesh.triangles)
+    want = brute_force_supporting(mesh)
+    if not turn:
+        assert want.all() == (name not in ("dented", "groove", "sharp_groove"))
+    supporting = classical._SupportingFaces(mesh)
+    faces = np.random.default_rng(0).permutation(mesh.n_triangles)
+    got = np.concatenate([supporting(faces[i:i + 97]) for i in range(0, len(faces), 97)])
+    assert np.array_equal(got, want[faces])
+    # asked again, in another order and with repeats, a face keeps its flag
+    again = np.repeat(np.arange(mesh.n_triangles), 2)
+    assert np.array_equal(supporting(again), want[again])
 
 
 @pytest.mark.parametrize("budget", [classical._PAIR_BUDGET, 997, 7])
@@ -721,19 +796,22 @@ def test_degenerate_pairs_match_brute_force(shear, shift):
     cases = [(origins @ linear.T + shift, dirs @ linear.T, None), _dyadic_lattice(shift)]
     t_min = 1e-9 * mesh.diameter
     for origins, dirs, lattice in cases:
-        for retrace in (True, False):
-            # the reference warns: it keeps the inf barycentrics of its misses
-            with np.errstate(invalid="ignore"):
-                t_ref, n_ref = brute_force_mesh_hit(mesh, origins, dirs, t_min, retrace)
-            assert np.isfinite(t_ref).any() and not np.isfinite(t_ref).all()
-            for budget in (classical._PAIR_BUDGET, 7):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    t_new, n_new = classical._mesh_hit(mesh, origins, dirs, t_min,
-                                                       retrace, pair_budget=budget,
-                                                       lattice=lattice)
-                assert np.array_equal(t_new, t_ref)
-                assert np.array_equal(n_new, n_ref)
+        # the reference warns: it keeps the inf barycentrics of its misses
+        with np.errstate(invalid="ignore"):
+            want = as_hits(origins, dirs, *brute_force_mesh_hit(mesh, origins, dirs, t_min))
+            t_ref, _, tri_ref = brute_force_mesh_hit(mesh, origins, dirs, t_min, False)
+        hit = np.isfinite(t_ref)
+        assert hit.any() and not hit.all()
+        for budget in (classical._PAIR_BUDGET, 7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = classical._mesh_hit(mesh, origins, dirs, t_min, pair_budget=budget,
+                                          lattice=lattice)
+                t, tri, _, _ = classical._closest_triangles(mesh, origins, dirs, t_min,
+                                                            budget, lattice)
+            assert_hits_equal(got, want)
+            assert np.array_equal(t, t_ref)
+            assert np.array_equal(tri[hit], tri_ref[hit])
 
 
 @settings(max_examples=60, deadline=None)
@@ -863,6 +941,38 @@ def test_trace_does_not_depend_on_the_thread_budget(budget, monkeypatch, name):
             assert np.asarray(a).dtype == np.asarray(b).dtype, (name, n)
 
 
+def test_threads_share_the_supporting_flags(budget, monkeypatch):
+    # the blocks of a trace share one _SupportingFaces.  With more threads
+    # than CPUs, small blocks and a short switch interval, threads compute
+    # the flags of the same faces at once; the trace and the kept flags stay
+    # those of one thread
+    made = []
+
+    class Recording(classical._SupportingFaces):
+        def __init__(self, mesh):
+            super().__init__(mesh)
+            made.append(self)
+
+    monkeypatch.setattr(classical, "_SupportingFaces", Recording)
+    body = INVARIANCE_BODIES["dented"][0]
+    budget(1)
+    want = trace(body, 128)
+    budget(6, 257)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = trace(body, 128)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(_fields(got), _fields(want), strict=True):
+        assert np.array_equal(a, b)
+    assert len(made) == 2
+    flags = made[-1].flags
+    known = np.flatnonzero(flags >= 0)
+    assert len(known) > 100
+    assert np.array_equal(flags[known] == 1, brute_force_supporting(body)[known])
+
+
 @pytest.mark.parametrize("cap", [0, 1, 2])
 def test_trapping_does_not_depend_on_the_thread_budget(budget, cap):
     # the first block that traps reports its first trapped ray; of four
@@ -912,34 +1022,98 @@ def test_trace_splits_each_chunk_into_blocks(budget, monkeypatch):
 
 def test_first_hit_arguments_show_the_bounce_passes(budget, monkeypatch):
     # the benchmark's tracer reads the bounce passes off _first_hit's
-    # arguments: a pass whose directions all have z exactly 1.0 starts a
-    # block, and len(origins) is the number of live rays.  Each block's
-    # first pass takes all its rays along +z; each later pass takes the
-    # rays that hit on the pass before, reflected.
+    # arguments and result: a pass whose directions all have z exactly 1.0
+    # starts a block, len(origins) is the number of live rays, and the
+    # finite entries of result[0] count the hits.  Each block's first pass
+    # takes all its rays along +z; each later pass takes the rays that hit
+    # on the pass before, reflected, less those that met a supporting face
+    # from its front; a block ends on a pass that carries no ray on.
     calls = []
     first_hit = classical._first_hit
+    dented = INVARIANCE_BODIES["dented"][0]
+    flags = brute_force_supporting(dented)
 
     def record(body, origins, dirs, t_min, lattice=None):
         result = first_hit(body, origins, dirs, t_min, lattice=lattice)
+        idx, _, normals, faces = result
+        front = classical._dot3(dirs[idx], normals.T) < 0.0
+        done = front if faces is None else front & flags[faces]
         calls.append((lattice, len(origins), bool(np.all(dirs[:, 2] == 1.0)),
-                      int(np.count_nonzero(np.isfinite(result[0])))))
+                      int(np.count_nonzero(np.isfinite(result[0]))),
+                      len(idx) - int(np.count_nonzero(done))))
         return result
 
     monkeypatch.setattr(classical, "_first_hit", record)
     # one thread: the blocks' passes come one block after the other
     budget(1, 4099)
-    for body, grid in ((Sphere(1.0), 128), (INVARIANCE_BODIES["dented"][0], 128)):
+    for body, grid in ((Sphere(1.0), 128), (dented, 128)):
         calls.clear()
         trace(body, grid)
         blocks = [i for i, call in enumerate(calls) if call[0] is not None]
         assert [calls[i][0][2:] for i in blocks] == [
             (first, min(4099, grid * grid - first)) for first in range(0, grid * grid, 4099)]
-        for i, (lattice, n, along_z, hits) in enumerate(calls):
+        for i, (lattice, n, along_z, hits, carried) in enumerate(calls):
             if lattice is not None:
                 assert along_z and n == lattice[3]
             else:
-                assert not along_z and n == calls[i - 1][3]
-        assert len(calls) > len(blocks)
+                assert not along_z and n == calls[i - 1][4]
+            if i + 1 == len(calls) or calls[i + 1][0] is not None:
+                assert carried == 0
+        # the dented body's pits reflect rays more than once
+        assert (len(calls) > len(blocks)) == (body is dented)
+
+
+@pytest.mark.parametrize("name", ["dented", "groove", "sharp_groove", "icosphere",
+                                  "split_cube"])
+@pytest.mark.parametrize("grid", [65, 255])
+def test_a_done_ray_misses_on_every_later_pass(monkeypatch, name, grid):
+    # the tracer drops a ray after a front hit on a supporting face; when no
+    # face counts as supporting, every pass runs to the first without a hit,
+    # and the trace is the same bit for bit.  At these odd grids rays slip
+    # through the grooves' apex and meet faces from behind, where a rule
+    # without the front side would drop them.  (The analytic bodies, every
+    # point of which is supporting, are held to the row form, which runs
+    # every pass, in test_trace_block_matches_the_row_form.)
+    body = {"dented": INVARIANCE_BODIES["dented"][0], "groove": groove_prism(),
+            "sharp_groove": groove_prism(0.05), "icosphere": _SPHERE3,
+            "split_cube": diagonal_cube()}[name]
+    got = trace(body, grid)
+
+    class NoneSupporting(classical._SupportingFaces):
+        def __call__(self, faces):
+            return np.zeros(len(faces), dtype=bool)
+
+    monkeypatch.setattr(classical, "_SupportingFaces", NoneSupporting)
+    want = trace(body, grid)
+    for a, b in zip(_fields(got), _fields(want), strict=True):
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("name", ["sphere", "ellipsoid", "cylinder", "icosphere",
+                                  "pinwheel", "split_cube", "octahedron"])
+def test_convex_bodies_take_one_pass_per_block(budget, monkeypatch, name):
+    # on a convex body every face is supporting and every ray hits from the
+    # front, so each block's rays are done after one reflection, and
+    # _first_hit is called once per block; the trace still reports one
+    # bounce and the rays that hit
+    body = {"sphere": Sphere(1.0), "ellipsoid": Ellipsoid(1.5, 1.0, 0.7),
+            "cylinder": CappedCylinder(1.0, 2.0), "icosphere": _SPHERE3,
+            "pinwheel": pinwheel_cube(1), "split_cube": diagonal_cube(),
+            "octahedron": octahedron()}[name]
+    calls = []
+    first_hit = classical._first_hit
+
+    def record(body, origins, dirs, t_min, lattice=None):
+        calls.append(lattice)
+        return first_hit(body, origins, dirs, t_min, lattice=lattice)
+
+    monkeypatch.setattr(classical, "_first_hit", record)
+    budget(2, 1021)
+    result = trace(body, 129)
+    assert len(calls) == -(-129 * 129 // 1021)
+    assert all(lattice is not None for lattice in calls)
+    assert result.max_bounces_seen == 1
+    assert result.rays_hit > 0
 
 
 def test_trace_memory_follows_the_chunk_not_the_grid(budget, monkeypatch):
@@ -948,12 +1122,17 @@ def test_trace_memory_follows_the_chunk_not_the_grid(budget, monkeypatch):
     # the lattice cull builds a block's pairs a group of triangles at a
     # time, from the rows the block holds, so the octahedron's faces, whose
     # boxes each span a quadrant of the grid, cost no more memory at a finer
-    # grid either.
+    # grid either; and the later passes' sphere cull yields its pairs a
+    # block of rays at a time, so the groove prism, whose notch sends half
+    # the rays into second and third passes, does not either.  Its grids
+    # are coarser, as its large faces make every notch ray a candidate of
+    # most of them; at each, some chunks hold only notch rays.
     budget(1)
     monkeypatch.setattr(classical, "_RAY_CHUNK", 65536)
-    for body in (Sphere(1.0), octahedron()):
+    for body, grids in ((Sphere(1.0), (512, 1024, 2048)), (octahedron(), (512, 1024, 2048)),
+                        (groove_prism(), (384, 512, 640))):
         peaks = []
-        for grid in (512, 1024, 2048):
+        for grid in grids:
             tracemalloc.start()
             try:
                 trace(body, grid)
@@ -986,7 +1165,7 @@ def test_trace_matches_the_brute_force_oracle(budget, monkeypatch, name):
     with monkeypatch.context() as m:
         m.setattr(classical, "_mesh_hit",
                   lambda mesh, origins, dirs, t_min, **_:
-                  brute_force_mesh_hit(mesh, origins, dirs, t_min))
+                  as_hits(origins, dirs, *brute_force_mesh_hit(mesh, origins, dirs, t_min)))
         budget(1)
         want = trace(body, grid)
     for result in got:

@@ -1,5 +1,7 @@
 import math
 
+import numpy as np
+
 from tools.golden_cli import _differences, compare_file
 
 
@@ -54,3 +56,14 @@ def test_file_of_one_tree_reports_both_exits_and_stderr_tails():
                      "\n  stderr at abc123:\n    | two\n    | three\n    | four"
                      "\n    | five\n    | six"
                      "\n  stderr now:\n    | (empty)")
+
+
+def test_groove_literal_is_the_tests_groove_prism():
+    from hardscatter.geometry import loads_mesh
+    from test_classical import groove_prism
+
+    from tools.golden_cli import GROOVE_OFF
+
+    mesh, want = loads_mesh(GROOVE_OFF), groove_prism()
+    assert np.array_equal(mesh.vertices, want.vertices)
+    assert np.array_equal(mesh.triangles, want.triangles)

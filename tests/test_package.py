@@ -39,3 +39,20 @@ def test_demos_run(tmp_path):
         for proc in procs:
             proc.kill()
             proc.wait()
+
+
+def test_tracer_loads_no_scipy(tmp_path):
+    # the errors the tracer raises and the CLI catches live in geometry, so
+    # importing the tracer, and a raytrace run on an analytic body, load no
+    # scipy
+    code = ("import sys\n"
+            "import hardscatter.classical\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+            "from hardscatter.cli import main\n"
+            "code = main(['raytrace', '--body', 'sphere:1', '--grid', '64',"
+            " '--out', 'rays.csv'])\n"
+            "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            cwd=tmp_path, env=cli_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "0 []"]

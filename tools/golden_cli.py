@@ -49,15 +49,17 @@ ROOT = Path(__file__).resolve().parents[1]
 # copied into every run directory, so both trees read the same bytes: a
 # level-3 icosphere, a level-5 one (5120 triangles) and the benchmark's
 # dented sphere, whose pits reflect rays up to five times, all written by
-# the REV tree (from its root, so that its perfbench imports); and a unit
-# cube with every face split along a diagonal, written from SPLIT_CUBE_OFF,
-# where the 256 grid rays on the diagonal land exactly on the lit face's
-# split edge and are retraced
+# the REV tree (from its root, so that its perfbench imports); a unit cube
+# with every face split along a diagonal, written from SPLIT_CUBE_OFF, where
+# the 256 grid rays on the diagonal land exactly on the lit face's split
+# edge and are retraced; and a prism with a V-notch in its bottom face,
+# written from GROOVE_OFF, whose notch apex is a concave crease
 MESH = "sphere3.off"
 MESH5 = "sphere5.off"
 DENTED = "dented.off"
 EDGES = "split_cube.off"
-MESHES = (MESH, MESH5, DENTED, EDGES)
+GROOVE = "groove.off"
+MESHES = (MESH, MESH5, DENTED, EDGES, GROOVE)
 MAKE_MESH = ("from hardscatter.geometry import Sphere, make_body, save_mesh; "
              "from perfbench.workloads import dented_sphere; "
              f"save_mesh(make_body(Sphere(1.0), 3), {MESH!r}); "
@@ -85,6 +87,49 @@ SPLIT_CUBE_OFF = """OFF
 3 0 7 3
 3 1 2 6
 3 1 6 5
+"""
+# an extruded heptagon, 2 wide and 1 deep, whose bottom face has a V-notch
+# 1 wide and 0.9 high
+GROOVE_OFF = """OFF
+14 24 0
+-1 -0.5 0
+-0.5 -0.5 0
+0 -0.5 0.90000000000000002
+0.5 -0.5 0
+1 -0.5 0
+1 -0.5 1
+-1 -0.5 1
+-1 0.5 0
+-0.5 0.5 0
+0 0.5 0.90000000000000002
+0.5 0.5 0
+1 0.5 0
+1 0.5 1
+-1 0.5 1
+3 0 8 1
+3 0 7 8
+3 1 9 2
+3 1 8 9
+3 2 10 3
+3 2 9 10
+3 3 11 4
+3 3 10 11
+3 4 12 5
+3 4 11 12
+3 5 13 6
+3 5 12 13
+3 6 7 0
+3 6 13 7
+3 0 1 6
+3 7 13 8
+3 1 2 6
+3 8 13 9
+3 2 5 6
+3 9 13 12
+3 2 3 5
+3 9 12 10
+3 3 4 5
+3 10 12 11
 """
 
 GOLDEN = {
@@ -130,9 +175,12 @@ GOLDEN = {
     # of the 65025 rays split mid-row, at 32513 = 127 * 255 + 128
     "raytrace_mesh_odd": f"raytrace --mesh {MESH} --grid 255 --out rays.csv",
     # 5120 triangles: each block's first pass cuts its pairs into many
-    # triangle groups, and the later passes' sphere cull takes blocks of
-    # _MIN_BLOCK_RAYS rays, at any thread count
+    # triangle groups; the body is convex, so every ray is done after it
     "raytrace_mesh5": f"raytrace --mesh {MESH5} --grid 256 --out rays.csv",
+    # an odd grid: the centre column's rays land on the notch's apex and
+    # some slip through it, to meet the top face from behind; a ray is done
+    # only after it meets a supporting face from the front
+    "raytrace_groove_odd": f"raytrace --mesh {GROOVE} --grid 255 --out rays.csv",
 }
 # config errors: each must exit 2 in both trees
 ERRORS = {
@@ -338,6 +386,7 @@ def main(argv=None) -> int:
         subprocess.run([sys.executable, "-c", MAKE_MESH], cwd=tmp / "rev",
                        env=_env(tmp / "rev", 1), check=True)
         (tmp / "rev" / EDGES).write_text(SPLIT_CUBE_OFF, encoding="utf-8")
+        (tmp / "rev" / GROOVE).write_text(GROOVE_OFF, encoding="utf-8")
         before = _run(tmp / "rev", tmp / "runs_rev", tmp / "rev", args.threads)
         after = _run(ROOT, tmp / "runs_work", tmp / "rev", args.threads)
 
