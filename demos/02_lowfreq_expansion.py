@@ -2,8 +2,8 @@
 
 At k = 0 scattering off a hard body is isotropic with sigma = sigma_T =
 4 pi C^2.  The order-k^2 gap sigma - sigma_T = d2 k^2 is computed two ways
-(direction quadrature and the closed form in the surface functionals) and
-checked against the capacity-volume lower bound (2/3) C V.
+(from the density moments and from the surface functionals) and checked
+against the capacity-volume lower bound (2/3) C V.
 """
 
 import numpy as np

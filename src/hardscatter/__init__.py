@@ -38,9 +38,8 @@ _EXPORTS = {
     ),
     "lowfreq": (
         "AmplitudeExpansion", "LowFreqFunctionals", "SphereQuadrature",
-        "amplitude_expansion", "cross_sections_lowfreq",
-        "d2_direct", "functionals", "make_quadrature",
-        "solve_expansion_densities",
+        "amplitude_expansion", "cross_sections_lowfreq", "functionals",
+        "make_quadrature", "solve_expansion_densities",
     ),
     "sphere_oracle": (
         "CrossSections", "PhaseShiftTable", "amplitude", "cross_sections",

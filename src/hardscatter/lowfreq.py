@@ -7,22 +7,25 @@ O(k^3)`` with real coefficients built from the layer densities:
     f1(q) = integral mu1 - integral (p.q) mu0
     f2(q) = integral mu2 - integral (p.q) mu1 + (1/2) integral (p.q)^2 mu0
 
-from which ``|f|^2 = f0^2 + k^2 (f1^2 - 2 f0 f2) + O(k^4)``.  The total and
-transport cross sections follow by quadrature over directions, and their
-gap is ``sigma - sigma_T = d2 * k^2`` with
+from which ``|f|^2 = f0^2 + k^2 (f1^2 - 2 f0 f2) + O(k^4)``.  Its integrals
+over directions are closed forms in a few density moments (Kleinman 1965;
+Dassios & Kleinman 2000); a direction rule samples f1 and f2 for the CSV
+only.  The gap is ``sigma - sigma_T = d2 * k^2`` with
 
-    d2 = integral cos(theta) (f1^2 - 2 f0 f2) dq.
+    d2 = integral cos(theta) (f1^2 - 2 f0 f2) dq = (8 pi / 3) (f0 P1_z - m1 P0_z).
 
-The closed form of the same coefficient is ``-(8 pi / 3) (C Z1 + K^2)``
-where ``K = integral z mu0`` and ``Z1 = integral z mu1a``; the analogous
-expression with prefactor 4 pi / 3 is also evaluated and reported for
-comparison, but the quadrature value is authoritative (both the analytic
-sphere densities and the partial-wave series confirm the 8 pi / 3 form).
+The surface functionals give ``-(8 pi / 3) (C Z1 + K^2)``, with ``K =
+integral z mu0`` and ``Z1 = integral z mu1a``; it differs from d2 by
+``-(8 pi / 3) K (integral mu1a - K)``, zero in the continuum and when K = 0.
+The analogous expression with prefactor 4 pi / 3 is reported for comparison
+(both the analytic sphere densities and the partial-wave series confirm the
+8 pi / 3 form).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +51,6 @@ __all__ = [
     "AmplitudeExpansion",
     "amplitude_expansion",
     "cross_sections_lowfreq",
-    "d2_direct",
     "amplitude_to_csv",
 ]
 
@@ -80,13 +82,6 @@ class SphereQuadrature:
     weights: np.ndarray  # (N,) positive
     n_theta: int
     n_phi: int
-
-    @property
-    def cos_theta(self) -> np.ndarray:
-        return self.nodes[:, 2]
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.sum(self.weights * values))
 
 
 def make_quadrature(n_theta: int = 64, n_phi: int = 128) -> SphereQuadrature:
@@ -150,11 +145,10 @@ class LowFreqFunctionals:
     ``k_moment`` is ``integral z mu0`` (also ``integral mu1a``),
     ``z1_moment`` is ``integral z mu1a``, and ``exterior_energy`` is the
     Dirichlet energy of the exterior field with boundary value -z, namely
-    ``-4 pi z1_moment - volume``.  ``d2`` is the quadrature (authoritative)
-    order-k^2 coefficient of sigma - sigma_T; the closed forms
-    ``d2_formula_corrected = -(8 pi / 3) (C Z1 + K^2)`` and
-    ``d2_formula_paper = -(4 pi / 3) (C Z1 + K^2)`` (reported only) are kept
-    alongside for comparison.
+    ``-4 pi z1_moment - volume``.  ``d2`` is :attr:`AmplitudeExpansion.d2`;
+    ``d2_formula_corrected = -(8 pi / 3) (C Z1 + K^2)``, equal to it only
+    when K = 0 (see the module docstring), and ``d2_formula_paper =
+    -(4 pi / 3) (C Z1 + K^2)`` (reported only) are kept for comparison.
 
     Forward exceeds backscattering at order k^2: ``cs_margin`` is
     ``C * M / (4 pi) - K^2`` (Cauchy-Schwarz, must be nonnegative up to
@@ -208,7 +202,7 @@ def functionals(
     z1_moment = densities.mu1a.moment(z)
     volume = mesh_volume(mesh)
     energy = -4.0 * np.pi * z1_moment - volume
-    d2 = d2_direct(amp)
+    d2 = amp.d2
     base = cap * z1_moment + k_moment**2
     cs_margin = cap * energy / (4.0 * np.pi) - k_moment**2
     cs_scale = abs(cap * energy / (4.0 * np.pi)) + k_moment**2
@@ -234,68 +228,67 @@ def functionals(
 
 @dataclass(frozen=True)
 class AmplitudeExpansion:
-    """Expansion coefficients sampled on a sphere quadrature.
+    """The density moments the expansion coefficients are made of.
 
-    ``f0`` is constant (-capacity); ``f1`` and ``f2`` hold one value per
-    quadrature node.
+    ``f0`` is constant (-capacity), ``m1`` and ``m2`` are the integrals of
+    mu1 and mu2, ``P0`` and ``P1`` the first moments of mu0 and mu1, and
+    ``Q0`` the second moment of mu0.  ``f1`` and ``f2`` hold one value per
+    node of ``quad``, sampled on first read.
     """
 
     f0: float
-    f1: np.ndarray
-    f2: np.ndarray
+    m1: float
+    m2: float
+    P0: np.ndarray  # (3,)
+    P1: np.ndarray  # (3,)
+    Q0: np.ndarray  # (3, 3)
     quad: SphereQuadrature
     mesh: TriMesh
+
+    @cached_property
+    def f1(self) -> np.ndarray:
+        return self.m1 - self.quad.nodes @ self.P0
+
+    @cached_property
+    def f2(self) -> np.ndarray:
+        q = self.quad.nodes
+        return self.m2 - q @ self.P1 + 0.5 * np.einsum("ni,ij,nj->n", q, self.Q0, q)
+
+    @property
+    def d2(self) -> float:
+        """Order-k^2 coefficient of sigma - sigma_T."""
+        return float(8.0 * np.pi / 3.0 * (self.f0 * self.P1[2] - self.m1 * self.P0[2]))
 
 
 def amplitude_expansion(
     densities: ExpansionDensities, quad: SphereQuadrature
 ) -> AmplitudeExpansion:
-    """Evaluate f0, f1(q), f2(q) at every quadrature node.
-
-    The direction dependence enters only through moments of the densities
-    against 1, p, and p p^T, so the node evaluation is a couple of small
-    matrix products.
-    """
+    """The moments of the densities against 1, p and p p^T; f1 and f2 are
+    sampled at the nodes of ``quad`` only when read."""
     mesh = densities.mesh
     cent = mesh.centroids
     areas = mesh.areas
     w0 = densities.mu0.values * areas
     w1 = densities.mu1.values * areas
-    f0 = float(np.sum(w0))
-    moment1_total = float(np.sum(w1))
-    moment0_p = w0 @ cent
-    moment1_p = w1 @ cent
-    moment0_pp = cent.T @ (cent * w0[:, None])
-    moment2_total = densities.mu2.integral()
-    q = quad.nodes
-    f1 = moment1_total - q @ moment0_p
-    f2 = (
-        moment2_total
-        - q @ moment1_p
-        + 0.5 * np.einsum("ni,ij,nj->n", q, moment0_pp, q)
-    )
-    return AmplitudeExpansion(f0, f1, f2, quad, mesh)
+    return AmplitudeExpansion(
+        f0=float(np.sum(w0)), m1=float(np.sum(w1)), m2=densities.mu2.integral(),
+        P0=w0 @ cent, P1=w1 @ cent, Q0=cent.T @ (cent * w0[:, None]),
+        quad=quad, mesh=mesh)
 
 
 def cross_sections_lowfreq(amp: AmplitudeExpansion, k: float) -> tuple[float, float]:
-    """Total and transport cross sections from the truncated expansion.
-
-    Valid only for ``k * diameter <= 0.5``; outside that a
-    :class:`TrustRegionError` is raised so callers fall back to an exact
-    solution or refuse.
+    """Total and transport cross sections from the truncated expansion, in
+    closed form: over directions q, ``integral q_i q_j dq = (4 pi / 3)
+    delta_ij`` and odd products integrate to 0.  Valid only for ``k *
+    diameter <= 0.5``; outside that a :class:`TrustRegionError` is raised
+    so callers fall back to an exact solution or refuse.
     """
     check_trust_region(k, amp.mesh.diameter)
-    intensity = amp.f0**2 + k**2 * (amp.f1**2 - 2.0 * amp.f0 * amp.f2)
-    sigma = amp.quad.integrate(intensity)
-    sigma_t = amp.quad.integrate((1.0 - amp.quad.cos_theta) * intensity)
-    return sigma, sigma_t
-
-
-def d2_direct(amp: AmplitudeExpansion) -> float:
-    """Order-k^2 coefficient of sigma - sigma_T, by direct quadrature of
-    ``cos(theta) (f1^2 - 2 f0 f2)``.  This is the authoritative value."""
-    ct = amp.quad.cos_theta
-    return amp.quad.integrate(ct * (amp.f1**2 - 2.0 * amp.f0 * amp.f2))
+    f0 = amp.f0
+    f1_sq_mean = amp.m1**2 + float(amp.P0 @ amp.P0) / 3.0
+    f2_mean = amp.m2 + float(np.trace(amp.Q0)) / 6.0
+    sigma = 4.0 * np.pi * (f0**2 + k**2 * (f1_sq_mean - 2.0 * f0 * f2_mean))
+    return sigma, sigma - k**2 * amp.d2
 
 
 def amplitude_to_csv(amp: AmplitudeExpansion, path, header_lines=()) -> None:

@@ -301,27 +301,30 @@ def cross_sections(table: PhaseShiftTable) -> CrossSections:
     return CrossSections(table.k, sigma, sigma_t, optical, table)
 
 
+def _gap(delta: np.ndarray, k):
+    """sigma - sigma_T from the phase shifts delta_0..delta_L (one column
+    per k if 2-D) by its own series, which does not cancel:
+    (4 pi / k^2) sum 2(l+1) sin(delta_l) sin(delta_{l+1}) cos(delta_l -
+    delta_{l+1})."""
+    terms = np.sin(delta[:-1]) * np.sin(delta[1:]) * np.cos(delta[:-1] - delta[1:])
+    return 4.0 * np.pi / k**2 * np.tensordot(2 * np.arange(1, len(delta)), terms, axes=1)
+
+
 class LowKExtrapolation(NamedTuple):
     capacity: float  # sqrt(sigma / 4 pi) at k -> 0
     d2: float        # (sigma - sigma_T) / k^2 at k -> 0
 
 
 def low_k_extrapolate(radius: float) -> LowKExtrapolation:
-    """Richardson-extrapolate capacity and the k^2 gap coefficient to k=0.
+    """Capacity and the k^2 gap coefficient at k -> 0, read at ka = 1e-9.
 
-    Both quantities are even in k; sampling ka in {0.02, 0.01, 0.005} and
-    fitting a quadratic in k^2 removes the k^2 and k^4 terms exactly.
+    Both are even in k, and their relative k^2 terms, of order (ka)^2, lie
+    far below rounding there.  d2 is read from the gap's own series.
     """
-    kas = np.array([0.02, 0.01, 0.005])
-    ks = kas / radius
-    # the sweep wants an ascending grid; the fit keeps the descending order
-    rows = fig1_sweep(ks[::-1], radius)
-    sigma = rows["sigma"][::-1]
-    sigma_t = rows["sigma_T"][::-1]
-    vander = np.vander(ks**2, 3, increasing=True)
-    cap = np.linalg.solve(vander, np.sqrt(sigma / (4.0 * np.pi)))[0]
-    gap = np.linalg.solve(vander, (sigma - sigma_t) / ks**2)[0]
-    return LowKExtrapolation(float(cap), float(gap))
+    table = phase_shifts(radius, 1e-9 / radius)
+    k = table.k
+    cap = np.sqrt(cross_sections(table).sigma / (4.0 * np.pi))
+    return LowKExtrapolation(float(cap), float(_gap(table.delta, k) / k**2))
 
 
 def fig1_sweep(k_values, radius: float = FIG1_RADIUS) -> dict[str, np.ndarray]:

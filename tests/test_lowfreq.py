@@ -3,19 +3,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardscatter.geometry import Sphere, TriMesh, make_body, reflect
+from conftest import egg_mesh
+from hardscatter.geometry import CappedCylinder, Ellipsoid, Sphere, TriMesh, make_body, reflect
 from hardscatter.lowfreq import (
+    TRUST_LIMIT,
     TrustRegionError,
     amplitude_expansion,
     amplitude_to_csv,
     cross_sections_lowfreq,
-    d2_direct,
     functionals,
     make_quadrature,
     solve_expansion_densities,
 )
 
 D2_SPHERE = 8.0 * np.pi / 3.0  # unit sphere, from the analytic densities
+
+
+def quadrature_d2(amp):
+    """d2 as the direction integral of cos(theta) (f1^2 - 2 f0 f2) on the
+    amplitude's rule, which integrates these polynomials exactly: an
+    independent check of the closed form."""
+    ct = amp.quad.nodes[:, 2]
+    return amp.quad.weights @ (ct * (amp.f1**2 - 2.0 * amp.f0 * amp.f2))
+
+
+def quadrature_cross_sections(amp, k):
+    """sigma and sigma_T as direction integrals of the order-k^2 intensity."""
+    intensity = amp.f0**2 + k**2 * (amp.f1**2 - 2.0 * amp.f0 * amp.f2)
+    ct = amp.quad.nodes[:, 2]
+    return amp.quad.weights @ intensity, amp.quad.weights @ ((1.0 - ct) * intensity)
+
+
+def _raised_sphere():
+    mesh = make_body(Sphere(1.0), 3)
+    return TriMesh.from_arrays(mesh.vertices + [0.0, 0.0, 0.7], mesh.triangles)
+
+
+# level-3 bodies; the egg and the raised sphere have K = integral z mu0 != 0
+BODIES = {
+    "sphere": lambda: make_body(Sphere(1.0), 3),
+    "ellipsoid": lambda: make_body(Ellipsoid(2.0, 1.0, 1.5), 3),
+    "cylinder": lambda: make_body(CappedCylinder(1.0, 2.0), 3),
+    "egg": lambda: egg_mesh(3),
+    "raised sphere": _raised_sphere,
+}
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +69,11 @@ def sphere4_amplitude(sphere4_densities, quad):
     return amplitude_expansion(sphere4_densities, quad)
 
 
+@pytest.fixture(scope="module", params=list(BODIES))
+def body_densities(request):
+    return solve_expansion_densities(BODIES[request.param]())
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 
@@ -47,8 +83,9 @@ def test_quadrature_weight_sum(quad):
 
 
 def test_quadrature_moment_exactness(quad):
-    assert abs(quad.integrate(quad.cos_theta)) < 1e-12
-    assert abs(quad.integrate(quad.cos_theta**2) - 4.0 * np.pi / 3.0) < 1e-12
+    ct = quad.nodes[:, 2]
+    assert abs(quad.weights @ ct) < 1e-12
+    assert abs(quad.weights @ ct**2 - 4.0 * np.pi / 3.0) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -58,7 +95,7 @@ def test_quadrature_moment_exactness(quad):
 def test_quadrature_transverse_moment_vanishes(px, py, pz):
     quad = make_quadrature(16, 32)
     transverse = quad.nodes[:, 0] * px + quad.nodes[:, 1] * py
-    value = quad.integrate(transverse * quad.cos_theta**2)
+    value = quad.weights @ (transverse * quad.nodes[:, 2] ** 2)
     assert abs(value) < 1e-12
 
 
@@ -147,8 +184,8 @@ def test_f1_symmetric_on_sphere(sphere4_amplitude, quad):
 
 def test_f2_odd_part_on_sphere(sphere4_amplitude, quad):
     # dipole oracle: the odd-in-cos(theta) part of f2 is +cos(theta) for a = 1
-    ct = quad.cos_theta
-    coeff = quad.integrate(ct * sphere4_amplitude.f2) / quad.integrate(ct * ct)
+    ct = quad.nodes[:, 2]
+    coeff = (quad.weights @ (ct * sphere4_amplitude.f2)) / (quad.weights @ (ct * ct))
     assert coeff == pytest.approx(1.0, rel=0.05)
 
 
@@ -175,7 +212,7 @@ def test_gap_equals_d2_times_k_squared(sphere4_amplitude):
     k = 0.1
     sigma, sigma_t = cross_sections_lowfreq(sphere4_amplitude, k)
     assert sigma - sigma_t == pytest.approx(
-        d2_direct(sphere4_amplitude) * k**2, rel=1e-9
+        quadrature_d2(sphere4_amplitude) * k**2, rel=1e-9
     )
     assert sigma_t < sigma
 
@@ -192,7 +229,7 @@ def test_trust_region_guard(sphere4_amplitude):
 
 
 def test_d2_direct_sphere(sphere4_amplitude):
-    assert d2_direct(sphere4_amplitude) == pytest.approx(D2_SPHERE, rel=0.05)
+    assert quadrature_d2(sphere4_amplitude) == pytest.approx(D2_SPHERE, rel=0.05)
 
 
 def test_d2_positive(
@@ -220,8 +257,8 @@ def test_d2_formula_k_zero_body(sphere4_functionals):
 
 def test_d2_invariant_under_reflection(sphere3):
     quad = make_quadrature(32, 64)
-    direct = d2_direct(amplitude_expansion(solve_expansion_densities(sphere3), quad))
-    mirrored = d2_direct(
+    direct = quadrature_d2(amplitude_expansion(solve_expansion_densities(sphere3), quad))
+    mirrored = quadrature_d2(
         amplitude_expansion(solve_expansion_densities(reflect(sphere3)), quad)
     )
     assert mirrored == pytest.approx(direct, rel=1e-6)
@@ -232,10 +269,37 @@ def test_d2_invariant_under_reflection(sphere3):
 def test_d2_scaling(factor):
     mesh = make_body(Sphere(1.0), 2)
     quad = make_quadrature(16, 32)
-    base = d2_direct(amplitude_expansion(solve_expansion_densities(mesh), quad))
+    base = quadrature_d2(amplitude_expansion(solve_expansion_densities(mesh), quad))
     scaled_mesh = TriMesh.from_arrays(mesh.vertices * factor, mesh.triangles)
-    scaled = d2_direct(amplitude_expansion(solve_expansion_densities(scaled_mesh), quad))
+    scaled = quadrature_d2(amplitude_expansion(solve_expansion_densities(scaled_mesh), quad))
     assert scaled == pytest.approx(factor**4 * base, rel=1e-6)
+
+
+@pytest.mark.parametrize("rule", [(64, 128), (2, 4)])
+def test_closed_forms_match_the_direction_quadrature(body_densities, rule):
+    amp = amplitude_expansion(body_densities, make_quadrature(*rule))
+    k = TRUST_LIMIT / amp.mesh.diameter
+    sigma, sigma_t = cross_sections_lowfreq(amp, k)
+    sigma_q, sigma_t_q = quadrature_cross_sections(amp, k)
+    assert abs(amp.d2 - quadrature_d2(amp)) <= 1e-13 * abs(amp.d2)
+    assert abs(sigma - sigma_q) <= 1e-13 * sigma
+    assert abs(sigma_t - sigma_t_q) <= 1e-13 * sigma_t
+
+
+def test_physics_reads_no_direction_samples(sphere4_densities):
+    amp = amplitude_expansion(sphere4_densities, make_quadrature())
+    functionals(sphere4_densities, amp)
+    cross_sections_lowfreq(amp, 0.1)
+    assert "f1" not in vars(amp) and "f2" not in vars(amp)
+
+
+def test_d2_keys_differ_by_the_k_moment_term(body_densities):
+    # d2 - d2_formula_corrected = -(8 pi / 3) K (integral mu1a - K): zero in
+    # the continuum, where integral mu1a = K, and on bodies with K = 0
+    fn = functionals(body_densities, amplitude_expansion(body_densities, make_quadrature()))
+    k_moment = fn.k_moment
+    expected = -(8.0 * np.pi / 3.0) * k_moment * (body_densities.mu1a.integral() - k_moment)
+    assert abs(fn.d2 - fn.d2_formula_corrected - expected) <= 1e-10 * abs(fn.d2)
 
 
 # ---------------------------------------------------------------------------

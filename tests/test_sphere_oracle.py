@@ -371,6 +371,22 @@ def test_low_k_extrapolate_scaling():
     assert abs(est.d2 / (D2_SPHERE * 16.0) - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("radius", [0.37, 1.0, 2.0])
+def test_low_k_oracle_is_exact_to_rounding(radius):
+    est = low_k_extrapolate(radius)
+    assert abs(est.capacity / radius - 1.0) <= 1e-15
+    assert abs(est.d2 / (D2_SPHERE * radius**4) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("ka", [0.5, 5.0, 50.0])
+def test_gap_series_is_sigma_minus_sigma_t(ka):
+    # where sigma - sigma_T does not cancel, the gap's own series equals it
+    table = phase_shifts(1.0, ka)
+    xs = cross_sections(table)
+    gap = sphere_oracle._gap(table.delta, table.k)
+    assert abs(gap - (xs.sigma - xs.sigma_t)) <= 1e-14 * xs.sigma
+
+
 def test_fig1_sweep_endpoints_and_inequality():
     ka_lo, ka_hi = 0.05, 200.0
     k_values = np.geomspace(ka_lo / FIG1_RADIUS, ka_hi / FIG1_RADIUS, 60)

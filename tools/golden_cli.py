@@ -142,6 +142,11 @@ GOLDEN = {
                        "--k-max 0.2 --samples 20 --out report.json",
     "lowfreq_ellipsoid": "lowfreq --body ellipsoid:2,1,1.5 --level 4 --out report.json",
     "lowfreq_cylinder": "lowfreq --body cylinder:1,2 --level 3 --out report.json",
+    # no z-mirror symmetry (K != 0), so d2_direct and d2_formula_corrected
+    # differ by -(8 pi / 3) K (integral mu1a - K); the body's diameter is
+    # 2.74, so k up to 0.18 stays inside the trust region
+    "lowfreq_dented": f"lowfreq --mesh {DENTED} --k-min 0.01 --k-max 0.18 "
+                      "--samples 20 --out report.json",
     "compare_sphere": "compare --body sphere:1 --level 4 --grid 256 --out compare.json",
     "mie_sphere": "mie --body sphere:1 --k-min 0.05 --k-max 20 --samples 50 --out mie.csv",
     "fig1": "fig1 --k-min 0.05 --k-max 60 --samples 100 --out fig1.csv",
