@@ -34,7 +34,8 @@ import numpy as np
 
 from . import _THREAD_VARS
 from ._table import write_csv
-from .geometry import CappedCylinder, Ellipsoid, SolverError, Sphere, TriMesh, _dot3
+from .geometry import (CappedCylinder, Ellipsoid, SolverError, Sphere, TriMesh, _dot3,
+                       _vertex_leaves)
 from .sphere_oracle import fig1_sweep
 
 __all__ = [
@@ -483,22 +484,6 @@ def _first_hit(body, origins, dirs, t_min, lattice=None):
     else:
         raise TypeError(f"cannot trace body of type {type(body).__name__}")
     return (*kernel(body, origins, dirs, t_min), None)
-
-
-def _vertex_leaves(vertices, leaf):
-    """The vertices cut into 2^j leaves of at most ``leaf`` each, by median
-    splits along each box's longest side: their indices as (2^j, m) rows.
-    The last rows repeat a few vertices to fill."""
-    levels = max(0, int(np.ceil(np.log2(len(vertices) / leaf))))
-    size = -(-len(vertices) // 2**levels)
-    rows = np.resize(np.arange(len(vertices)), 2**levels * size)[None, :]
-    for _ in range(levels):
-        p = vertices[rows]
-        axis = np.argmax(p.max(axis=1) - p.min(axis=1), axis=1)
-        key = np.take_along_axis(p, axis[:, None, None], axis=2)[:, :, 0]
-        rows = np.take_along_axis(rows, np.argsort(key, axis=1), axis=1)
-        rows = rows.reshape(2 * len(rows), -1)
-    return rows
 
 
 class _SupportingFaces:

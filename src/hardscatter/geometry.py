@@ -200,17 +200,117 @@ def _check_topology(triangles: np.ndarray) -> None:
         )
 
 
-def _point_set_diameter(points: np.ndarray) -> float:
-    """Max pairwise distance, blocked to bound memory."""
-    # imported here: the mesh-free CLI paths load geometry without scipy
-    from scipy.spatial.distance import cdist
+def _vertex_leaves(vertices, leaf):
+    """The vertices cut into 2^j leaves of at most ``leaf`` each, by median
+    splits along each box's longest side: their indices as (2^j, m) rows.
+    The last rows repeat a few vertices to fill.  Rows 2k and 2k + 1 are
+    the halves of row k of the level above, so ``rows.reshape(2^i, -1)``
+    gives the nodes of level i of the tree."""
+    levels = max(0, int(np.ceil(np.log2(len(vertices) / leaf))))
+    size = -(-len(vertices) // 2**levels)
+    rows = np.resize(np.arange(len(vertices)), 2**levels * size)[None, :]
+    for _ in range(levels):
+        p = vertices[rows]
+        axis = np.argmax(p.max(axis=1) - p.min(axis=1), axis=1)
+        key = np.take_along_axis(p, axis[:, None, None], axis=2)[:, :, 0]
+        rows = np.take_along_axis(rows, np.argsort(key, axis=1), axis=1)
+        rows = rows.reshape(2 * len(rows), -1)
+    return rows
 
-    best = 0.0
-    block = 1024
-    for i0 in range(0, len(points), block):
-        chunk = points[i0 : i0 + block]
-        d2 = cdist(chunk, points[i0:], "sqeuclidean")
-        best = max(best, float(d2.max(initial=0.0)))
+
+# leaves of the diameter's tree, and about how many pair values are formed
+# at once: 1 MiB an array, so the temporaries stay in cache
+_DIAMETER_LEAF = 32
+_DIAMETER_BATCH = 2**17
+
+
+def _squared_distances(p, q):
+    """``(dx^2 + dy^2) + dz^2`` between coordinate-major points ``p`` and
+    ``q``, (3, ...) arrays that broadcast: the arithmetic of scipy's
+    ``cdist(..., "sqeuclidean")`` and of the sum of squares inside
+    ``np.linalg.norm(..., axis=1)``."""
+    total = p[0] - q[0]
+    total *= total
+    for k in (1, 2):
+        d = p[k] - q[k]
+        d *= d
+        total += d
+    return total
+
+
+def _sq_norms(v):
+    """Squared lengths of the 3-vectors along the last axis, in any order of
+    summation: for bounds only."""
+    return np.einsum("...k,...k->...", v, v)
+
+
+def _point_set_diameter(points: np.ndarray) -> float:
+    """Max pairwise distance: the square root of the largest
+    :func:`_squared_distances` value over pairs of points, so
+    ``sqrt(cdist(points, points, "sqeuclidean").max())`` bit for bit.
+
+    Two farthest-point sweeps give a lower bound, itself a pair's value.
+    The points are cut into a tree of median splits (:func:`_vertex_leaves`,
+    leaves of at most ``_DIAMETER_LEAF``), and the tree is walked down in
+    pairs of nodes, dropping each pair whose bound on its squared distances
+    falls below the lower bound.  With ``g`` the difference of the two
+    nodes' mean points and ``rho`` their radii about them, the bound is
+    ``(|g| + rho_a + rho_b)^2`` above the leaves.  At the leaves it is
+    ``|g|^2 + 2 max_a g.(p - m_a) - 2 min_b g.(q - m_b) + (rho_a + rho_b)^2``,
+    tight to second order, so near-antipodal caps of a sphere are not all
+    kept.  The bounds are formed in coordinates centred on the points' mean
+    and carry a slack of 2^-30 times the largest centred |p|^2, which is
+    far above their rounding, that of the centring, and that of a pair's
+    value.  The leaf pairs left are evaluated, largest bound first, until
+    the bounds fall below the largest value found.  Up to 362 points, all
+    pairs are evaluated at once.
+    """
+    xyz = np.ascontiguousarray(points.T)
+    if len(points) ** 2 <= _DIAMETER_BATCH:
+        return float(np.sqrt(_squared_distances(xyz[:, :, None], xyz[:, None]).max()))
+    best, i = 0.0, 0
+    for _ in range(2):
+        d2 = _squared_distances(xyz, xyz[:, i : i + 1])
+        i = int(np.argmax(d2))
+        best = max(best, float(d2[i]))
+
+    rows = _vertex_leaves(points, _DIAMETER_LEAF)
+    centred = points[rows] - points.mean(axis=0)
+    slack = 2.0**-30 * float(_sq_norms(centred).max())
+    a = b = np.zeros(1, dtype=np.int64)
+    depth = len(rows).bit_length() - 1
+    for level in range(depth + 1):
+        node = centred.reshape(2**level, -1, 3)
+        mean = node.mean(axis=1)
+        v = node - mean[:, None]
+        radius = np.sqrt(_sq_norms(v).max(axis=1))
+        g = mean[a] - mean[b]
+        reach = radius[a] + radius[b]
+        if level < depth:
+            keep = (np.sqrt(_sq_norms(g)) + reach) ** 2 + slack >= best
+            # the four child pairs, less the mirror image of a node with itself
+            a = (2 * a[keep, None] + (0, 0, 1, 1)).ravel()
+            b = (2 * b[keep, None] + (0, 1, 0, 1)).ravel()
+            keep = a <= b
+            a, b = a[keep], b[keep]
+    bound = _sq_norms(g) + reach * reach + slack
+    step = max(1, _DIAMETER_BATCH // v.shape[1])
+    for k in range(0, len(a), step):
+        part = slice(k, k + step)
+        bound[part] += 2.0 * (np.einsum("pmk,pk->pm", v[a[part]], g[part]).max(axis=1)
+                              - np.einsum("pmk,pk->pm", v[b[part]], g[part]).min(axis=1))
+
+    # (3, leaf size, leaves): the pairs of a batch run along the last axis
+    leaves = np.ascontiguousarray(points[rows.T].transpose(2, 0, 1))
+    batch = max(1, _DIAMETER_BATCH // rows.shape[1] ** 2)
+    order = np.argsort(-bound)
+    for k in range(0, len(order), batch):
+        pairs = order[k : k + batch]
+        if bound[pairs[0]] < best:
+            break
+        p = np.take(leaves, a[pairs], axis=2)
+        q = np.take(leaves, b[pairs], axis=2)
+        best = max(best, float(_squared_distances(p[:, :, None], q[:, None]).max()))
     return float(np.sqrt(best))
 
 
@@ -271,8 +371,8 @@ _GOLD = (1.0 + np.sqrt(5.0)) / 2.0
 
 # most triangles on a capped cylinder's side, the level-7 icosphere's count:
 # the side's count grows with height / radius, and past this it would build
-# millions of vertices and ask for gigabytes in _point_set_diameter.  A
-# (1, 2) cylinder at level 6, the CLI's finest, has 41984.
+# millions of vertices.  A (1, 2) cylinder at level 6, the CLI's finest, has
+# 41984.
 _MAX_SIDE_TRIANGLES = 81_920
 
 

@@ -14,15 +14,15 @@ expansion, in :func:`hardscatter.lowfreq.solve_expansion_densities`.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
-from scipy.spatial import cKDTree
 
-from .geometry import SolverError, TriMesh, _dot3
+from .geometry import SolverError, TriMesh, _dot3, _squared_distances
 
 __all__ = [
     "SolverError",
@@ -156,21 +156,106 @@ def _triangle_self_integral(mesh: TriMesh) -> np.ndarray:
     return total
 
 
+# The cell list's cubes are this much wider than the search radius, and its
+# squared-distance prefilter keeps pairs up to this much past it: far above
+# the rounding of a cell index (a few 2^-53 times the at most 2 n + 1 cells
+# along an axis) and of a squared distance.
+_CELL_SLACK = 1.0 + 2.0**-20
+# The 13 neighbour cells of the half stencil, and the cell itself.
+_HALF_STENCIL = [d for d in itertools.product((-1, 0, 1), repeat=3) if d >= (0, 0, 0)]
+
+
+def _axis_cells(x: np.ndarray, width: float) -> tuple[np.ndarray, int]:
+    """Cell indices of the coordinates ``x`` along one axis, and the number
+    of cells.
+
+    The sorted coordinates fall into runs whose neighbours lie at most
+    ``width`` apart; a coordinate's cell is ``floor((x - start) / width)``
+    in its run, and each run begins two cells past the last one's end, so
+    two coordinates within ``width`` of each other are in the same or
+    adjacent cells, and there are at most ``2 len(x) + 1`` cells however
+    far apart the runs lie.  Cell 0 and the last cell stay empty.
+    """
+    order = np.argsort(x)
+    xs = x[order]
+    starts = np.ones(len(xs), dtype=bool)
+    starts[1:] = np.diff(xs) > width
+    run = np.cumsum(starts) - 1
+    local = np.floor((xs - xs[starts][run]) / width).astype(np.int64)
+    span = local[np.append(np.flatnonzero(starts[1:]), len(xs) - 1)] + 2
+    base = np.cumsum(span) - span + 1
+    cells = np.empty(len(x), dtype=np.int64)
+    cells[order] = base[run] + local
+    return cells, int(base[-1] + span[-1])
+
+
 def _near_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered index pairs (i, j), i != j, closer than twice the larger
-    triangle diameter; both orders included, sorted by i, then j."""
+    """Ordered index pairs (i, j), i != j, with ``|c_i - c_j| <= 2
+    max(diam_i, diam_j)`` for the centroids c and the triangle diameters;
+    both orders included, sorted by i, then j.
+
+    The centroids are binned on a cell list (Hockney & Eastwood 1981) of
+    cubes a hair wider than the search radius ``2 max diam``
+    (:func:`_axis_cells`), and each cell meets its 13 neighbours of a half
+    stencil and itself, one offset at a time.  A squared-distance prefilter
+    with slack keeps the candidates within the radius; the square roots of
+    their :func:`~hardscatter.geometry._squared_distances` equal
+    ``np.linalg.norm``'s distances bit for bit, and the exact rule above
+    decides.
+    """
     diam = mesh.triangle_diameters()
-    tree = cKDTree(mesh.centroids)
-    pairs = tree.query_pairs(2.0 * float(diam.max()), output_type="ndarray")
-    if len(pairs) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    i, j = pairs[:, 0], pairs[:, 1]
-    dist = np.linalg.norm(mesh.centroids[i] - mesh.centroids[j], axis=1)
-    keep = dist <= 2.0 * np.maximum(diam[i], diam[j])
+    cent = mesh.centroids
+    n = len(cent)
+    radius = 2.0 * float(diam.max())
+    key = np.zeros(n, dtype=np.int64)
+    stride = np.zeros(3, dtype=np.int64)
+    for axis in range(3):
+        cells, size = _axis_cells(cent[:, axis], radius * _CELL_SLACK)
+        if int(key.max()) * size + size >= 2**63:
+            raise SolverError(f"{n} panels are too many for the near-pair cell list")
+        key = key * size + cells
+        stride = stride * size
+        stride[axis] = 1
+    order = np.argsort(key)
+    key = key[order]
+    xyz = np.ascontiguousarray(cent[order].T)
+    first = np.ones(n, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    start = np.flatnonzero(first)
+    cell_key, count = key[start], np.diff(np.append(start, n))
+    cell = np.cumsum(first) - 1             # of each point, in sorted order
+
+    bound = radius * radius * _CELL_SLACK
+    found_i, found_j, found_d2 = [], [], []
+    for offset in _HALF_STENCIL:
+        step = int(np.dot(offset, stride))
+        if step == 0:
+            # the points after each one in its own cell
+            points = np.arange(n)
+            lo = points + 1
+            width = start[cell] + count[cell] - lo
+        else:
+            target = cell_key + step
+            # a target past the last key wraps round to the first: no match
+            other = np.searchsorted(cell_key, target) % len(cell_key)
+            points = np.flatnonzero((cell_key[other] == target)[cell])
+            lo = start[other[cell[points]]]
+            width = count[other[cell[points]]]
+        total = int(width.sum())
+        i = np.repeat(points, width)
+        j = np.arange(total) + np.repeat(lo - (np.cumsum(width) - width), width)
+        d2 = _squared_distances(xyz.take(i, axis=1), xyz.take(j, axis=1))
+        keep = d2 <= bound
+        found_i.append(i[keep])
+        found_j.append(j[keep])
+        found_d2.append(d2[keep])
+    i = order[np.concatenate(found_i)]
+    j = order[np.concatenate(found_j)]
+    keep = np.sqrt(np.concatenate(found_d2)) <= 2.0 * np.maximum(diam[i], diam[j])
     i, j = i[keep], j[keep]
-    ii, jj = np.concatenate([i, j]), np.concatenate([j, i])
-    order = np.argsort(ii * mesh.n_triangles + jj)
-    return ii[order], jj[order]
+    pair = np.sort(np.concatenate([i * n + j, j * n + i]))
+    ii = pair // n
+    return ii, pair - ii * n
 
 
 def _centred_centroids(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:

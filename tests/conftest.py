@@ -1,5 +1,7 @@
 """Shared fixtures: expensive meshes and density solves are session-scoped."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from hardscatter.geometry import (
     _subdivide,
 )
 from hardscatter.lowfreq import solve_expansion_densities
+from perfbench.workloads import dented_sphere
 
 # corners of the unit cube centered at the origin
 _CUBE_CORNERS = 0.5 * np.array(
@@ -58,6 +61,30 @@ def egg_mesh(level: int = 3) -> TriMesh:
     z = sphere.vertices[:, 2]
     radial = 1.0 + 0.3 * z + 0.15 * z**2
     return TriMesh.from_arrays(sphere.vertices * radial[:, None], sphere.triangles)
+
+
+# bodies of the bitwise oracles of the near-pair search and the diameter
+ORACLE_BODIES = {
+    **{f"sphere{level}": functools.partial(make_body, Sphere(1.0), level)
+       for level in (1, 2, 3, 4)},
+    "thin_ellipsoid": functools.partial(make_body, Ellipsoid(1.0, 1.0, 0.2), 4),
+    "cylinder": functools.partial(make_body, CappedCylinder(1.0, 2.0), 3),
+    "dented": lambda: dented_sphere(1.37)[0],
+}
+
+
+@functools.cache
+def oracle_body(name: str) -> TriMesh:
+    return ORACLE_BODIES[name]()
+
+
+def moved(mesh: TriMesh, seed: int, exponent: float, offset) -> TriMesh:
+    """``mesh`` turned by a random rotation drawn from ``seed``, scaled by
+    ``10**exponent`` and moved by ``offset``."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    q *= np.sign(np.linalg.det(q))  # a rotation, not a reflection
+    vertices = mesh.vertices @ q.T * 10.0**exponent + np.asarray(offset)
+    return TriMesh.from_arrays(vertices, mesh.triangles)
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from hardscatter.geometry import (
     shadow_area,
 )
 
-from conftest import pinwheel_cube
+from conftest import ORACLE_BODIES, moved, oracle_body, pinwheel_cube
 
 SPHERE_VOLUME = 4.0 * np.pi / 3.0
 
@@ -312,3 +312,20 @@ def test_point_set_diameter_matches_broadcast_formula(seed, n, offset, scale):
     points = np.random.default_rng(seed).normal(size=(n, 3)) * scale + offset
     d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
     assert _point_set_diameter(points) == float(np.sqrt(d2.max()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(body=st.sampled_from(sorted(ORACLE_BODIES) + ["sphere5"]),
+       seed=st.integers(0, 2**32 - 1), exponent=st.floats(-3.0, 3.0),
+       offset=st.tuples(*[st.floats(-1e4, 1e4)] * 3))
+def test_point_set_diameter_equals_cdist(body, seed, exponent, offset):
+    # the pruned search replaced scipy's cdist: its value must be cdist's
+    # largest squared distance, rooted, bit for bit
+    from scipy.spatial.distance import cdist
+
+    from hardscatter.geometry import _point_set_diameter
+
+    mesh = make_body(Sphere(1.0), 5) if body == "sphere5" else oracle_body(body)
+    points = moved(mesh, seed, exponent, offset).vertices
+    want = float(np.sqrt(cdist(points, points, "sqeuclidean").max()))
+    assert _point_set_diameter(points) == want

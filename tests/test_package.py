@@ -41,18 +41,40 @@ def test_demos_run(tmp_path):
             proc.wait()
 
 
+def _child_stdout(code: str, cwd) -> list[str]:
+    """Standard output lines of ``code`` run in a fresh interpreter."""
+    result = subprocess.run([sys.executable, "-c", "import sys\n" + code],
+                            capture_output=True, text=True, cwd=cwd, env=cli_env())
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
 def test_tracer_loads_no_scipy(tmp_path):
-    # the errors the tracer raises and the CLI catches live in geometry, so
-    # importing the tracer, and a raytrace run on an analytic body, load no
-    # scipy
-    code = ("import sys\n"
-            "import hardscatter.classical\n"
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    # the errors the tracer raises and the CLI catches live in geometry, and
+    # a mesh's diameter is found without cdist, so importing the tracer, and
+    # a raytrace run on an analytic body or an OFF mesh, load no scipy
+    from hardscatter.geometry import Sphere, make_body, save_mesh
+
+    save_mesh(make_body(Sphere(1.0), 3), tmp_path / "sphere3.off")
+    loaded = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+    code = ("import hardscatter.classical\n"
+            f"print({loaded})\n"
             "from hardscatter.cli import main\n"
             "code = main(['raytrace', '--body', 'sphere:1', '--grid', '64',"
             " '--out', 'rays.csv'])\n"
-            "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            cwd=tmp_path, env=cli_env())
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]", "0 []"]
+            f"print(code, {loaded})\n"
+            "code = main(['raytrace', '--mesh', 'sphere3.off', '--grid', '64',"
+            " '--out', 'mesh_rays.csv'])\n"
+            f"print(code, {loaded})\n")
+    assert _child_stdout(code, tmp_path) == ["[]", "0 []", "0 []"]
+
+
+def test_capacity_loads_scipy_linalg_only(tmp_path):
+    # the near pairs come from a cell list, not a cKDTree: the low-k chain
+    # needs scipy.linalg and nothing under scipy.spatial
+    code = ("from hardscatter.cli import main\n"
+            "code = main(['capacity', '--body', 'sphere:1', '--level', '2',"
+            " '--out', 'cap.json'])\n"
+            "print(code, 'scipy.linalg' in sys.modules,"
+            " [m for m in sys.modules if m.startswith('scipy.spatial')])\n")
+    assert _child_stdout(code, tmp_path) == ["0 True []"]

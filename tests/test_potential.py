@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.spatial import cKDTree
 
 from hardscatter import potential
 from hardscatter.geometry import Ellipsoid, Sphere, TriMesh, make_body, reflect
@@ -24,7 +25,7 @@ from hardscatter.potential import (
 )
 from hardscatter.lowfreq import solve_expansion_densities
 
-from conftest import egg_mesh
+from conftest import ORACLE_BODIES, egg_mesh, moved, oracle_body
 
 MU0_SPHERE = -1.0 / (4.0 * np.pi)
 
@@ -264,6 +265,79 @@ def test_near_pairs_found_once_per_expansion(sphere3, monkeypatch):
     monkeypatch.setattr(potential, "_near_pairs", counted)
     solve_expansion_densities(sphere3)
     assert len(calls) == 1
+
+
+def sorted_pairs(n, i, j):
+    """Both orders of the pairs (i, j), sorted by row, then column."""
+    ii, jj = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.argsort(ii * n + jj)
+    return ii[order], jj[order]
+
+
+def kdtree_near_pairs(mesh):
+    """The near pairs as the package found them with scipy's cKDTree: the
+    tree's pairs within twice the largest triangle diameter, then the rule
+    ``|c_i - c_j| <= 2 max(diam_i, diam_j)``."""
+    diam = mesh.triangle_diameters()
+    tree = cKDTree(mesh.centroids)
+    pairs = tree.query_pairs(2.0 * float(diam.max()), output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    dist = np.linalg.norm(mesh.centroids[i] - mesh.centroids[j], axis=1)
+    keep = dist <= 2.0 * np.maximum(diam[i], diam[j])
+    return sorted_pairs(mesh.n_triangles, i[keep], j[keep])
+
+
+def brute_force_near_pairs(mesh):
+    """The rule of :func:`kdtree_near_pairs` on every pair of triangles."""
+    diam = mesh.triangle_diameters()
+    i, j = np.triu_indices(mesh.n_triangles, 1)
+    dist = np.linalg.norm(mesh.centroids[i] - mesh.centroids[j], axis=1)
+    keep = dist <= 2.0 * np.maximum(diam[i], diam[j])
+    return sorted_pairs(mesh.n_triangles, i[keep], j[keep])
+
+
+def assert_same_pairs(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(body=st.sampled_from(sorted(ORACLE_BODIES)), seed=st.integers(0, 2**32 - 1),
+       exponent=st.floats(-3.0, 3.0),
+       offset=st.tuples(*[st.floats(-1e4, 1e4)] * 3))
+def test_near_pairs_equal_the_kdtree_and_brute_force_pairs(body, seed, exponent, offset):
+    # the cell list replaced a cKDTree query: the near rule values and the
+    # distance moment read these pairs, so they must be the same bit for bit
+    mesh = moved(oracle_body(body), seed, exponent, offset)
+    got = potential._near_pairs(mesh)
+    assert_same_pairs(got, kdtree_near_pairs(mesh))
+    assert_same_pairs(got, brute_force_near_pairs(mesh))
+
+
+@pytest.mark.parametrize("separation", [3.0, 100.0, 1e5])
+def test_near_pairs_of_parts_far_apart(separation):
+    # far-apart parts fall into runs of cells of their own, so the cells
+    # along an axis are at most two per centroid whatever the separation
+    mesh = two_far_tetrahedra(separation)
+    assert_same_pairs(potential._near_pairs(mesh), brute_force_near_pairs(mesh))
+    width = 2.0 * float(mesh.triangle_diameters().max())
+    for axis in range(3):
+        cells, size = potential._axis_cells(mesh.centroids[:, axis], width)
+        assert 1 <= cells.min() and cells.max() < size - 1 <= 2 * mesh.n_triangles
+
+
+def test_near_pair_search_peak_per_pair():
+    # the preflight (_dense_solve_bytes) counts 16 words a pair for the
+    # search and the rule sums; the cell list's arrays are numpy's, which
+    # tracemalloc sees (cKDTree's C allocations it did not)
+    mesh = make_body(Sphere(1.0), 5)
+    tracemalloc.start()
+    try:
+        ii, _ = potential._near_pairs(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * len(ii)
 
 
 @settings(max_examples=10, deadline=None)

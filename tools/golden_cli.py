@@ -52,19 +52,27 @@ ROOT = Path(__file__).resolve().parents[1]
 # the REV tree (from its root, so that its perfbench imports); a unit cube
 # with every face split along a diagonal, written from SPLIT_CUBE_OFF, where
 # the 256 grid rays on the diagonal land exactly on the lit face's split
-# edge and are retraced; and a prism with a V-notch in its bottom face,
-# written from GROOVE_OFF, whose notch apex is a concave crease
+# edge and are retraced; a prism with a V-notch in its bottom face,
+# written from GROOVE_OFF, whose notch apex is a concave crease; and the
+# level-4 Ellipsoid(2, 1, 1.5) scaled by 1e-2 and moved by (1e3, -2e3, 5e2),
+# written by the REV tree, whose near-pair cell list and diameter work on
+# coordinates 1e5 times the body's size
 MESH = "sphere3.off"
 MESH5 = "sphere5.off"
 DENTED = "dented.off"
 EDGES = "split_cube.off"
 GROOVE = "groove.off"
-MESHES = (MESH, MESH5, DENTED, EDGES, GROOVE)
-MAKE_MESH = ("from hardscatter.geometry import Sphere, make_body, save_mesh; "
+FAR = "far_ellipsoid.off"
+MESHES = (MESH, MESH5, DENTED, EDGES, GROOVE, FAR)
+MAKE_MESH = ("from hardscatter.geometry import Ellipsoid, Sphere, TriMesh, make_body, "
+             "save_mesh; "
              "from perfbench.workloads import dented_sphere; "
              f"save_mesh(make_body(Sphere(1.0), 3), {MESH!r}); "
              f"save_mesh(make_body(Sphere(1.0), 5), {MESH5!r}); "
-             f"save_mesh(dented_sphere(1.37)[0], {DENTED!r})")
+             f"save_mesh(dented_sphere(1.37)[0], {DENTED!r}); "
+             "e = make_body(Ellipsoid(2.0, 1.0, 1.5), 4); "
+             "save_mesh(TriMesh.from_arrays(e.vertices * 1e-2 + (1e3, -2e3, 5e2), "
+             f"e.triangles), {FAR!r})")
 SPLIT_CUBE_OFF = """OFF
 8 12 0
 0 0 0
@@ -135,6 +143,8 @@ GROOVE_OFF = """OFF
 GOLDEN = {
     "capacity_sphere": "capacity --body sphere:1 --level 4 --out cap.json",
     "capacity_cylinder": "capacity --body cylinder:1,2 --level 4 --out cap.json",
+    # 1280 panels far from the origin for their size
+    "capacity_far": f"capacity --mesh {FAR} --out cap.json",
     "lowfreq_sphere": "lowfreq --body sphere:1 --level 4 --k-min 0.01 "
                       "--k-max 0.2 --samples 20 --out report.json",
     # the benchmark's shape: 5120 panels, twenty assembly blocks
@@ -186,6 +196,7 @@ GOLDEN = {
     # some slip through it, to meet the top face from behind; a ray is done
     # only after it meets a supporting face from the front
     "raytrace_groove_odd": f"raytrace --mesh {GROOVE} --grid 255 --out rays.csv",
+    "raytrace_far": f"raytrace --mesh {FAR} --grid 256 --out rays.csv",
 }
 # config errors: each must exit 2 in both trees
 ERRORS = {
