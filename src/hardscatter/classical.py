@@ -34,8 +34,7 @@ import numpy as np
 
 from . import _THREAD_VARS
 from ._table import write_csv
-from .geometry import (CappedCylinder, Ellipsoid, SolverError, Sphere, TriMesh, _dot3,
-                       _vertex_leaves)
+from .geometry import CappedCylinder, Ellipsoid, SolverError, Sphere, TriMesh, _dot3
 from .sphere_oracle import fig1_sweep
 
 __all__ = [
@@ -49,6 +48,7 @@ __all__ = [
     "histogram_to_csv",
 ]
 
+# Reflections a ray may take before the trace raises a TrappingError
 DEFAULT_BOUNCE_CAP = 64
 DEFAULT_BINS = (64, 64)
 
@@ -65,9 +65,6 @@ _PART_BLOCK = 131_072
 # so that a large mesh does not loop over blocks of a few rays.
 _PAIR_BUDGET = 32_768
 _MIN_BLOCK_RAYS = 8
-# Vertices per leaf of the box tree that finds a mesh's supporting faces
-# (_SupportingFaces)
-_SUPPORT_LEAF = 32
 
 
 class TrappingError(SolverError):
@@ -227,11 +224,11 @@ def _cylinder_hit(body: CappedCylinder, origins, dirs, t_min):
     return idx, pts, normal
 
 
-def _sphere_cull(mesh: TriMesh, origins, dirs, pair_budget):
+def _sphere_cull(mesh: TriMesh, origins, dirs):
     """Candidate pairs of arbitrary rays, as flat indices ``ray * n_tri +
     tri``, a group of blocks of rays at a time: those whose ray, the
     half-line from its origin, meets the triangle's bounding sphere.  A
-    group holds a multiple of ``pair_budget`` pairs, at most one block's
+    group holds a multiple of ``_PAIR_BUDGET`` pairs, at most one block's
     more than that, but the last.  The pairs ascend, so each ray's
     triangles ascend, as :func:`_mesh_hit` needs.
 
@@ -244,7 +241,7 @@ def _sphere_cull(mesh: TriMesh, origins, dirs, pair_budget):
     n_tri = mesh.n_triangles
     # bounding spheres and rays in coordinates centred on the mesh, so the
     # expanded |o|^2 - 2 o.c + |c|^2 does not cancel far from the origin
-    center = mesh.vertices.mean(axis=0)
+    center = mesh.tree.center
     corners = np.stack([p0, p1, p2]) - center
     c = corners.mean(axis=0)
     radius = np.sqrt(np.max(np.sum((corners - c) ** 2, axis=2), axis=0))
@@ -256,7 +253,7 @@ def _sphere_cull(mesh: TriMesh, origins, dirs, pair_budget):
         [-2.0 * c.T, _dot3(c, c) - radius**2, np.ones(n_tri)]
     )
 
-    block = max(_MIN_BLOCK_RAYS, pair_budget // n_tri)
+    block = max(_MIN_BLOCK_RAYS, _PAIR_BUDGET // n_tri)
     group, count = [], 0
     # the rays' operands, a slab of 32 blocks at a time
     for r0 in range(0, len(origins), 32 * block):
@@ -274,10 +271,10 @@ def _sphere_cull(mesh: TriMesh, origins, dirs, pair_budget):
             keep = gap <= np.square(along, out=along)
             group.append(np.flatnonzero(keep) + (r0 + s0) * n_tri)
             count += len(group[-1])
-            if count >= pair_budget:
+            if count >= _PAIR_BUDGET:
                 # whole batches of the test; the rest goes on to the next
                 pairs = np.concatenate(group)
-                cut = count - count % pair_budget
+                cut = count - count % _PAIR_BUDGET
                 yield pairs[:cut]
                 group, count = [pairs[cut:]], count - cut
     if count:
@@ -290,14 +287,14 @@ def _ranges(starts, counts):
     return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
-def _lattice_pairs(mesh: TriMesh, lattice, pair_budget):
+def _lattice_pairs(mesh: TriMesh, lattice):
     """Candidate pairs of a block of +z rays on the trace lattice, as flat
     indices ``ray * n_tri + tri``, one group of consecutive triangles at a
     time: those whose ray lies in the triangle's padded xy bounding box.
 
     ``lattice = (xs, ys, first, n)``: ray k < n of the block starts at
     ``(xs[g // len(ys)], ys[g % len(ys)])``, g = first + k, so a block can
-    start and end mid-row.  A group holds at most ``pair_budget`` pairs plus
+    start and end mid-row.  A group holds at most ``_PAIR_BUDGET`` pairs plus
     one triangle's, whatever the grid or the triangles.  The pairs of a
     group come triangle by triangle and the groups in triangle order, so
     each ray's triangles ascend across the groups, as :func:`_mesh_hit`
@@ -320,7 +317,7 @@ def _lattice_pairs(mesh: TriMesh, lattice, pair_budget):
     # each triangle's pairs, the partial first and last rows counted whole
     counts = rows * width
     tris = np.flatnonzero(counts)
-    group = np.cumsum(counts[tris]) // pair_budget
+    group = np.cumsum(counts[tris]) // _PAIR_BUDGET
     for tri in np.split(tris, np.flatnonzero(np.diff(group)) + 1):
         # one entry per triangle and row, then one per column
         row = _ranges(r0[tri], rows[tri])
@@ -331,7 +328,7 @@ def _lattice_pairs(mesh: TriMesh, lattice, pair_budget):
         yield ray[keep] * n_tri + tri[keep]
 
 
-def _closest_triangles(mesh: TriMesh, origins, dirs, t_min, pair_budget, lattice):
+def _closest_triangles(mesh: TriMesh, origins, dirs, t_min, lattice):
     """Moller-Trumbore on the ray/triangle pairs that survive the cull (see
     :func:`_mesh_hit`): per ray, the smallest t > t_min, +inf for a miss,
     with its triangle, the lowest on ties, and that triangle's barycentrics
@@ -353,16 +350,16 @@ def _closest_triangles(mesh: TriMesh, origins, dirs, t_min, pair_budget, lattice
     v_best = np.zeros(n)
 
     if lattice is None:
-        groups = _sphere_cull(mesh, origins, dirs, pair_budget)
+        groups = _sphere_cull(mesh, origins, dirs)
     else:
-        groups = _lattice_pairs(mesh, lattice, pair_budget)
+        groups = _lattice_pairs(mesh, lattice)
 
     # coordinate-major rays and triangles: each batch gathers its pairs'
     # columns with one take per array
     o, d = origins.T, dirs.T
     p, e1, e2 = (np.ascontiguousarray(x.T) for x in (p0, p1 - p0, p2 - p0))
-    batches = (pairs[c0:c0 + pair_budget]
-               for pairs in groups for c0 in range(0, len(pairs), pair_budget))
+    batches = (pairs[c0:c0 + _PAIR_BUDGET]
+               for pairs in groups for c0 in range(0, len(pairs), _PAIR_BUDGET))
     for batch in batches:
         ray, tri = np.divmod(batch, n_tri)
         d_r = d.take(ray, axis=1)
@@ -399,8 +396,7 @@ def _closest_triangles(mesh: TriMesh, origins, dirs, t_min, pair_budget, lattice
     return t_best, tri_best, u_best, v_best
 
 
-def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, nudge=None,
-              pair_budget=_PAIR_BUDGET, lattice=None):
+def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, nudge=None, lattice=None):
     """Closest intersection of each ray with the mesh: a cull, then
     Moller-Trumbore on the ray/triangle pairs that survive it
     (:func:`_closest_triangles`).  Returns the hits as ``(idx, points,
@@ -419,7 +415,7 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, nudge=None,
     of its products and the barycentric slack.  So neither cull drops a
     pair that Moller-Trumbore would accept, and the hits equal those of a
     test of every pair bit for bit.  Each ray takes its smallest t, the
-    lowest triangle index on ties.  ``pair_budget`` sizes the cull's blocks
+    lowest triangle index on ties.  ``_PAIR_BUDGET`` sizes the cull's blocks
     and groups and the test's batches; it does not change the hits, because
     both culls hand each ray's triangles over in ascending order, so a later
     batch that wins with a strictly smaller t is all the tie rule needs.
@@ -433,7 +429,7 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, nudge=None,
     miss.
     """
     start = origins if nudge is None else (origins.T + nudge[:, None]).T
-    t, tri, u, v = _closest_triangles(mesh, start, dirs, t_min, pair_budget, lattice)
+    t, tri, u, v = _closest_triangles(mesh, start, dirs, t_min, lattice)
     idx = np.flatnonzero(np.isfinite(t))
     t, tri = t[idx], tri[idx]
     normal = mesh.normals[tri].T
@@ -456,8 +452,7 @@ def _mesh_hit(mesh: TriMesh, origins, dirs, t_min, nudge=None,
             on_edge = idx[edge]
             back, pts_re, normal_re, tri_re = _mesh_hit(
                 mesh, origins.T.take(on_edge, axis=1).T, dirs.T.take(on_edge, axis=1).T,
-                t_min, nudge, pair_budget=pair_budget,
-            )
+                t_min, nudge)
             kept = np.ones(len(idx), dtype=bool)
             kept[edge] = False
             edge = edge[back]
@@ -496,32 +491,28 @@ class _SupportingFaces:
     hit and no others.  The blocks of a trace share one; two threads may
     compute a flag at once, and both write the one value it has.
 
-    The vertices are cut into leaves of at most ``_SUPPORT_LEAF``
-    (:func:`_vertex_leaves`), and a face passes over each leaf whose
-    bounding box lies behind its plane by a margin: a bound on ``(v -
-    p0).n`` over the box, formed in coordinates centred on the mesh, at
-    most ``1e-12 * diameter`` less ``1e-13 * diameter``.  Every difference
-    of coordinates in the bound and in the test rounds by at most 2^-53
-    times the diameter, and the sums of a few such terms round by no more,
-    so the margin is more than 20 times the rounding of both; a leaf of
-    vertices in the plane of a face parallel to a coordinate plane is
-    passed over too.  The vertices of the other leaves are tested one by
-    one with the expression above, so the flags are those of a test of
-    every vertex, bit for bit.
+    It reads the leaves of the mesh's vertex tree (``TriMesh.tree``), and a
+    face passes over each leaf whose bounding box lies behind its plane by
+    a margin: a bound on ``(v - p0).n`` over the box, formed in the tree's
+    coordinates centred on the mesh, at most ``1e-12 * diameter`` less
+    ``1e-13 * diameter``.  Every difference of coordinates in the bound and
+    in the test rounds by at most 2^-53 times the diameter, and the sums of
+    a few such terms round by no more, so the margin is more than 20 times
+    the rounding of both; a leaf of vertices in the plane of a face
+    parallel to a coordinate plane is passed over too.  The vertices of the
+    other leaves are tested one by one with the expression above, so the
+    flags are those of a test of every vertex, bit for bit.
     """
 
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
         self.flags = np.full(mesh.n_triangles, -1, dtype=np.int8)
-        v = mesh.vertices
-        self._center = v.mean(axis=0)
-        rows = _vertex_leaves(v, _SUPPORT_LEAF)
-        box = v[rows] - self._center
-        lo, hi = box.min(axis=1), box.max(axis=1)
+        tree = mesh.tree
+        lo, hi = tree.centred.min(axis=1), tree.centred.max(axis=1)
         # [n, |n|, -n.p] . [mid, half, 1] bounds n.(v - p) over a leaf
         self._boxes = np.vstack([((lo + hi) / 2.0).T, ((hi - lo) / 2.0).T,
-                                 np.ones(len(rows))])
-        self._leaf_xyz = v[rows].transpose(2, 0, 1)
+                                 np.ones(len(lo))])
+        self._leaf_xyz = mesh.vertices[tree.rows].transpose(2, 0, 1)
 
     def __call__(self, faces):
         """Whether each of ``faces`` is supporting."""
@@ -545,7 +536,7 @@ class _SupportingFaces:
         chunk = max(1, _PAIR_BUDGET // leaf)
         for f0 in range(0, len(faces), step):
             n, p = normal[f0:f0 + step], corner[f0:f0 + step]
-            bound = np.column_stack([n, np.abs(n), -_dot3(p - self._center, n)]) @ self._boxes
+            bound = np.column_stack([n, np.abs(n), -_dot3(p - mesh.tree.center, n)]) @ self._boxes
             face, near = np.nonzero(bound > tolerance - 1e-13 * mesh.diameter)
             for c0 in range(0, len(face), chunk):
                 f, k = face[c0:c0 + chunk], near[c0:c0 + chunk]
@@ -629,7 +620,7 @@ def _bounce(body, ray, o, d, t_min, lattice, dirs, supporting):
     return hit, hit[live], pts.take(live, axis=1), d.take(live, axis=1)
 
 
-def _trace_block(body, lattice, z_start, t_min, bounce_cap, supporting=None):
+def _trace_block(body, lattice, z_start, t_min, supporting):
     """Bounce one block of the trace lattice until its rays escape.
 
     ``lattice = (xs, ys, first, n)``: ray k of the block, g = first + k,
@@ -638,8 +629,9 @@ def _trace_block(body, lattice, z_start, t_min, bounce_cap, supporting=None):
     the lattice to :func:`_first_hit` (see :func:`_lattice_pairs`).  A ray
     that hits a supporting face from its front is done after that
     reflection (see the module docstring); a mesh's faces are looked up in
-    ``supporting``, the trace's :class:`_SupportingFaces`, or in one of the
-    block's own if it is None.
+    ``supporting``, the trace's :class:`_SupportingFaces` (None on an
+    analytic body).  A ray still bouncing after ``DEFAULT_BOUNCE_CAP``
+    reflections raises a :class:`TrappingError`.
 
     Returns the final directions of the rays that hit, in ray order, the
     number of bounce passes that had hits, and the flat ``DEFAULT_BINS``
@@ -648,8 +640,6 @@ def _trace_block(body, lattice, z_start, t_min, bounce_cap, supporting=None):
     CSVs have always put it.  A done ray would miss on every later pass,
     so dropping it changes none of these, nor which ray traps first.
     """
-    if supporting is None and isinstance(body, TriMesh):
-        supporting = _SupportingFaces(body)
     n = lattice[3]
     # the live rays, coordinate-major: their indices in the block, origins
     # and directions; ``dirs`` holds every ray's latest direction
@@ -667,9 +657,9 @@ def _trace_block(body, lattice, z_start, t_min, bounce_cap, supporting=None):
                                  dirs, supporting)
         if not len(hit):
             break
-        if passes == bounce_cap:
+        if passes == DEFAULT_BOUNCE_CAP:
             x, y = _lattice_xy(lattice, hit[:1])
-            raise TrappingError((x[0], y[0]), bounce_cap)
+            raise TrappingError((x[0], y[0]), DEFAULT_BOUNCE_CAP)
         if not passes:
             struck = hit
         passes += 1
@@ -677,18 +667,16 @@ def _trace_block(body, lattice, z_start, t_min, bounce_cap, supporting=None):
     return out, passes, _bin_counts(out.astype(np.float32))
 
 
-def trace(
-    body,
-    grid: int = 1024,
-    bounce_cap: int = DEFAULT_BOUNCE_CAP,
-) -> RayTraceResult:
+def trace(body, grid: int = 1024) -> RayTraceResult:
     """Trace one ray per grid cell through the shadow bounding box.
 
     Parameters
     ----------
     body : TriMesh or analytic body (Sphere, Ellipsoid, CappedCylinder)
     grid : rays per side of the shadow bounding box (>= 64)
-    bounce_cap : bounce budget per ray before a TrappingError is raised
+
+    A ray still bouncing after ``DEFAULT_BOUNCE_CAP`` reflections raises a
+    :class:`TrappingError`.
 
     Each chunk of grid rows is cut into blocks of at most ``_PART_BLOCK``
     rays, and at least as many blocks as the thread budget
@@ -714,8 +702,6 @@ def trace(
     """
     if grid < 64:
         raise ValueError("grid must be >= 64")
-    if bounce_cap < 0:
-        raise ValueError("bounce_cap must be >= 0")
     ((x0, x1), (y0, y1), z_low), scale = _body_box(body)
     if not (x1 > x0 and y1 > y0):
         raise ValueError("body has an empty shadow bounding box")
@@ -728,7 +714,7 @@ def trace(
     supporting = _SupportingFaces(body) if isinstance(body, TriMesh) else None
 
     def trace_block(lattice):
-        return _trace_block(body, lattice, z_start, t_min, bounce_cap, supporting)
+        return _trace_block(body, lattice, z_start, t_min, supporting)
 
     rays_hit = 0
     max_bounces = 0
@@ -801,8 +787,6 @@ class Theorem2Report:
     sigma_ratio: np.ndarray        # sigma / (2 sigma_cl)
     sigma_t_ratio: np.ndarray      # sigma_T / R_cl
     transport_below_total: bool    # sigma_T < sigma on the whole grid
-    sigma_trend_decreasing: bool   # first-decile vs last-decile |ratio - 1|
-    sigma_t_trend_decreasing: bool
 
 
 def theorem2_check(radius: float, ka_values, grid: int = 1024) -> Theorem2Report:
@@ -817,20 +801,11 @@ def theorem2_check(radius: float, ka_values, grid: int = 1024) -> Theorem2Report
     sigma, sigma_t = rows["sigma"], rows["sigma_T"]
     sigma_ratio = sigma / (2.0 * classical.sigma_cl)
     sigma_t_ratio = sigma_t / classical.r_cl
-    decile = max(1, len(ka_values) // 10)
-
-    def trend(ratio):
-        first = float(np.mean(np.abs(ratio[:decile] - 1.0)))
-        last = float(np.mean(np.abs(ratio[-decile:] - 1.0)))
-        return last < first
-
     return Theorem2Report(
         ka=ka_values,
         sigma_ratio=sigma_ratio,
         sigma_t_ratio=sigma_t_ratio,
         transport_below_total=bool(np.all(sigma_t < sigma)),
-        sigma_trend_decreasing=trend(sigma_ratio),
-        sigma_t_trend_decreasing=trend(sigma_t_ratio),
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,11 @@ __all__ = [
     "shadow_area",
 ]
 
-# Relative area floor for degeneracy detection (fraction of diameter^2).
+# Relative area floor for degeneracy detection (fraction of the square of
+# the triangle's longest edge).
 AREA_EPS = 1e-12
+# Most vertices in a leaf of a mesh's vertex tree (_vertex_leaves)
+_TREE_LEAF = 32
 
 
 def _dot3(a, b):
@@ -101,6 +105,8 @@ class TriMesh:
     centroids, normals : (nt, 3) float arrays
     areas : (nt,) float array
     diameter : max pairwise vertex distance
+    tree : the vertices' median-split tree (:func:`_vertex_tree`), which
+        the diameter search and the ray tracer's supporting-face test read
     """
 
     vertices: np.ndarray
@@ -109,6 +115,7 @@ class TriMesh:
     normals: np.ndarray = field(repr=False)
     areas: np.ndarray = field(repr=False)
     diameter: float
+    tree: _VertexTree = field(repr=False, compare=False)
 
     @property
     def n_triangles(self) -> int:
@@ -135,7 +142,8 @@ class TriMesh:
 
         Raises the specific :class:`MeshError` subclass for open surfaces,
         non-manifold or inconsistently wound edges, inward orientation, and
-        degenerate triangles.
+        degenerate triangles: those whose area is at most ``AREA_EPS`` times
+        the square of their longest edge.
         """
         v = np.ascontiguousarray(np.asarray(vertices, dtype=float))
         t = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
@@ -153,8 +161,8 @@ class TriMesh:
         p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
         cross = np.cross(p1 - p0, p2 - p0)
         areas = 0.5 * np.linalg.norm(cross, axis=1)
-        diameter = _point_set_diameter(v)
-        bad = np.nonzero(areas <= AREA_EPS * diameter**2)[0]
+        longest_sq = _sq_norms(np.stack([p1 - p0, p2 - p1, p0 - p2])).max(axis=0)
+        bad = np.nonzero(areas <= AREA_EPS * longest_sq)[0]
         if bad.size:
             raise MeshDegeneracyError(
                 f"{bad.size} degenerate triangle(s), first index {bad[0]}"
@@ -167,7 +175,8 @@ class TriMesh:
             raise MeshOrientationError(
                 f"signed volume {signed_volume:g} <= 0; winding is inward"
             )
-        return cls(v, t, centroids, normals, areas, float(diameter))
+        tree = _vertex_tree(v)
+        return cls(v, t, centroids, normals, areas, _point_set_diameter(v, tree), tree)
 
 
 def _check_topology(triangles: np.ndarray) -> None:
@@ -200,13 +209,13 @@ def _check_topology(triangles: np.ndarray) -> None:
         )
 
 
-def _vertex_leaves(vertices, leaf):
-    """The vertices cut into 2^j leaves of at most ``leaf`` each, by median
-    splits along each box's longest side: their indices as (2^j, m) rows.
-    The last rows repeat a few vertices to fill.  Rows 2k and 2k + 1 are
-    the halves of row k of the level above, so ``rows.reshape(2^i, -1)``
+def _vertex_leaves(vertices):
+    """The vertices cut into 2^j leaves of at most ``_TREE_LEAF`` each, by
+    median splits along each box's longest side: their indices as (2^j, m)
+    rows.  The last rows repeat a few vertices to fill.  Rows 2k and 2k + 1
+    are the halves of row k of the level above, so ``rows.reshape(2^i, -1)``
     gives the nodes of level i of the tree."""
-    levels = max(0, int(np.ceil(np.log2(len(vertices) / leaf))))
+    levels = max(0, int(np.ceil(np.log2(len(vertices) / _TREE_LEAF))))
     size = -(-len(vertices) // 2**levels)
     rows = np.resize(np.arange(len(vertices)), 2**levels * size)[None, :]
     for _ in range(levels):
@@ -218,9 +227,22 @@ def _vertex_leaves(vertices, leaf):
     return rows
 
 
-# leaves of the diameter's tree, and about how many pair values are formed
-# at once: 1 MiB an array, so the temporaries stay in cache
-_DIAMETER_LEAF = 32
+class _VertexTree(NamedTuple):
+    """A point set cut into leaves by :func:`_vertex_leaves`."""
+
+    rows: np.ndarray     # (2^j, m) point indices of the leaves
+    center: np.ndarray   # the points' mean
+    centred: np.ndarray  # (2^j, m, 3): the leaves' points less ``center``
+
+
+def _vertex_tree(points) -> _VertexTree:
+    rows = _vertex_leaves(points)
+    center = points.mean(axis=0)
+    return _VertexTree(rows, center, points[rows] - center)
+
+
+# about how many pair values the diameter search forms at once: 1 MiB an
+# array, so the temporaries stay in cache
 _DIAMETER_BATCH = 2**17
 
 
@@ -240,22 +262,21 @@ def _squared_distances(p, q):
 
 def _sq_norms(v):
     """Squared lengths of the 3-vectors along the last axis, in any order of
-    summation: for bounds only."""
+    summation: for bounds and floors only."""
     return np.einsum("...k,...k->...", v, v)
 
 
-def _point_set_diameter(points: np.ndarray) -> float:
+def _point_set_diameter(points: np.ndarray, tree: _VertexTree) -> float:
     """Max pairwise distance: the square root of the largest
     :func:`_squared_distances` value over pairs of points, so
     ``sqrt(cdist(points, points, "sqeuclidean").max())`` bit for bit.
 
     Two farthest-point sweeps give a lower bound, itself a pair's value.
-    The points are cut into a tree of median splits (:func:`_vertex_leaves`,
-    leaves of at most ``_DIAMETER_LEAF``), and the tree is walked down in
-    pairs of nodes, dropping each pair whose bound on its squared distances
-    falls below the lower bound.  With ``g`` the difference of the two
-    nodes' mean points and ``rho`` their radii about them, the bound is
-    ``(|g| + rho_a + rho_b)^2`` above the leaves.  At the leaves it is
+    The points' ``tree`` of median splits (:func:`_vertex_tree`) is walked
+    down in pairs of nodes, dropping each pair whose bound on its squared
+    distances falls below the lower bound.  With ``g`` the difference of
+    the two nodes' mean points and ``rho`` their radii about them, the
+    bound is ``(|g| + rho_a + rho_b)^2`` above the leaves.  At the leaves it is
     ``|g|^2 + 2 max_a g.(p - m_a) - 2 min_b g.(q - m_b) + (rho_a + rho_b)^2``,
     tight to second order, so near-antipodal caps of a sphere are not all
     kept.  The bounds are formed in coordinates centred on the points' mean
@@ -274,8 +295,7 @@ def _point_set_diameter(points: np.ndarray) -> float:
         i = int(np.argmax(d2))
         best = max(best, float(d2[i]))
 
-    rows = _vertex_leaves(points, _DIAMETER_LEAF)
-    centred = points[rows] - points.mean(axis=0)
+    rows, centred = tree.rows, tree.centred
     slack = 2.0**-30 * float(_sq_norms(centred).max())
     a = b = np.zeros(1, dtype=np.int64)
     depth = len(rows).bit_length() - 1

@@ -204,14 +204,12 @@ def _series_sums(delta: np.ndarray, order: np.ndarray, k: np.ndarray):
     return sigma, sigma_t, optical
 
 
-def phase_shifts(radius: float, k: float, truncation: int | None = None) -> PhaseShiftTable:
+def phase_shifts(radius: float, k: float) -> PhaseShiftTable:
     """Compute the phase-shift table for wavenumber k.
 
-    When ``truncation`` is omitted the table ends at the first order from
-    ``default_truncation`` on whose shift falls below ``TRUNCATION_TOL``.
-    This is the one-column case of the sweep's recurrence: the bits of
-    delta_l do not depend on the truncation asked for, unless it exceeds
-    the recurrence's reach at this ka, nor on other k.
+    The table ends at the first order from ``default_truncation`` on whose
+    shift falls below ``TRUNCATION_TOL``.  This is the one-column case of
+    the sweep's recurrence: the bits of delta_l do not depend on other k.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -219,16 +217,9 @@ def phase_shifts(radius: float, k: float, truncation: int | None = None) -> Phas
         raise ValueError("wavenumber must be positive")
     ka = np.array([k * radius])
     reach = _reach(ka)
-    if truncation is not None:
-        if truncation < 0:
-            raise ValueError("truncation must be >= 0")
-        reach = np.maximum(reach, truncation)
-        delta = _phase_shift_columns(ka, reach)[: truncation + 1, 0]
-    else:
-        delta = _phase_shift_columns(ka, reach)
-        order = _truncation(delta, ka, reach)[0]
-        delta = delta[: order + 1, 0]
-    return PhaseShiftTable(radius, float(ka[0]), delta.copy())
+    delta = _phase_shift_columns(ka, reach)
+    order = _truncation(delta, ka, reach)[0]
+    return PhaseShiftTable(radius, float(ka[0]), delta[: order + 1, 0].copy())
 
 
 def _legendre_rows(order: int, x: np.ndarray) -> np.ndarray:
@@ -381,8 +372,9 @@ def sweep_to_csv(path, radius: float, k_values, header_lines=()) -> None:
     })
 
 
-def fig1_to_csv(path, k_values, radius: float = FIG1_RADIUS, header_lines=()) -> None:
-    """CSV form of :func:`fig1_sweep`, without its optical-residual column."""
-    rows = fig1_sweep(k_values, radius)
+def fig1_to_csv(path, k_values, header_lines=()) -> None:
+    """CSV form of :func:`fig1_sweep` at ``FIG1_RADIUS``, without its
+    optical-residual column."""
+    rows = fig1_sweep(k_values)
     del rows["optical_residual"]
     write_csv(path, header_lines, rows)

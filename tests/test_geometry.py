@@ -120,6 +120,16 @@ def test_degenerate_triangle_rejected():
         TriMesh.from_arrays(v, t)
 
 
+def test_needle_triangle_rejected():
+    # the area floor is relative to each triangle's own longest edge: a
+    # bottom face of height 1e-13 of its longest edge is degenerate, and
+    # the three faces on it are well shaped
+    v = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1e-13, 0], [0.5, 0.5, 1.0]])
+    t = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [2, 0, 3]])
+    with pytest.raises(MeshDegeneracyError, match="1 degenerate triangle"):
+        TriMesh.from_arrays(v, t)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -307,11 +317,11 @@ def test_scaling_laws(factor):
 def test_point_set_diameter_matches_broadcast_formula(seed, n, offset, scale):
     # the diameter feeds the trust region, the degeneracy floor and the
     # tracer's nudge, so the blocked form must equal the plain one bit for bit
-    from hardscatter.geometry import _point_set_diameter
+    from hardscatter.geometry import _point_set_diameter, _vertex_tree
 
     points = np.random.default_rng(seed).normal(size=(n, 3)) * scale + offset
     d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    assert _point_set_diameter(points) == float(np.sqrt(d2.max()))
+    assert _point_set_diameter(points, _vertex_tree(points)) == float(np.sqrt(d2.max()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,9 +333,9 @@ def test_point_set_diameter_equals_cdist(body, seed, exponent, offset):
     # largest squared distance, rooted, bit for bit
     from scipy.spatial.distance import cdist
 
-    from hardscatter.geometry import _point_set_diameter
+    from hardscatter.geometry import _point_set_diameter, _vertex_tree
 
     mesh = make_body(Sphere(1.0), 5) if body == "sphere5" else oracle_body(body)
     points = moved(mesh, seed, exponent, offset).vertices
     want = float(np.sqrt(cdist(points, points, "sqeuclidean").max()))
-    assert _point_set_diameter(points) == want
+    assert _point_set_diameter(points, _vertex_tree(points)) == want

@@ -67,3 +67,14 @@ def test_groove_literal_is_the_tests_groove_prism():
     mesh, want = loads_mesh(GROOVE_OFF), groove_prism()
     assert np.array_equal(mesh.vertices, want.vertices)
     assert np.array_equal(mesh.triangles, want.triangles)
+
+
+def test_tetrahedra_literal_is_the_tests_two_far_tetrahedra():
+    from hardscatter.geometry import loads_mesh
+    from test_potential import two_far_tetrahedra
+
+    from tools.golden_cli import TETRAHEDRA_OFF
+
+    mesh, want = loads_mesh(TETRAHEDRA_OFF), two_far_tetrahedra(1e6)
+    assert np.array_equal(mesh.vertices, want.vertices)
+    assert np.array_equal(mesh.triangles, want.triangles)

@@ -314,7 +314,7 @@ def test_near_pairs_equal_the_kdtree_and_brute_force_pairs(body, seed, exponent,
     assert_same_pairs(got, brute_force_near_pairs(mesh))
 
 
-@pytest.mark.parametrize("separation", [3.0, 100.0, 1e5])
+@pytest.mark.parametrize("separation", [3.0, 100.0, 1e5, 1e6, 1e8])
 def test_near_pairs_of_parts_far_apart(separation):
     # far-apart parts fall into runs of cells of their own, so the cells
     # along an axis are at most two per centroid whatever the separation
@@ -490,6 +490,16 @@ def test_capacity_translation_far_from_origin(sphere4_densities):
     # the distance blocks lose digits far from the origin unless centred
     shifted = translated(sphere4_densities.mesh, [1e4, -7e3, 3e3])
     assert capacity(shifted) == pytest.approx(sphere4_densities.capacity, rel=1e-12)
+
+
+def test_capacity_of_parts_far_apart():
+    # two unit tetrahedra a distance d apart, each of capacity C1, hold
+    # charges that see each other as points: C = 2 C1 / (1 + C1 / d).
+    # Their mesh has diameter 1e6, far above the size of its triangles
+    d = 1e6
+    mesh = two_far_tetrahedra(d)
+    one = capacity(TriMesh.from_arrays(mesh.vertices[:4], mesh.triangles[:4]))
+    assert capacity(mesh) == pytest.approx(2.0 * one / (1.0 + one / d), rel=5e-11)
 
 
 def test_dense_solve_estimate_covers_the_matrix():

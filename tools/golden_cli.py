@@ -56,14 +56,17 @@ ROOT = Path(__file__).resolve().parents[1]
 # written from GROOVE_OFF, whose notch apex is a concave crease; and the
 # level-4 Ellipsoid(2, 1, 1.5) scaled by 1e-2 and moved by (1e3, -2e3, 5e2),
 # written by the REV tree, whose near-pair cell list and diameter work on
-# coordinates 1e5 times the body's size
+# coordinates 1e5 times the body's size; and two unit tetrahedra 1e6 apart,
+# written from TETRAHEDRA_OFF, so that a tree that rejects the mesh as
+# degenerate still writes it
 MESH = "sphere3.off"
 MESH5 = "sphere5.off"
 DENTED = "dented.off"
 EDGES = "split_cube.off"
 GROOVE = "groove.off"
 FAR = "far_ellipsoid.off"
-MESHES = (MESH, MESH5, DENTED, EDGES, GROOVE, FAR)
+TETRAHEDRA = "far_tetrahedra.off"
+MESHES = (MESH, MESH5, DENTED, EDGES, GROOVE, FAR, TETRAHEDRA)
 MAKE_MESH = ("from hardscatter.geometry import Ellipsoid, Sphere, TriMesh, make_body, "
              "save_mesh; "
              "from perfbench.workloads import dented_sphere; "
@@ -139,12 +142,35 @@ GROOVE_OFF = """OFF
 3 3 4 5
 3 10 12 11
 """
+# two_far_tetrahedra(1e6) of tests/test_potential.py
+TETRAHEDRA_OFF = """OFF
+8 8 0
+0 0 0
+1 0 0
+0.5 0.8660254037844386 0
+0.5 0.28999999999999998 0.80000000000000004
+1000000 0 0
+1000001 0 0
+1000000.5 0.8660254037844386 0
+1000000.5 0.28999999999999998 0.80000000000000004
+3 0 2 1
+3 0 1 3
+3 1 2 3
+3 2 0 3
+3 4 6 5
+3 4 5 7
+3 5 6 7
+3 6 4 7
+"""
 
 GOLDEN = {
     "capacity_sphere": "capacity --body sphere:1 --level 4 --out cap.json",
     "capacity_cylinder": "capacity --body cylinder:1,2 --level 4 --out cap.json",
     # 1280 panels far from the origin for their size
     "capacity_far": f"capacity --mesh {FAR} --out cap.json",
+    # parts of diameter 1 in a mesh of diameter 1e6: each triangle's area
+    # floor comes from its own longest edge
+    "capacity_far_tetrahedra": f"capacity --mesh {TETRAHEDRA} --out cap.json",
     "lowfreq_sphere": "lowfreq --body sphere:1 --level 4 --k-min 0.01 "
                       "--k-max 0.2 --samples 20 --out report.json",
     # the benchmark's shape: 5120 panels, twenty assembly blocks
@@ -403,6 +429,7 @@ def main(argv=None) -> int:
                        env=_env(tmp / "rev", 1), check=True)
         (tmp / "rev" / EDGES).write_text(SPLIT_CUBE_OFF, encoding="utf-8")
         (tmp / "rev" / GROOVE).write_text(GROOVE_OFF, encoding="utf-8")
+        (tmp / "rev" / TETRAHEDRA).write_text(TETRAHEDRA_OFF, encoding="utf-8")
         before = _run(tmp / "rev", tmp / "runs_rev", tmp / "rev", args.threads)
         after = _run(ROOT, tmp / "runs_work", tmp / "rev", args.threads)
 
