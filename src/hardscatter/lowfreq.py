@@ -124,6 +124,9 @@ def solve_expansion_densities(mesh: TriMesh) -> ExpansionDensities:
     mu2, the last term collocated with :func:`distance_moment`.  The
     symmetric first-order part is ``-capacity * mu0`` pointwise, so that
     mu1 = -capacity * mu0 + mu1a carries the combined data ``-z + capacity``.
+    On a mesh with mirror planes through the origin the data of mu0 and mu2
+    are even under every flip and that of mu1a odd in z, so the chain
+    factorises two blocks of the operator (see :mod:`hardscatter.potential`).
     """
     operator = assemble_single_layer(mesh)
     z = mesh.centroids[:, 2]

@@ -1,10 +1,12 @@
 """Shared fixtures: expensive meshes and density solves are session-scoped."""
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hardscatter import potential
 from hardscatter.geometry import (
     CappedCylinder,
     Ellipsoid,
@@ -85,6 +87,23 @@ def moved(mesh: TriMesh, seed: int, exponent: float, offset) -> TriMesh:
     q *= np.sign(np.linalg.det(q))  # a rotation, not a reflection
     vertices = mesh.vertices @ q.T * 10.0**exponent + np.asarray(offset)
     return TriMesh.from_arrays(vertices, mesh.triangles)
+
+
+def identity_group(mesh: TriMesh) -> potential.MirrorGroup:
+    """The one-element mirror group: every panel its own orbit, one block,
+    the full matrix."""
+    return potential._group(np.ones((1, 3)), np.arange(mesh.n_triangles)[None])
+
+
+def identity_operator(mesh: TriMesh) -> potential.SingleLayerOperator:
+    """The operator of ``mesh`` as if it had no mirror symmetry."""
+    with mock.patch.object(potential, "_mirror_group", identity_group):
+        return potential.assemble_single_layer(mesh)
+
+
+def dense_matrix(mesh: TriMesh) -> np.ndarray:
+    """The full n x n single-layer matrix: the identity group's block."""
+    return potential._assemble_block(identity_operator(mesh), 0)
 
 
 @pytest.fixture(scope="session")

@@ -377,18 +377,20 @@ def test_trust_region_exit_code(tmp_path, monkeypatch):
 
 
 def test_job_too_large_for_memory_exits_4(tmp_path, monkeypatch, capsys):
-    # level 3 has 320 panels, about 2.7 MiB of dense work
-    monkeypatch.setattr(potential, "_available_bytes", lambda: 2**20)
+    # level 3 has 320 panels in 46 orbits, about 1.0 MiB of dense work
+    monkeypatch.setattr(potential, "_available_bytes", lambda: 2**19)
     mesh = make_body(Sphere(1.0), 3)
-    pairs = len(potential._near_pairs(mesh)[0])
-    need = potential._dense_solve_bytes(mesh.n_triangles, pairs) / 2**20
+    reps = potential._mirror_group(mesh).reps
+    ii, _ = potential._near_pairs(mesh)
+    need = potential._dense_solve_bytes(mesh.n_triangles, len(reps), len(ii),
+                                        int(np.count_nonzero(np.isin(ii, reps)))) / 2**20
     for command in ("capacity", "lowfreq"):
         code = main([command, "--body", "sphere:1", "--level", "3",
                      "--out", str(tmp_path / f"{command}.json")])
         assert code == 4
         err = capsys.readouterr().err
         assert "does not fit in memory" in err
-        assert f"{need:.1f} MiB" in err and "1.0 MiB available" in err
+        assert f"{need:.1f} MiB" in err and "0.5 MiB available" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -411,28 +413,31 @@ def test_rerun_byte_identical(tmp_path):
 
 
 def test_thread_count_invariance(tmp_path):
-    outputs, samples = [], []
-    for threads, name in ((1, "t1.json"), (2, "t2.json")):
-        out = tmp_path / name
-        result = run_cli(
-            "--threads", str(threads), "lowfreq", "--body", "sphere:1",
-            "--level", "3", "--out", str(out), cwd=tmp_path,
-        )
-        assert result.returncode == 0, result.stderr
-        outputs.append(json.loads(out.read_text()))
-        f12 = (tmp_path / f"{out.stem}_f12.csv").read_text().splitlines()
-        header, *rows = [ln for ln in f12 if not ln.startswith("#")]
-        samples.append(dict(zip(header.split(","),
-                                np.loadtxt(rows, delimiter=",", unpack=True))))
-    for key in ("capacity", "K", "Z1", "M", "d2_direct"):
-        a, b = outputs[0][key], outputs[1][key]
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
-    # f2 changes sign, so its drift is measured against the column maximum
-    # rather than pointwise
-    a, b = samples
-    for column in ("cos_theta", "phi", "f1"):
-        assert np.array_equal(a[column], b[column])
-    assert np.max(np.abs(a["f2"] - b["f2"])) <= 1e-12 * np.max(np.abs(a["f2"]))
+    # the sphere, and an ellipsoid whose full n x n LU drifts between one
+    # and two BLAS threads; both are solved on their mirror-symmetry blocks
+    for body in ("sphere:1", "ellipsoid:2,1,1.5"):
+        outputs, samples = [], []
+        for threads, name in ((1, "t1.json"), (2, "t2.json")):
+            out = tmp_path / name
+            result = run_cli(
+                "--threads", str(threads), "lowfreq", "--body", body,
+                "--level", "3", "--out", str(out), cwd=tmp_path,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(json.loads(out.read_text()))
+            f12 = (tmp_path / f"{out.stem}_f12.csv").read_text().splitlines()
+            header, *rows = [ln for ln in f12 if not ln.startswith("#")]
+            samples.append(dict(zip(header.split(","),
+                                    np.loadtxt(rows, delimiter=",", unpack=True))))
+        for key in ("capacity", "K", "Z1", "M", "d2_direct"):
+            a, b = outputs[0][key], outputs[1][key]
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+        # f2 changes sign, so its drift is measured against the column maximum
+        # rather than pointwise
+        a, b = samples
+        for column in ("cos_theta", "phi", "f1"):
+            assert np.array_equal(a[column], b[column])
+        assert np.max(np.abs(a["f2"] - b["f2"])) <= 1e-12 * np.max(np.abs(a["f2"]))
 
 
 def test_thread_count_invariance_mesh_trace(tmp_path):

@@ -1,4 +1,4 @@
-import dataclasses
+import itertools
 import os
 import tracemalloc
 
@@ -10,8 +10,17 @@ from scipy import integrate
 from scipy.spatial import cKDTree
 
 from hardscatter import potential
-from hardscatter.geometry import Ellipsoid, Sphere, TriMesh, make_body, reflect
+from hardscatter.geometry import (
+    CappedCylinder,
+    Ellipsoid,
+    Sphere,
+    TriMesh,
+    loads_mesh,
+    make_body,
+    reflect,
+)
 from hardscatter.potential import (
+    RESIDUAL_TOL,
     SolverError,
     SurfaceDensity,
     _centroid_distances,
@@ -23,9 +32,18 @@ from hardscatter.potential import (
     mu0,
     solve_density,
 )
-from hardscatter.lowfreq import solve_expansion_densities
+from hardscatter.lowfreq import amplitude_expansion, make_quadrature, solve_expansion_densities
+from tools.golden_cli import SPLIT_CUBE_OFF
 
-from conftest import ORACLE_BODIES, egg_mesh, moved, oracle_body
+from conftest import (
+    ORACLE_BODIES,
+    dense_matrix,
+    egg_mesh,
+    identity_group,
+    identity_operator,
+    moved,
+    oracle_body,
+)
 
 MU0_SPHERE = -1.0 / (4.0 * np.pi)
 
@@ -103,10 +121,10 @@ def _triangle_self_integral_single(p0, p1, p2):
 
 def test_far_field_entry_against_oracle():
     mesh = two_far_tetrahedra()
-    op = assemble_single_layer(mesh)
+    matrix = dense_matrix(mesh)
     i, j = 0, 4  # one triangle per tetrahedron
     c_i = mesh.centroids[i]
-    assert op.matrix[i, j] == pytest.approx(
+    assert matrix[i, j] == pytest.approx(
         mesh.areas[j] / np.linalg.norm(mesh.centroids[j] - c_i), rel=1e-15
     )
     p0, p1, p2 = (c[j] for c in mesh.corners())
@@ -119,13 +137,13 @@ def test_far_field_entry_against_oracle():
     oracle, _ = integrate.dblquad(
         integrand, 0, 1, 0, lambda u: 1 - u, epsabs=1e-12, epsrel=1e-12
     )
-    assert op.matrix[i, j] == pytest.approx(oracle, rel=1e-4)
+    assert matrix[i, j] == pytest.approx(oracle, rel=1e-4)
 
 
 def test_diagonal_positive_and_symmetry_smoke(sphere4_densities, cylinder3_densities):
-    # the operator's own matrix is overwritten by its LU factors
+    # the operator keeps no matrix, only the LU factors of its blocks
     for densities in (sphere4_densities, cylinder3_densities):
-        matrix = assemble_single_layer(densities.mesh).matrix
+        matrix = dense_matrix(densities.mesh)
         assert np.all(np.diag(matrix) > 0)
         asym = np.abs(matrix - matrix.T).max() / np.abs(matrix).max()
         assert asym < 0.15
@@ -148,7 +166,7 @@ def test_centroid_distance_blocks_far_from_origin(far_ellipsoid3, monkeypatch):
     reference = np.linalg.norm(cent[:, None, :] - cent[None, :, :], axis=2)
     off = ~np.eye(mesh.n_triangles, dtype=bool)
     seen = 0
-    for i0, i1, dist in _centroid_distances(mesh):
+    for i0, i1, dist in _centroid_distances(mesh, np.arange(mesh.n_triangles)):
         assert dist.shape == (i1 - i0, mesh.n_triangles)
         assert np.all(np.diagonal(dist, offset=i0) == 0.0)
         rel = np.abs(dist - reference[i0:i1])[off[i0:i1]] / reference[i0:i1][off[i0:i1]]
@@ -179,18 +197,25 @@ def test_distance_moment_against_difference_reference(far_ellipsoid3, monkeypatc
 
 
 def test_assembly_blocks_do_not_change_the_matrix(sphere3, monkeypatch):
-    default = assemble_single_layer(sphere3).matrix
+    # the full matrix, and the block of every character of the eight flips
+    def blocks():
+        op = assemble_single_layer(sphere3)
+        return [dense_matrix(sphere3)] + [
+            potential._assemble_block(op, c) for c in range(len(op.mirrors.characters))]
+
+    default = blocks()
     monkeypatch.setattr(potential, "_ASSEMBLY_BLOCK", 64)
-    blocked = assemble_single_layer(sphere3).matrix
-    assert blocked.flags.f_contiguous
-    assert np.array_equal(blocked, default)
+    for blocked, want in zip(blocks(), default, strict=True):
+        assert blocked.flags.f_contiguous
+        assert np.array_equal(blocked, want)
 
 
 def test_far_entries_are_areas_over_centroid_distances(sphere3, monkeypatch):
     # distance_moment and the operator see the same distances bit for bit
     monkeypatch.setattr(potential, "_ASSEMBLY_BLOCK", 100)
-    dist = np.vstack([d.copy() for _, _, d in _centroid_distances(sphere3)])
-    matrix = assemble_single_layer(sphere3).matrix
+    rows = np.arange(sphere3.n_triangles)
+    dist = np.vstack([d.copy() for _, _, d in _centroid_distances(sphere3, rows)])
+    matrix = dense_matrix(sphere3)
     far = np.ones_like(matrix, dtype=bool)
     ii, jj = potential._near_pairs(sphere3)
     far[ii, jj] = False
@@ -201,14 +226,15 @@ def test_far_entries_are_areas_over_centroid_distances(sphere3, monkeypatch):
 
 @pytest.mark.parametrize("level", [3, 4])
 def test_regenerated_rows_equal_the_assembled_matrix(level):
+    # all rows with the identity group, the representatives' with the eight
+    # flips, after the blocks are factorised
     mesh = make_body(Sphere(1.0), level)
-    op = assemble_single_layer(mesh)
-    matrix = op.matrix.copy()
-    op.factorize()
-    assert op.matrix is None
-    rows, moment = potential._row_block_products(op, np.eye(op.n))
-    assert moment is None
-    assert np.array_equal(rows, matrix)
+    matrix = dense_matrix(mesh)
+    for op in (identity_operator(mesh), assemble_single_layer(mesh)):
+        op.factorize(0)
+        rows, moment = potential._row_block_products(op, np.eye(op.n))
+        assert moment is None
+        assert np.array_equal(rows, matrix[op.mirrors.reps])
 
 
 def _distance_moment_with_masks(operator, density):
@@ -218,7 +244,7 @@ def _distance_moment_with_masks(operator, density):
     weighted = density.values * mesh.areas
     out = np.empty(mesh.n_triangles)
     ii, jj, distance = operator.near
-    for i0, i1, dist in _centroid_distances(mesh):
+    for i0, i1, dist in _centroid_distances(mesh, np.arange(mesh.n_triangles)):
         rows = (ii >= i0) & (ii < i1)
         dist[ii[rows] - i0, jj[rows]] = distance[rows] / 3.0
         out[i0:i1] = dist @ weighted
@@ -226,8 +252,9 @@ def _distance_moment_with_masks(operator, density):
 
 
 def test_distance_moment_bitwise_as_with_masks(sphere3, monkeypatch):
+    # with the identity group every row is its own representative
     monkeypatch.setattr(potential, "_ASSEMBLY_BLOCK", 100)
-    op = assemble_single_layer(sphere3)
+    op = identity_operator(sphere3)
     values = np.random.default_rng(5).uniform(-1.0, 1.0, op.n)
     density = SurfaceDensity(values, sphere3)
     assert np.array_equal(distance_moment(op, density),
@@ -235,22 +262,31 @@ def test_distance_moment_bitwise_as_with_masks(sphere3, monkeypatch):
 
 
 def test_expansion_checks_its_solves_in_two_passes(sphere3, monkeypatch):
-    # mu0 and mu1a share one pass with the distance moment, mu2 takes one
+    # mu0 and mu1a share one pass over the representatives' rows with the
+    # distance moment, mu2 takes one; mu2 is rebuilt from that moment (with
+    # the identity group, from the masks reference)
     passes = []
     blocks = potential._centroid_distances
 
-    def counted(mesh):
+    def counted(mesh, rows):
         passes.append(mesh)
-        return blocks(mesh)
+        return blocks(mesh, rows)
 
     monkeypatch.setattr(potential, "_centroid_distances", counted)
-    densities = solve_expansion_densities(sphere3)
-    assert len(passes) == 2
     z = sphere3.centroids[:, 2]
-    moment = _distance_moment_with_masks(densities.operator, densities.mu0)
-    data2 = -0.5 * z**2 - densities.mu1.integral() - 0.5 * moment
-    mu2 = solve_density(densities.operator, data2)
-    assert np.array_equal(mu2.values, densities.mu2.values)
+    for mirrored in (True, False):
+        if not mirrored:
+            monkeypatch.setattr(potential, "_mirror_group", identity_group)
+        passes.clear()
+        densities = solve_expansion_densities(sphere3)
+        assert len(passes) == 2
+        op = densities.operator
+        assert len(op.mirrors.signs) == (8 if mirrored else 1)
+        moment = (distance_moment(op, densities.mu0) if mirrored
+                  else _distance_moment_with_masks(op, densities.mu0))
+        data2 = -0.5 * z**2 - densities.mu1.integral() - 0.5 * moment
+        mu2 = solve_density(op, data2)
+        assert np.array_equal(mu2.values, densities.mu2.values)
 
 
 def test_near_pairs_found_once_per_expansion(sphere3, monkeypatch):
@@ -348,7 +384,9 @@ def test_kernel_homogeneity(factor):
     scaled_op = assemble_single_layer(
         TriMesh.from_arrays(mesh.vertices * factor, mesh.triangles)
     )
-    assert np.allclose(scaled_op.matrix, factor * op.matrix, rtol=1e-12)
+    for c in range(len(op.mirrors.characters)):
+        assert np.allclose(potential._assemble_block(scaled_op, c),
+                           factor * potential._assemble_block(op, c), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +396,7 @@ def test_kernel_homogeneity(factor):
 def test_solve_roundtrip(sphere4_densities):
     op = sphere4_densities.operator
     ones = np.ones(op.n)
-    density = solve_density(op, assemble_single_layer(op.mesh).matrix @ ones)
+    density = solve_density(op, dense_matrix(op.mesh) @ ones)
     assert np.abs(density.values - 1.0).max() < 1e-10
 
 
@@ -378,20 +416,30 @@ def test_solve_rejects_bad_data(sphere3):
         solve_density(op, np.full(op.n, np.nan))
 
 
-def test_singular_system_reports_condition(sphere3):
-    matrix = np.ones((sphere3.n_triangles, sphere3.n_triangles))
-    op = dataclasses.replace(assemble_single_layer(sphere3), matrix=matrix)
+def test_singular_system_reports_condition(sphere3, monkeypatch):
+    def ones(operator, character):
+        b = np.count_nonzero(operator.mirrors.admissible[character])
+        return np.ones((b, b), order="F")
+
+    monkeypatch.setattr(potential, "_assemble_block", ones)
+    op = assemble_single_layer(sphere3)
     with pytest.raises(SolverError, match="rcond"):
         solve_density(op, np.ones(op.n))
 
 
-def test_non_finite_matrix_entry_raises_before_the_lu(sphere3):
+def test_non_finite_matrix_entry_raises_before_the_lu(sphere3, monkeypatch):
+    assemble = potential._assemble_block
     for value in (np.nan, np.inf):
+        def spoiled(operator, character, value=value):
+            matrix = assemble(operator, character)
+            matrix[7, 3] = value
+            return matrix
+
+        monkeypatch.setattr(potential, "_assemble_block", spoiled)
         op = assemble_single_layer(sphere3)
-        op.matrix[7, 3] = value
         with pytest.raises(SolverError, match="non-finite single-layer matrix"):
-            op.factorize()
-        assert op._lu is None
+            op.factorize(0)
+        assert op._lu == {}
 
 
 def _offset_solves(monkeypatch, offsets):
@@ -502,16 +550,33 @@ def test_capacity_of_parts_far_apart():
     assert capacity(mesh) == pytest.approx(2.0 * one / (1.0 + one / d), rel=5e-11)
 
 
-def test_dense_solve_estimate_covers_the_matrix():
+def _preflight(mesh):
+    """The preflight's estimate for ``mesh``, as assembly takes it."""
+    reps = potential._mirror_group(mesh).reps
+    ii, _ = potential._near_pairs(mesh)
+    rep_pairs = int(np.count_nonzero(np.isin(ii, reps)))
+    return _dense_solve_bytes(mesh.n_triangles, len(reps), len(ii), rep_pairs)
+
+
+def test_dense_solve_estimate_covers_the_matrix(sphere3):
+    # the identity group's one block is the full matrix, and its count is
+    # the full chain's: the matrix, one row block and 16 words a pair
     for n in (1, 320, 2048, 5120, 20480):
-        assert _dense_solve_bytes(n) >= 8 * n * n
+        assert _dense_solve_bytes(n, n, 0, 0) >= 8 * n * n
+        assert _dense_solve_bytes(n, n, 7 * n, 7 * n) == (
+            8 * (n * n + min(256, n) * n) + 128 * 7 * n)
+    # the blocks of every character of the eight flips at once
+    mirrors = potential._mirror_group(sphere3)
+    sizes = np.count_nonzero(mirrors.admissible, axis=1)
+    assert sizes.sum() == sphere3.n_triangles
+    assert _dense_solve_bytes(sphere3.n_triangles, len(mirrors.reps), 0, 0) >= 8 * np.sum(
+        sizes**2)
 
 
-def test_level_6_sphere_preflight_below_3_4_gib():
-    # the matrix is factorised in place: one 8 n^2 array, not two
-    mesh = make_body(Sphere(1.0), 6)
-    pairs = len(potential._near_pairs(mesh)[0])
-    assert _dense_solve_bytes(mesh.n_triangles, pairs) <= 3.4 * 2**30
+def test_level_6_sphere_preflight_below_half_a_gib():
+    # the blocks are factorised in place, and each has at most 2608 of the
+    # 20480 panels' rows: 495 MiB where the full matrix needed 3.25 GiB
+    assert _preflight(make_body(Sphere(1.0), 6)) <= 0.5 * 2**30
 
 
 def test_level_4_traced_peak_below_one_and_a_half_matrices(sphere4):
@@ -525,16 +590,19 @@ def test_level_4_traced_peak_below_one_and_a_half_matrices(sphere4):
     assert peak < 1.5 * 8 * n * n
 
 
-def test_dense_solve_estimate_covers_traced_peak(sphere4):
-    n = sphere4.n_triangles
-    pairs = len(potential._near_pairs(sphere4)[0])
-    tracemalloc.start()
-    try:
-        solve_expansion_densities(sphere4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= _dense_solve_bytes(n, pairs)
+def test_dense_solve_estimate_covers_traced_peak(sphere4, monkeypatch):
+    # with the eight flips, and with the identity group
+    for mirrored in (True, False):
+        if not mirrored:
+            monkeypatch.setattr(potential, "_mirror_group", identity_group)
+        need = _preflight(sphere4)
+        tracemalloc.start()
+        try:
+            solve_expansion_densities(sphere4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
 
 
 def test_available_memory_without_meminfo(monkeypatch):
@@ -596,7 +664,7 @@ def test_mu1_combined_data_residual(sphere4_densities, ellipsoid4_densities):
         mesh = densities.mesh
         combined = densities.mu1.values
         data = -mesh.centroids[:, 2] + densities.capacity
-        residual = assemble_single_layer(mesh).matrix @ combined - data
+        residual = dense_matrix(mesh) @ combined - data
         assert np.abs(residual).max() / np.abs(data).max() < 1e-9
 
 
@@ -671,3 +739,176 @@ def test_reciprocity_smooth_data(sphere4_densities, ellipsoid4_densities):
                 np.sum(np.abs(h * mug * mesh.areas)),
             )
             assert abs(lhs - rhs) / scale < 0.005
+
+
+# ---------------------------------------------------------------------------
+# mirror symmetry
+
+
+ALL_FLIPS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+
+
+def face_set_flips(mesh):
+    """Oracle: the flips under which the vertices, as a set of coordinate
+    tuples (0.0 and -0.0 equal), and the faces, as sets of those tuples, map
+    onto themselves."""
+    def faces(v):
+        points = [tuple(float(x) + 0.0 for x in p) for p in v]
+        return set(points), {frozenset(points[i] for i in f) for f in mesh.triangles}
+
+    vertices, face_set = faces(mesh.vertices)
+    return [tuple(s) for s in ALL_FLIPS
+            if faces(mesh.vertices * s) == (vertices, face_set)]
+
+
+def one_ulp_off(mesh):
+    """``mesh`` with the x coordinate of one vertex that has no zero
+    coordinate moved up by one ulp."""
+    v = mesh.vertices.copy()
+    i = np.flatnonzero(np.all(v != 0.0, axis=1))[0]
+    v[i, 0] = np.nextafter(v[i, 0], np.inf)
+    return TriMesh.from_arrays(v, mesh.triangles)
+
+
+def centred_split_cube():
+    """The golden configs' split cube moved to the origin: its vertex set
+    has all eight flips, its diagonals fewer."""
+    cube = loads_mesh(SPLIT_CUBE_OFF)
+    return TriMesh.from_arrays(cube.vertices - 0.5, cube.triangles)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("body", [Sphere(1.0), Ellipsoid(2.0, 1.0, 1.5)], ids=["sphere", "ellipsoid"])
+def test_generated_bodies_have_all_eight_flips(body, level):
+    mesh = make_body(body, level)
+    mirrors = potential._mirror_group(mesh)
+    assert np.array_equal(mirrors.signs, ALL_FLIPS)
+    assert np.array_equal(mirrors.signs[0], np.ones(3))
+    # each flip permutes the panels, and maps a centroid onto its image's
+    # to rounding (the image lists its corners in another order)
+    cent = mesh.centroids
+    for signs, image in zip(mirrors.signs, mirrors.images):
+        assert np.array_equal(np.sort(image), np.arange(mesh.n_triangles))
+        assert np.abs(cent * signs - cent[image]).max() < 1e-15 * np.abs(cent).max()
+    # 8 characters; an orbit of k panels carries k of them
+    assert len(mirrors.characters) == 8
+    orbit_sizes = [len(set(mirrors.images[:, r])) for r in mirrors.reps]
+    assert np.array_equal(np.count_nonzero(mirrors.admissible, axis=0), orbit_sizes)
+    assert sum(orbit_sizes) == mesh.n_triangles
+
+
+def test_mirror_group_matches_the_set_oracle(cube3):
+    meshes = {
+        "sphere3": make_body(Sphere(1.0), 3),
+        "cylinder3": make_body(CappedCylinder(1.0, 2.0), 3),
+        "pinwheel_cube": cube3,
+        "split_cube": centred_split_cube(),
+        "dented": oracle_body("dented"),
+        "egg": egg_mesh(2),
+    }
+    found = {}
+    for name, mesh in meshes.items():
+        found[name] = [tuple(s) for s in potential._mirror_group(mesh).signs]
+        assert found[name] == face_set_flips(mesh), name
+    # the capped cylinder's vertex set has no flip: cos(pi - t) is not
+    # -cos(t), and its rings' z values are not mirror images, to rounding
+    assert found["cylinder3"] == [(1.0, 1.0, 1.0)]
+    # the split cube's vertex set has all eight flips, its diagonals none
+    cube = meshes["split_cube"].vertices
+    assert all(set(map(tuple, cube * s)) == set(map(tuple, cube)) for s in ALL_FLIPS)
+    assert found["split_cube"] == [(1.0, 1.0, 1.0)]
+    assert len(found["pinwheel_cube"]) == 8
+    assert found["dented"] == [(1.0, 1.0, 1.0)]
+    # the egg's radius depends on z only: x and y flips, not z
+    assert found["egg"] == [s for s in map(tuple, ALL_FLIPS) if s[2] == 1.0]
+
+
+def test_one_ulp_or_an_offset_leaves_the_identity(far_ellipsoid3):
+    for level in (3, 5):
+        mesh = one_ulp_off(make_body(Sphere(1.0), level))
+        assert np.array_equal(potential._mirror_group(mesh).signs, [[1.0, 1.0, 1.0]])
+    # the golden configs' far ellipsoid: level 4, scaled by 1e-2 and moved
+    e = make_body(Ellipsoid(2.0, 1.0, 1.5), 4)
+    far = TriMesh.from_arrays(e.vertices * 1e-2 + (1e3, -2e3, 5e2), e.triangles)
+    for mesh in (far, far_ellipsoid3):
+        mirrors = potential._mirror_group(mesh)
+        assert np.array_equal(mirrors.signs, [[1.0, 1.0, 1.0]])
+        assert np.array_equal(mirrors.reps, np.arange(mesh.n_triangles))
+
+
+def test_negative_zero_matches_zero(sphere3):
+    # a flip maps 0.0 to -0.0; a mesh that holds -0.0 for some of its zeros
+    # is the same vertex set
+    v = sphere3.vertices.copy()
+    zero = np.argwhere(v == 0.0)
+    v[tuple(zero[::2].T)] = -0.0
+    assert np.signbit(v[v == 0.0]).any() and not np.signbit(v[v == 0.0]).all()
+    mesh = TriMesh.from_arrays(v, sphere3.triangles)
+    assert len(potential._mirror_group(mesh).signs) == 8
+
+
+def test_blocks_are_signed_orbit_sums_of_the_full_matrix(sphere3):
+    op = assemble_single_layer(sphere3)
+    mirrors = op.mirrors
+    matrix = dense_matrix(sphere3)
+    for c, chi in enumerate(mirrors.characters):
+        reps = mirrors.reps[mirrors.admissible[c]]
+        images = mirrors.images[:, reps]
+        want = matrix[np.ix_(reps, images[0])]
+        for h in range(1, len(images)):
+            new = np.all(images[:h] != images[h], axis=0)
+            want = want + matrix[np.ix_(reps, images[h])] * (chi[h] * new)
+        assert np.array_equal(potential._assemble_block(op, c), want)
+
+
+# measured at most 1.7e-14 (level 3) and 5.5e-14 (level 4) of max |mu|, and
+# 1.0e-15 in the capacity and d2, at 1 and 2 BLAS threads
+DENSITY_BOUND = {3: 3e-14, 4: 1e-13}
+
+
+@pytest.mark.parametrize("level", [3, 4])
+@pytest.mark.parametrize("body", [Sphere(1.0), Ellipsoid(2.0, 1.0, 1.5)], ids=["sphere", "ellipsoid"])
+def test_blocks_agree_with_the_identity_group(body, level, monkeypatch):
+    mesh = make_body(body, level)
+    quad = make_quadrature(4, 4)
+    reduced = solve_expansion_densities(mesh)
+    # the even block for mu0 and mu2, the z-odd one for mu1a
+    chi = reduced.operator.mirrors.characters
+    assert sorted(map(tuple, chi[sorted(reduced.operator._lu)])) == sorted(
+        [tuple(np.ones(8)), tuple(ALL_FLIPS[:, 2])])
+    monkeypatch.setattr(potential, "_mirror_group", identity_group)
+    full = solve_expansion_densities(mesh)
+    for name in ("mu0", "mu1a", "mu2"):
+        a, b = getattr(reduced, name).values, getattr(full, name).values
+        assert len(a) == mesh.n_triangles
+        assert np.abs(a - b).max() <= DENSITY_BOUND[level] * np.abs(b).max()
+    assert reduced.capacity == pytest.approx(full.capacity, rel=4e-15, abs=0.0)
+    assert amplitude_expansion(reduced, quad).d2 == pytest.approx(
+        amplitude_expansion(full, quad).d2, rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("body", [Sphere(1.0), Ellipsoid(2.0, 1.0, 1.5)], ids=["sphere", "ellipsoid"])
+def test_unsymmetric_data_on_a_symmetric_mesh(body):
+    # data with a part in every character: all eight blocks are solved, and
+    # the residual meets the bound on every row of the full matrix
+    mesh = make_body(body, 3)
+    op = assemble_single_layer(mesh)
+    rng = np.random.default_rng(11)
+    for data in (rng.normal(size=op.n), np.sin(3.0 * mesh.centroids @ [1.0, 0.7, -0.4])):
+        density = solve_density(op, data)
+        residual = dense_matrix(mesh) @ density.values - data
+        assert np.abs(residual).max() < RESIDUAL_TOL * np.abs(data).max()
+    assert sorted(op._lu) == list(range(8))
+
+
+# measured 1.1e-15 of the largest value at levels 3 and 4
+MOMENT_BOUND = 3e-15
+
+
+def test_distance_moment_of_any_density_on_every_row():
+    mesh = make_body(Ellipsoid(2.0, 1.0, 1.5), 3)
+    density = SurfaceDensity(np.random.default_rng(2).normal(size=mesh.n_triangles), mesh)
+    moment = distance_moment(assemble_single_layer(mesh), density)
+    want = distance_moment(identity_operator(mesh), density)
+    assert moment.shape == (mesh.n_triangles,)
+    assert np.abs(moment - want).max() < MOMENT_BOUND * np.abs(want).max()

@@ -58,7 +58,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # written by the REV tree, whose near-pair cell list and diameter work on
 # coordinates 1e5 times the body's size; and two unit tetrahedra 1e6 apart,
 # written from TETRAHEDRA_OFF, so that a tree that rejects the mesh as
-# degenerate still writes it
+# degenerate still writes it; and the level-3 icosphere with the x of its
+# first vertex that has no zero coordinate moved up by one ulp, written by
+# the REV tree, which has no mirror symmetry left
 MESH = "sphere3.off"
 MESH5 = "sphere5.off"
 DENTED = "dented.off"
@@ -66,8 +68,10 @@ EDGES = "split_cube.off"
 GROOVE = "groove.off"
 FAR = "far_ellipsoid.off"
 TETRAHEDRA = "far_tetrahedra.off"
-MESHES = (MESH, MESH5, DENTED, EDGES, GROOVE, FAR, TETRAHEDRA)
-MAKE_MESH = ("from hardscatter.geometry import Ellipsoid, Sphere, TriMesh, make_body, "
+ULP = "sphere3_ulp.off"
+MESHES = (MESH, MESH5, DENTED, EDGES, GROOVE, FAR, TETRAHEDRA, ULP)
+MAKE_MESH = ("import numpy as np; "
+             "from hardscatter.geometry import Ellipsoid, Sphere, TriMesh, make_body, "
              "save_mesh; "
              "from perfbench.workloads import dented_sphere; "
              f"save_mesh(make_body(Sphere(1.0), 3), {MESH!r}); "
@@ -75,7 +79,11 @@ MAKE_MESH = ("from hardscatter.geometry import Ellipsoid, Sphere, TriMesh, make_
              f"save_mesh(dented_sphere(1.37)[0], {DENTED!r}); "
              "e = make_body(Ellipsoid(2.0, 1.0, 1.5), 4); "
              "save_mesh(TriMesh.from_arrays(e.vertices * 1e-2 + (1e3, -2e3, 5e2), "
-             f"e.triangles), {FAR!r})")
+             f"e.triangles), {FAR!r}); "
+             "s = make_body(Sphere(1.0), 3); v = s.vertices.copy(); "
+             "i = np.flatnonzero(np.all(v != 0.0, axis=1))[0]; "
+             "v[i, 0] = np.nextafter(v[i, 0], np.inf); "
+             f"save_mesh(TriMesh.from_arrays(v, s.triangles), {ULP!r})")
 SPLIT_CUBE_OFF = """OFF
 8 12 0
 0 0 0
@@ -171,6 +179,9 @@ GOLDEN = {
     # parts of diameter 1 in a mesh of diameter 1e6: each triangle's area
     # floor comes from its own longest edge
     "capacity_far_tetrahedra": f"capacity --mesh {TETRAHEDRA} --out cap.json",
+    # one ulp off the mirror symmetry of sphere3.off: the identity group,
+    # whose one block is the full matrix
+    "capacity_sphere_ulp": f"capacity --mesh {ULP} --out cap.json",
     "lowfreq_sphere": "lowfreq --body sphere:1 --level 4 --k-min 0.01 "
                       "--k-max 0.2 --samples 20 --out report.json",
     # the benchmark's shape: 5120 panels, twenty assembly blocks
