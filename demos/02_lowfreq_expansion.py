@@ -13,22 +13,16 @@ from hardscatter import (
     Sphere,
     amplitude_expansion,
     cross_sections_lowfreq,
-    functionals,
     make_body,
-    make_quadrature,
     solve_expansion_densities,
 )
-
-quad = make_quadrature()
 
 for name, body in (("unit sphere", Sphere(1.0)),
                    ("ellipsoid (2,1,1)", Ellipsoid(2.0, 1.0, 1.0))):
     mesh = make_body(body, 4)
-    densities = solve_expansion_densities(mesh)
-    amp = amplitude_expansion(densities, quad)
-    fn = functionals(densities, amp)
+    amp = amplitude_expansion(solve_expansion_densities(mesh))
     print(f"== {name} ==")
-    for key, value in fn.report_dict().items():
+    for key, value in amp.report_dict().items():
         print(f"  {key:22s} {value}")
 
     print("  k-sweep inside the trust region (k * diameter <= 0.5):")

@@ -37,9 +37,8 @@ _EXPORTS = {
         "assemble_single_layer", "capacity", "mu0", "solve_density",
     ),
     "lowfreq": (
-        "AmplitudeExpansion", "LowFreqFunctionals", "SphereQuadrature",
-        "amplitude_expansion", "cross_sections_lowfreq", "functionals",
-        "make_quadrature", "solve_expansion_densities",
+        "AmplitudeExpansion", "SphereQuadrature", "amplitude_expansion",
+        "cross_sections_lowfreq", "make_quadrature", "solve_expansion_densities",
     ),
     "sphere_oracle": (
         "CrossSections", "PhaseShiftTable", "amplitude", "cross_sections",

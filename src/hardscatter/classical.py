@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _THREAD_VARS
 from ._table import write_csv
-from .geometry import CappedCylinder, Ellipsoid, SolverError, Sphere, TriMesh, _dot3
+from .geometry import CappedCylinder, Ellipsoid, SolverError, Sphere, TriMesh, _dot3, _ranges
 from .sphere_oracle import fig1_sweep
 
 __all__ = [
@@ -279,12 +279,6 @@ def _sphere_cull(mesh: TriMesh, origins, dirs):
                 group, count = [pairs[cut:]], count - cut
     if count:
         yield np.concatenate(group)
-
-
-def _ranges(starts, counts):
-    """The integer ranges ``starts[i] .. starts[i] + counts[i] - 1``, one
-    after the other."""
-    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
 def _lattice_pairs(mesh: TriMesh, lattice):

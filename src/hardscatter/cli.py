@@ -224,15 +224,13 @@ def _cmd_lowfreq(args) -> int:
     mesh = _resolve_mesh(args)
     if k_values is not None:
         lowfreq.check_trust_region(float(k_values.max()), mesh.diameter)
-    quad = lowfreq.make_quadrature(args.quad_theta, args.quad_phi)
-    densities = lowfreq.solve_expansion_densities(mesh)
-    amp = lowfreq.amplitude_expansion(densities, quad)
-    fn = lowfreq.functionals(densities, amp)
+    amp = lowfreq.amplitude_expansion(lowfreq.solve_expansion_densities(mesh))
     if k_values is not None:
         sigma, sigma_t = zip(*[lowfreq.cross_sections_lowfreq(amp, k)
                                for k in k_values.tolist()])
-    _write_json(args.out, {"meta": _meta(args), **fn.report_dict()})
-    lowfreq.amplitude_to_csv(amp, _sibling(args.out, "_f12"), _headers(args))
+    _write_json(args.out, {"meta": _meta(args), **amp.report_dict()})
+    lowfreq.amplitude_to_csv(amp, lowfreq.make_quadrature(args.quad_theta, args.quad_phi),
+                             _sibling(args.out, "_f12"), _headers(args))
     if k_values is not None:
         write_csv(_sibling(args.out, "_sigma"), _headers(args),
                   {"k": k_values, "sigma": sigma, "sigma_T": sigma_t})
@@ -275,18 +273,17 @@ def _cmd_compare(args) -> int:
     from .geometry import make_body
 
     body = _sphere(args)
-    densities = lowfreq.solve_expansion_densities(make_body(body, args.level))
-    amp = lowfreq.amplitude_expansion(densities, lowfreq.make_quadrature())
-    fn = lowfreq.functionals(densities, amp)
+    amp = lowfreq.amplitude_expansion(
+        lowfreq.solve_expansion_densities(make_body(body, args.level)))
     oracle = sphere_oracle.low_k_extrapolate(body.radius)
     ka_grid = np.array([50.0, 100.0, 200.0])
     highk = classical.theorem2_check(body.radius, ka_grid, grid=args.grid)
     payload = {
         "meta": _meta(args),
-        "d2_bem": fn.d2,
+        "d2_bem": amp.d2,
         "d2_oracle": oracle.d2,
-        "d2_rel_diff": abs(fn.d2 / oracle.d2 - 1.0),
-        "capacity_bem": fn.capacity,
+        "d2_rel_diff": abs(amp.d2 / oracle.d2 - 1.0),
+        "capacity_bem": amp.capacity,
         "capacity_oracle": oracle.capacity,
         "highk": {
             "ka": list(highk.ka),

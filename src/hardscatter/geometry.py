@@ -266,6 +266,12 @@ def _sq_norms(v):
     return np.einsum("...k,...k->...", v, v)
 
 
+def _ranges(starts, counts):
+    """The integer ranges ``starts[i] .. starts[i] + counts[i] - 1``, one
+    after the other."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
 def _point_set_diameter(points: np.ndarray, tree: _VertexTree) -> float:
     """Max pairwise distance: the square root of the largest
     :func:`_squared_distances` value over pairs of points, so

@@ -9,8 +9,11 @@ O(k^3)`` with real coefficients built from the layer densities:
 
 from which ``|f|^2 = f0^2 + k^2 (f1^2 - 2 f0 f2) + O(k^4)``.  Its integrals
 over directions are closed forms in a few density moments (Kleinman 1965;
-Dassios & Kleinman 2000); a direction rule samples f1 and f2 for the CSV
-only.  The gap is ``sigma - sigma_T = d2 * k^2`` with
+Dassios & Kleinman 2000), held with the surface functionals and the
+Theorem-1 verdicts in one record (:func:`amplitude_expansion`).  A direction
+rule (:func:`make_quadrature`) samples f1 and f2 for the CSV, and the tests
+integrate over it as an oracle of the closed forms.  The gap is ``sigma -
+sigma_T = d2 * k^2`` with
 
     d2 = integral cos(theta) (f1^2 - 2 f0 f2) dq = (8 pi / 3) (f0 P1_z - m1 P0_z).
 
@@ -25,7 +28,6 @@ The analogous expression with prefactor 4 pi / 3 is reported for comparison
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,8 +48,6 @@ __all__ = [
     "make_quadrature",
     "ExpansionDensities",
     "solve_expansion_densities",
-    "LowFreqFunctionals",
-    "functionals",
     "AmplitudeExpansion",
     "amplitude_expansion",
     "cross_sections_lowfreq",
@@ -85,8 +85,9 @@ class SphereQuadrature:
 
 
 def make_quadrature(n_theta: int = 64, n_phi: int = 128) -> SphereQuadrature:
-    """Build the product quadrature; exact for the low-degree direction
-    polynomials used by the expansion."""
+    """Build the product rule at which :func:`amplitude_to_csv` samples f1
+    and f2.  It integrates the expansion's low-degree direction polynomials
+    exactly, so the tests use it as an oracle of the closed forms."""
     if n_theta < 2:
         raise ValueError("n_theta must be >= 2")
     if n_phi < 4:
@@ -142,16 +143,23 @@ def solve_expansion_densities(mesh: TriMesh) -> ExpansionDensities:
 
 
 @dataclass(frozen=True)
-class LowFreqFunctionals:
-    """Scalar functionals of the expansion and the Theorem-1 verdicts.
+class AmplitudeExpansion:
+    """The low-k result of one body: the density moments the expansion
+    coefficients are made of, the surface functionals and the Theorem-1
+    verdicts.
+
+    ``f0`` is constant (-capacity), ``m1`` and ``m2`` are the integrals of
+    mu1 and mu2, ``P0`` and ``P1`` the first moments of mu0 and mu1, and
+    ``Q0`` the second moment of mu0.  :meth:`f1` and :meth:`f2` sample the
+    coefficients at the directions a caller passes.
 
     ``k_moment`` is ``integral z mu0`` (also ``integral mu1a``),
     ``z1_moment`` is ``integral z mu1a``, and ``exterior_energy`` is the
     Dirichlet energy of the exterior field with boundary value -z, namely
-    ``-4 pi z1_moment - volume``.  ``d2`` is :attr:`AmplitudeExpansion.d2`;
-    ``d2_formula_corrected = -(8 pi / 3) (C Z1 + K^2)``, equal to it only
-    when K = 0 (see the module docstring), and ``d2_formula_paper =
-    -(4 pi / 3) (C Z1 + K^2)`` (reported only) are kept for comparison.
+    ``-4 pi z1_moment - volume``.  ``d2_formula_corrected = -(8 pi / 3) (C
+    Z1 + K^2)``, equal to :attr:`d2` only when K = 0 (see the module
+    docstring), and ``d2_formula_paper = -(4 pi / 3) (C Z1 + K^2)``
+    (reported only) are kept for comparison.
 
     Forward exceeds backscattering at order k^2: ``cs_margin`` is
     ``C * M / (4 pi) - K^2`` (Cauchy-Schwarz, must be nonnegative up to
@@ -160,20 +168,53 @@ class LowFreqFunctionals:
     record but not asserted.
     """
 
-    capacity: float
+    f0: float
+    m1: float
+    m2: float
+    P0: np.ndarray  # (3,)
+    P1: np.ndarray  # (3,)
+    Q0: np.ndarray  # (3, 3)
+    diameter: float
     k_moment: float
     z1_moment: float
     volume: float
     exterior_energy: float
-    d2: float
     d2_formula_corrected: float
     d2_formula_paper: float
     cs_margin: float
-    cs_pass: bool
     corrected_bound: float
-    corrected_pass: bool
     paper_bound: float
-    paper_pass: bool
+
+    @property
+    def capacity(self) -> float:
+        """``-f0``, the same float as :attr:`ExpansionDensities.capacity`."""
+        return -self.f0
+
+    @property
+    def d2(self) -> float:
+        """Order-k^2 coefficient of sigma - sigma_T."""
+        return float(8.0 * np.pi / 3.0 * (self.f0 * self.P1[2] - self.m1 * self.P0[2]))
+
+    @property
+    def cs_pass(self) -> bool:
+        scale = abs(self.capacity * self.exterior_energy / (4.0 * np.pi)) + self.k_moment**2
+        return bool(self.cs_margin >= -INEQUALITY_SLACK * scale)
+
+    @property
+    def corrected_pass(self) -> bool:
+        return bool(self.d2 >= self.corrected_bound * (1.0 - INEQUALITY_SLACK))
+
+    @property
+    def paper_pass(self) -> bool:
+        return bool(self.d2 >= self.paper_bound * (1.0 - INEQUALITY_SLACK))
+
+    def f1(self, nodes: np.ndarray) -> np.ndarray:
+        """f1 at the unit directions ``nodes`` (N, 3)."""
+        return self.m1 - nodes @ self.P0
+
+    def f2(self, nodes: np.ndarray) -> np.ndarray:
+        """f2 at the unit directions ``nodes`` (N, 3)."""
+        return self.m2 - nodes @ self.P1 + 0.5 * np.einsum("ni,ij,nj->n", nodes, self.Q0, nodes)
 
     def report_dict(self) -> dict:
         """JSON-ready report with the documented key set."""
@@ -192,91 +233,33 @@ class LowFreqFunctionals:
         }
 
 
-def functionals(
-    densities: ExpansionDensities, amp: AmplitudeExpansion
-) -> LowFreqFunctionals:
-    """Compute capacity, moments, volume, exterior energy and d2, and check
-    them against Theorem 1; ``amp`` is the amplitude expansion of the same
-    densities."""
-    mesh = densities.mesh
-    z = mesh.centroids[:, 2]
-    cap = densities.capacity
-    k_moment = densities.mu0.moment(z)
-    z1_moment = densities.mu1a.moment(z)
-    volume = mesh_volume(mesh)
-    energy = -4.0 * np.pi * z1_moment - volume
-    d2 = amp.d2
-    base = cap * z1_moment + k_moment**2
-    cs_margin = cap * energy / (4.0 * np.pi) - k_moment**2
-    cs_scale = abs(cap * energy / (4.0 * np.pi)) + k_moment**2
-    corrected = (2.0 / 3.0) * cap * volume
-    paper = (4.0 * np.pi / 3.0) * cap * volume
-    return LowFreqFunctionals(
-        capacity=cap,
-        k_moment=k_moment,
-        z1_moment=z1_moment,
-        volume=volume,
-        exterior_energy=energy,
-        d2=d2,
-        d2_formula_corrected=-(8.0 * np.pi / 3.0) * base,
-        d2_formula_paper=-(4.0 * np.pi / 3.0) * base,
-        cs_margin=cs_margin,
-        cs_pass=bool(cs_margin >= -INEQUALITY_SLACK * cs_scale),
-        corrected_bound=corrected,
-        corrected_pass=bool(d2 >= corrected * (1.0 - INEQUALITY_SLACK)),
-        paper_bound=paper,
-        paper_pass=bool(d2 >= paper * (1.0 - INEQUALITY_SLACK)),
-    )
-
-
-@dataclass(frozen=True)
-class AmplitudeExpansion:
-    """The density moments the expansion coefficients are made of.
-
-    ``f0`` is constant (-capacity), ``m1`` and ``m2`` are the integrals of
-    mu1 and mu2, ``P0`` and ``P1`` the first moments of mu0 and mu1, and
-    ``Q0`` the second moment of mu0.  ``f1`` and ``f2`` hold one value per
-    node of ``quad``, sampled on first read.
-    """
-
-    f0: float
-    m1: float
-    m2: float
-    P0: np.ndarray  # (3,)
-    P1: np.ndarray  # (3,)
-    Q0: np.ndarray  # (3, 3)
-    quad: SphereQuadrature
-    mesh: TriMesh
-
-    @cached_property
-    def f1(self) -> np.ndarray:
-        return self.m1 - self.quad.nodes @ self.P0
-
-    @cached_property
-    def f2(self) -> np.ndarray:
-        q = self.quad.nodes
-        return self.m2 - q @ self.P1 + 0.5 * np.einsum("ni,ij,nj->n", q, self.Q0, q)
-
-    @property
-    def d2(self) -> float:
-        """Order-k^2 coefficient of sigma - sigma_T."""
-        return float(8.0 * np.pi / 3.0 * (self.f0 * self.P1[2] - self.m1 * self.P0[2]))
-
-
-def amplitude_expansion(
-    densities: ExpansionDensities, quad: SphereQuadrature
-) -> AmplitudeExpansion:
-    """The moments of the densities against 1, p and p p^T; f1 and f2 are
-    sampled at the nodes of ``quad`` only when read."""
+def amplitude_expansion(densities: ExpansionDensities) -> AmplitudeExpansion:
+    """The moments of the densities against 1, p and p p^T, and the surface
+    functionals of Theorem 1."""
     mesh = densities.mesh
     cent = mesh.centroids
     areas = mesh.areas
     w0 = densities.mu0.values * areas
     w1 = densities.mu1.values * areas
+    f0 = float(np.sum(w0))
+    cap = -f0
+    z = cent[:, 2]
+    k_moment = densities.mu0.moment(z)
+    z1_moment = densities.mu1a.moment(z)
+    volume = mesh_volume(mesh)
+    energy = -4.0 * np.pi * z1_moment - volume
+    base = cap * z1_moment + k_moment**2
     return AmplitudeExpansion(
-        f0=float(np.sum(w0)), m1=float(np.sum(w1)), m2=densities.mu2.integral(),
+        f0=f0, m1=float(np.sum(w1)), m2=densities.mu2.integral(),
         P0=w0 @ cent, P1=w1 @ cent, Q0=cent.T @ (cent * w0[:, None]),
-        quad=quad, mesh=mesh)
+        diameter=mesh.diameter, k_moment=k_moment, z1_moment=z1_moment,
+        volume=volume, exterior_energy=energy,
+        d2_formula_corrected=-(8.0 * np.pi / 3.0) * base,
+        d2_formula_paper=-(4.0 * np.pi / 3.0) * base,
+        cs_margin=cap * energy / (4.0 * np.pi) - k_moment**2,
+        corrected_bound=(2.0 / 3.0) * cap * volume,
+        paper_bound=(4.0 * np.pi / 3.0) * cap * volume,
+    )
 
 
 def cross_sections_lowfreq(amp: AmplitudeExpansion, k: float) -> tuple[float, float]:
@@ -286,7 +269,7 @@ def cross_sections_lowfreq(amp: AmplitudeExpansion, k: float) -> tuple[float, fl
     diameter <= 0.5``; outside that a :class:`TrustRegionError` is raised
     so callers fall back to an exact solution or refuse.
     """
-    check_trust_region(k, amp.mesh.diameter)
+    check_trust_region(k, amp.diameter)
     f0 = amp.f0
     f1_sq_mean = amp.m1**2 + float(amp.P0 @ amp.P0) / 3.0
     f2_mean = amp.m2 + float(np.trace(amp.Q0)) / 6.0
@@ -294,9 +277,11 @@ def cross_sections_lowfreq(amp: AmplitudeExpansion, k: float) -> tuple[float, fl
     return sigma, sigma - k**2 * amp.d2
 
 
-def amplitude_to_csv(amp: AmplitudeExpansion, path, header_lines=()) -> None:
-    """CSV of the sampled coefficients: cos_theta, phi, f1, f2."""
-    q = amp.quad.nodes
+def amplitude_to_csv(amp: AmplitudeExpansion, quad: SphereQuadrature, path,
+                     header_lines=()) -> None:
+    """CSV of the coefficients sampled at the nodes of ``quad``: cos_theta,
+    phi, f1, f2."""
+    q = quad.nodes
     phi = np.arctan2(q[:, 1], q[:, 0])
     write_csv(path, header_lines,
-              {"cos_theta": q[:, 2], "phi": phi, "f1": amp.f1, "f2": amp.f2})
+              {"cos_theta": q[:, 2], "phi": phi, "f1": amp.f1(q), "f2": amp.f2(q)})

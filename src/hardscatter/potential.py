@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .geometry import SolverError, TriMesh, _dot3, _squared_distances
+from .geometry import SolverError, TriMesh, _dot3, _ranges, _squared_distances
 
 __all__ = [
     "SolverError",
@@ -337,9 +337,8 @@ def _near_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
             points = np.flatnonzero((cell_key[other] == target)[cell])
             lo = start[other[cell[points]]]
             width = count[other[cell[points]]]
-        total = int(width.sum())
         i = np.repeat(points, width)
-        j = np.arange(total) + np.repeat(lo - (np.cumsum(width) - width), width)
+        j = _ranges(lo, width)
         d2 = _squared_distances(xyz.take(i, axis=1), xyz.take(j, axis=1))
         keep = d2 <= bound
         found_i.append(i[keep])

@@ -29,8 +29,6 @@ from hardscatter.geometry import (
 from hardscatter.lowfreq import (
     amplitude_expansion,
     cross_sections_lowfreq,
-    functionals,
-    make_quadrature,
     solve_expansion_densities,
 )
 from hardscatter.potential import capacity
@@ -113,9 +111,9 @@ def test_criterion_3_surface_identities(
         target = -densities.capacity * k_mu0
         mu2_ok = abs(integral - target) < max(1e-6, 0.02 * abs(target))
 
-        fn = functionals(densities, amplitude_expansion(densities, make_quadrature()))
-        cs_ok = fn.k_moment**2 <= (
-            fn.capacity * fn.exterior_energy / (4.0 * np.pi) * (1.0 + 1e-3)
+        amp = amplitude_expansion(densities)
+        cs_ok = amp.k_moment**2 <= (
+            amp.capacity * amp.exterior_energy / (4.0 * np.pi) * (1.0 + 1e-3)
         )
         ok = ok and identity_ok and mu2_ok and cs_ok
         details.append(
@@ -128,41 +126,39 @@ def test_criterion_3_surface_identities(
 def test_criterion_4_d2_triangulation(
     sphere4, sphere4_densities, ellipsoid4, ellipsoid4_densities
 ):
-    quad = make_quadrature()
-    fn_sphere = functionals(sphere4_densities, amplitude_expansion(sphere4_densities, quad))
+    amp_sphere = amplitude_expansion(sphere4_densities)
     est = low_k_extrapolate(1.0)
-    bem_err = abs(fn_sphere.d2 / D2_SPHERE - 1.0)
+    bem_err = abs(amp_sphere.d2 / D2_SPHERE - 1.0)
     oracle_err = abs(est.d2 / D2_SPHERE - 1.0)
-    agreement = abs(fn_sphere.d2 / est.d2 - 1.0)
+    agreement = abs(amp_sphere.d2 / est.d2 - 1.0)
 
-    fn_ell = functionals(ellipsoid4_densities, amplitude_expansion(ellipsoid4_densities, quad))
+    amp_ell = amplitude_expansion(ellipsoid4_densities)
     ok = (
         bem_err < 0.05
         and oracle_err < 1e-3
         and agreement < 0.05
-        and fn_sphere.corrected_pass
-        and fn_ell.corrected_pass
-        and not fn_sphere.paper_pass  # literal constant overshoots: documented
+        and amp_sphere.corrected_pass
+        and amp_ell.corrected_pass
+        and not amp_sphere.paper_pass  # literal constant overshoots: documented
     )
     report(
         4,
         ok,
-        f"d2(bem)={fn_sphere.d2:.4f} (err {bem_err:.2%} < 5%), "
+        f"d2(bem)={amp_sphere.d2:.4f} (err {bem_err:.2%} < 5%), "
         f"d2(series)={est.d2:.6f} (err {oracle_err:.2e} < 1e-3), "
         f"agreement {agreement:.2%} < 5%; corrected bound (2/3)CV passes on "
         f"sphere and ellipsoid; paper bound (4pi/3)CV reported FAIL "
-        f"({fn_sphere.d2:.3f} < {fn_sphere.paper_bound:.3f}) as documented",
+        f"({amp_sphere.d2:.3f} < {amp_sphere.paper_bound:.3f}) as documented",
     )
 
 
 def test_criterion_5_transport_below_total(
     sphere4, sphere4_densities, ellipsoid4, ellipsoid4_densities
 ):
-    quad = make_quadrature()
     ok = True
     for mesh, densities in ((sphere4, sphere4_densities),
                             (ellipsoid4, ellipsoid4_densities)):
-        amp = amplitude_expansion(densities, quad)
+        amp = amplitude_expansion(densities)
         for k_diam in np.linspace(0.02, 0.5, 25):
             sigma, sigma_t = cross_sections_lowfreq(amp, k_diam / mesh.diameter)
             ok = ok and sigma_t < sigma

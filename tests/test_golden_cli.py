@@ -35,6 +35,17 @@ def test_json_keys_and_lists_as_columns():
     assert added == ["diagnostics.rcond"]
 
 
+def test_json_rounding_around_zero_scaled_by_the_files_largest_magnitude():
+    # K is exactly 0 on a mirror-symmetric body and moves between rounding
+    # values; a small key that is not rounding keeps its own scale
+    old = b'{"capacity": 1.0, "K": 6.2e-17, "small": 1e-3}'
+    new = b'{"capacity": 1.0, "K": 1.4e-17, "small": 1.000000001e-3}'
+    changes, _ = compare_file("report.json", old, new)
+    assert set(changes) == {"K", "small"}
+    assert changes["K"] <= 1e-16
+    assert math.isclose(changes["small"], 1e-9, rel_tol=1e-6)
+
+
 def test_stdout_number_by_number():
     old = b"capacity 1.0000000000 at ka 0.5\nsigma 4.0e-16\n"
     changes, _ = compare_file("<stdout>", old, b"capacity 1.0000000000 at ka 0.5\nsigma 4.4e-16\n")
@@ -44,6 +55,9 @@ def test_stdout_number_by_number():
     assert changes == {"line 1": math.inf}
     changes, _ = compare_file("<stdout>", old, old + b"done\n")
     assert changes == {"<lines>": math.inf}
+    # a number below 2^-52 of the stdout's largest is rounding around 0
+    changes, _ = compare_file("<stdout>", b"K 6.2e-17 C 1.0\n", b"K 1.4e-17 C 1.0\n")
+    assert changes["line 1"] <= 1e-16
 
 
 def test_file_of_one_tree_reports_both_exits_and_stderr_tails():

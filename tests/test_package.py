@@ -19,6 +19,10 @@ def test_export_table():
     for module, names in hardscatter._EXPORTS.items():
         public = importlib.import_module(f"hardscatter.{module}").__all__
         assert not set(names) - set(public), module
+    # one low-k record: the Theorem-1 functionals live on AmplitudeExpansion
+    assert hardscatter._EXPORTS["lowfreq"] == (
+        "AmplitudeExpansion", "SphereQuadrature", "amplitude_expansion",
+        "cross_sections_lowfreq", "make_quadrature", "solve_expansion_densities")
 
 
 def test_demos_run(tmp_path):

@@ -14,12 +14,12 @@ def read_table(path):
 
 
 def test_csv_floats_round_trip_and_counts_print_as_integers(tmp_path, sphere4_densities):
-    amp = amplitude_expansion(sphere4_densities, make_quadrature(8, 16))
-    amplitude_to_csv(amp, tmp_path / "f12.csv", header_lines=["demo"])
+    amp, quad = amplitude_expansion(sphere4_densities), make_quadrature(8, 16)
+    amplitude_to_csv(amp, quad, tmp_path / "f12.csv", header_lines=["demo"])
     names, rows = read_table(tmp_path / "f12.csv")
     assert names == ["cos_theta", "phi", "f1", "f2"]
-    q = amp.quad.nodes
-    columns = [q[:, 2], np.arctan2(q[:, 1], q[:, 0]), amp.f1, amp.f2]
+    q = quad.nodes
+    columns = [q[:, 2], np.arctan2(q[:, 1], q[:, 0]), amp.f1(q), amp.f2(q)]
     for row, values in zip(rows, zip(*columns), strict=True):
         assert [float(cell) for cell in row] == [float(v) for v in values]
 

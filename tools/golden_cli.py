@@ -21,7 +21,11 @@ with ``python tools/golden_cli.py <parent commit>``.
 to move output bits.  For each output file that differs it prints, per CSV
 column or JSON key, the largest change scaled by that column's largest
 magnitude in REV's output; a demo's stdout is compared number by number,
-each scaled by its own magnitude.  Columns and keys that only the working
+each scaled by its own magnitude.  A JSON key whose REV values all lie below
+2^-52 times the largest magnitude in REV's file, and likewise a stdout
+number below 2^-52 times the largest number in REV's stdout, is rounding
+around an exact 0 (``K`` on a mirror-symmetric body): its change is scaled
+by that largest magnitude instead.  Columns and keys that only the working
 tree writes are listed as new and not counted.  Any other difference (an
 exit code, a file or column written by REV only, a changed row count or
 any text that is not a number) counts as an infinite change.  The exit
@@ -189,6 +193,9 @@ GOLDEN = {
                        "--k-max 0.2 --samples 20 --out report.json",
     "lowfreq_ellipsoid": "lowfreq --body ellipsoid:2,1,1.5 --level 4 --out report.json",
     "lowfreq_cylinder": "lowfreq --body cylinder:1,2 --level 3 --out report.json",
+    # a direction rule other than the default reaches the f1/f2 CSV unchanged
+    "lowfreq_quad": "lowfreq --body ellipsoid:2,1,1.5 --level 3 --quad-theta 8 "
+                    "--quad-phi 16 --out report.json",
     # no z-mirror symmetry (K != 0), so d2_direct and d2_formula_corrected
     # differ by -(8 pi / 3) K (integral mu1a - K); the body's diameter is
     # 2.74, so k up to 0.18 stays inside the trust region
@@ -296,6 +303,11 @@ def _stderr_tail(stderr: bytes, lines: int = 5) -> str:
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
+# a JSON key or stdout number whose REV magnitude is below this fraction of
+# its file's largest is rounding around an exact 0
+_ROUNDING = 2.0**-52
+
+
 def _as_number(value):
     """A number from a CSV cell or a JSON scalar, or None; bools are not."""
     if isinstance(value, bool):
@@ -307,9 +319,11 @@ def _as_number(value):
     return None
 
 
-def _column_change(old: list, new: list) -> float:
+def _column_change(old: list, new: list, largest: float = 0.0) -> float:
     """Largest |new - old| over a column, scaled by the column's largest
-    magnitude in ``old``; inf for a changed length or non-numeric cell."""
+    magnitude in ``old``, or by ``largest``, the largest magnitude in the
+    file, when the column's is below ``_ROUNDING * largest``; inf for a
+    changed length or non-numeric cell."""
     if len(old) != len(new):
         return math.inf
     pairs = [(_as_number(a), _as_number(b), a, b) for a, b in zip(old, new)]
@@ -318,6 +332,8 @@ def _column_change(old: list, new: list) -> float:
     numbers = [(x, y) for x, y, _, _ in pairs if x is not None and y is not None]
     change = max((abs(y - x) for x, y in numbers), default=0.0)
     scale = max((abs(x) for x, _ in numbers), default=0.0)
+    if scale < _ROUNDING * largest:
+        scale = largest
     if change == 0.0:
         return 0.0
     return change / scale if scale > 0.0 else math.inf
@@ -351,6 +367,12 @@ def _json_columns(obj, path: str = "", out=None) -> dict[str, list]:
     return out
 
 
+def _largest(columns: dict[str, list]) -> float:
+    """The largest magnitude of any number in ``columns``."""
+    return max((abs(x) for column in columns.values() for x in map(_as_number, column)
+                if x is not None), default=0.0)
+
+
 def _text_numbers(text: str) -> tuple[list[str], list[float]]:
     """The text between numbers, and the numbers, of a demo's stdout."""
     return _NUMBER.split(text), [float(m) for m in _NUMBER.findall(text)]
@@ -361,29 +383,35 @@ def compare_file(file: str, old: bytes, new: bytes) -> tuple[dict[str, float], l
 
     Returns the change per column (``_column_change``; for stdout, per line,
     each number scaled by its own magnitude) and the columns only ``new``
-    has.  Files that are neither CSV nor JSON nor stdout compare as bytes.
+    has.  A JSON key, or a stdout number, below ``_ROUNDING`` times the
+    file's largest magnitude is scaled by that magnitude.  Files that are
+    neither CSV nor JSON nor stdout compare as bytes.
     """
     old_text, new_text = old.decode(), new.decode()
     if file == "<stdout>":
         old_lines, new_lines = old_text.splitlines(), new_text.splitlines()
         if len(old_lines) != len(new_lines):
             return {"<lines>": math.inf}, []
+        largest = max(map(abs, _text_numbers(old_text)[1]), default=0.0)
         changes = {}
         for i, (a, b) in enumerate(zip(old_lines, new_lines), 1):
             (a_text, a_nums), (b_text, b_nums) = _text_numbers(a), _text_numbers(b)
             if a_text != b_text:
                 changes[f"line {i}"] = math.inf
             elif a_nums != b_nums:
-                changes[f"line {i}"] = max(_column_change([x], [y])
+                changes[f"line {i}"] = max(_column_change([x], [y], largest)
                                            for x, y in zip(a_nums, b_nums))
         return changes, []
     if file.endswith(".csv"):
         before, after = _csv_columns(old_text), _csv_columns(new_text)
+        largest = 0.0
     elif file.endswith(".json"):
         before, after = _json_columns(json.loads(old_text)), _json_columns(json.loads(new_text))
+        largest = _largest(before)
     else:
         return ({"<bytes>": math.inf} if old != new else {}), []
-    changes = {name: (_column_change(column, after[name]) if name in after else math.inf)
+    changes = {name: (_column_change(column, after[name], largest) if name in after
+                      else math.inf)
                for name, column in before.items()}
     return ({name: c for name, c in changes.items() if c != 0.0},
             [name for name in after if name not in before])
