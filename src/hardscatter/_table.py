@@ -14,9 +14,14 @@ import numpy as np
 
 def write_csv(path, header_lines, columns) -> None:
     """Write ``columns``, a mapping of column name to equal-length 1-D
-    values, as one table preceded by ``header_lines`` as comments."""
+    values, as one table preceded by ``header_lines`` as comments.
+
+    Columns of unequal length raise ValueError before the file is opened.
+    """
     names = list(columns)
     values = [np.asarray(columns[name]) for name in names]
+    if len({len(v) for v in values}) > 1:
+        raise ValueError(f"columns of unequal length: {[len(v) for v in values]}")
     row = ",".join(
         "{}" if np.issubdtype(v.dtype, np.integer) else "{:.17g}" for v in values
     ) + "\n"
@@ -24,5 +29,4 @@ def write_csv(path, header_lines, columns) -> None:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(names) + "\n")
-        for cells in zip(*(v.tolist() for v in values), strict=True):
-            fh.write(row.format(*cells))
+        fh.writelines(map(row.format, *(v.tolist() for v in values)))

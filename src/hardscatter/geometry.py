@@ -426,22 +426,23 @@ def _icosahedron():
 
 
 def _subdivide(vertices, faces):
-    """Split every triangle at its edge midpoints (faces x4)."""
-    verts = [tuple(p) for p in vertices]
-    cache: dict[tuple[int, int], int] = {}
+    """Split every triangle at its edge midpoints (faces x4).
 
-    def midpoint(i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        if key not in cache:
-            cache[key] = len(verts)
-            verts.append(tuple((np.asarray(verts[i]) + np.asarray(verts[j])) / 2.0))
-        return cache[key]
-
-    out = []
-    for a, b, c in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        out += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
-    return np.asarray(verts), np.asarray(out, dtype=np.int64)
+    The edges are met face by face, in the order ab, bc, ca, and each new
+    midpoint vertex is numbered where its edge is first met.
+    """
+    v = np.asarray(vertices, dtype=float)
+    f = np.asarray(faces, dtype=np.int64)
+    edges = np.sort(f[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, first, inverse = np.unique(edges[:, 0] * len(v) + edges[:, 1],
+                                  return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(v), len(v) + len(first))
+    ab, bc, ca = rank[inverse].reshape(-1, 3).T
+    a, b, c = f.T
+    out = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
+    i, j = edges[np.sort(first)].T
+    return np.concatenate([v, (v[i] + v[j]) / 2.0]), out.reshape(-1, 3)
 
 
 def _unit_icosphere(level: int):

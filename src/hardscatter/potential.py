@@ -20,6 +20,17 @@ low-k chain have about n/8 unknowns.  The mirror planes must pass through
 the origin: a mesh off the origin, or without mirror planes, has only the
 identity, and its one block is the whole n x n matrix.
 
+Every dense product of the chain (the distance blocks, the distance moment
+and the residual rows) calls ``scipy.linalg.blas``, the library whose LAPACK
+factorises the blocks.  numpy's and scipy's wheels each bundle their own
+OpenBLAS, and each library keeps its own thread pool, whose workers spin for
+a while after every call; a chain that switched between the two would run
+each library's threads beside the other's spinning ones.  The products are
+written as the Fortran-ordered transposes of C-ordered buffers, into which
+``dgemm``/``dgemv`` write in place.  Their operands come in the order in
+which numpy's ``matmul`` passes them to BLAS, so the distances and the
+moment equal the tests' numpy references bit for bit.
+
 ``mu0`` (boundary data -1) gives the capacity.  The boundary data of the
 higher densities of the small-wavenumber expansion live with that
 expansion, in :func:`hardscatter.lowfreq.solve_expansion_densities`.
@@ -34,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .geometry import SolverError, TriMesh, _dot3, _ranges, _squared_distances
 
@@ -324,7 +335,7 @@ def _near_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     bound = radius * radius * _CELL_SLACK
     found_i, found_j, found_d2 = [], [], []
     for offset in _HALF_STENCIL:
-        step = int(np.dot(offset, stride))
+        step = int((stride * offset).sum())
         if step == 0:
             # the points after each one in its own cell
             points = np.arange(n)
@@ -381,7 +392,8 @@ def _centroid_distances(mesh: TriMesh, rows: np.ndarray):
         k1 = min(k0 + _ASSEMBLY_BLOCK, m)
         panels = rows[k0:k1]
         dist = block[: k1 - k0]
-        np.matmul(-2.0 * c[panels], c.T, out=dist)
+        # dist.T is Fortran-ordered: dgemm fills it in place
+        blas.dgemm(1.0, c.T, (-2.0 * c[panels]).T, c=dist.T, trans_a=True, overwrite_c=True)
         dist += sq[panels, None]
         dist += sq
         np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
@@ -515,7 +527,7 @@ def _assemble_block(operator: SingleLayerOperator, character: int) -> np.ndarray
             l1 = min(l0 + _ASSEMBLY_BLOCK, b)
             j = images[h, l0:l1]
             block = matrix.T[l0:l1] if h == 0 else scratch[: l1 - l0]
-            np.matmul(c[j], minus_2c.T, out=block)
+            blas.dgemm(1.0, minus_2c.T, c[j].T, c=block.T, trans_a=True, overwrite_c=True)
             block += row_sq
             block += sq[j, None]
             np.sqrt(np.maximum(block, 0.0, out=block), out=block)
@@ -578,14 +590,14 @@ def _row_block_products(operator: SingleLayerOperator, columns=None, weighted=No
         if weighted is not None:
             dist[block_rows, cols] = distance[lo:hi] / 3.0
             for h, w in enumerate(flipped):
-                moments[h, k0:k1] = dist @ w
+                blas.dgemv(1.0, dist.T, w, y=moments[h, k0:k1], trans=True, overwrite_y=True)
         if columns is not None:
             with np.errstate(divide="ignore"):  # the diagonal is set below
                 np.divide(mesh.areas, dist, out=dist)
             dist[block_rows, cols] = operator.near_values[lo:hi]
             k = np.arange(k1 - k0)
             dist[k, reps[k0:k1]] = operator.diagonal[k0:k1]
-            product[k0:k1] = dist @ columns
+            blas.dgemm(1.0, columns.T, dist.T, c=product.T[:, k0:k1], overwrite_c=True)
     moment = None
     if weighted is not None:
         moment = np.empty(operator.n)

@@ -21,6 +21,8 @@ from hardscatter.geometry import (
     reflect,
     save_mesh,
     shadow_area,
+    _subdivide,
+    _unit_icosphere,
 )
 
 from conftest import ORACLE_BODIES, moved, oracle_body, pinwheel_cube
@@ -167,6 +169,45 @@ def test_icosphere_face_counts():
 def test_icosphere_inscribed():
     mesh = make_body(Sphere(2.0), 3)
     assert np.allclose(np.linalg.norm(mesh.vertices, axis=1), 2.0, atol=1e-12)
+
+
+def _subdivide_with_dict(vertices, faces):
+    """Midpoint subdivision one face at a time, a dict numbering each
+    edge's midpoint where the edge is first met."""
+    verts = [tuple(p) for p in vertices]
+    cache = {}
+
+    def midpoint(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key not in cache:
+            cache[key] = len(verts)
+            verts.append(tuple((np.asarray(verts[i]) + np.asarray(verts[j])) / 2.0))
+        return cache[key]
+
+    out = []
+    for a, b, c in faces:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        out += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
+    return np.asarray(verts), np.asarray(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_subdivide_bitwise_as_with_a_dict_on_icospheres(level):
+    v, f = _unit_icosphere(level)
+    for got, expected in zip(_subdivide(v, f), _subdivide_with_dict(v, f), strict=True):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+def test_subdivide_bitwise_as_with_a_dict_on_the_pinwheel_cube():
+    # the conftest cube subdivided twice, from its base fan
+    base = pinwheel_cube(0)
+    v, t = base.vertices, base.triangles
+    for _ in range(2):
+        v, t = _subdivide_with_dict(v, t)
+    mesh = pinwheel_cube(2)
+    assert np.array_equal(mesh.vertices, v)
+    assert np.array_equal(mesh.triangles, t)
 
 
 def test_ellipsoid_volume():

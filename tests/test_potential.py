@@ -1,6 +1,8 @@
+import ast
 import itertools
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +261,21 @@ def test_distance_moment_bitwise_as_with_masks(sphere3, monkeypatch):
     density = SurfaceDensity(values, sphere3)
     assert np.array_equal(distance_moment(op, density),
                           _distance_moment_with_masks(op, density))
+
+
+def test_dense_products_run_on_scipy_blas():
+    # numpy's and scipy's wheels bundle one OpenBLAS each, with a thread
+    # pool each; the chain's products go to the one that factorises
+    tree = ast.parse(Path(potential.__file__).read_text(encoding="utf-8"))
+    numpy_products = {"matmul", "dot", "einsum", "tensordot", "inner", "vdot"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif (isinstance(node, ast.Attribute) and node.attr in numpy_products
+              and isinstance(node.value, ast.Name) and node.value.id == "np"):
+            found.append((node.lineno, f"np.{node.attr}"))
+    assert found == []
 
 
 def test_expansion_checks_its_solves_in_two_passes(sphere3, monkeypatch):

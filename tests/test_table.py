@@ -1,7 +1,9 @@
 import re
 
 import numpy as np
+import pytest
 
+from hardscatter._table import write_csv
 from hardscatter.classical import histogram_to_csv, trace, trace_to_csv
 from hardscatter.geometry import Sphere
 from hardscatter.lowfreq import amplitude_expansion, amplitude_to_csv, make_quadrature
@@ -35,3 +37,20 @@ def test_csv_floats_round_trip_and_counts_print_as_integers(tmp_path, sphere4_de
     counts = [row[names.index("ray_count")] for row in rows]
     assert all(re.fullmatch(r"\d+", cell) for cell in counts)
     assert [int(cell) for cell in counts] == result.histogram.counts.ravel().tolist()
+
+
+def test_columns_of_unequal_length_raise_and_write_nothing(tmp_path):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="unequal length"):
+        write_csv(path, ["demo"], {"a": np.arange(3), "b": np.zeros(2)})
+    assert not path.exists()
+
+
+def test_csv_rows_as_formatted_one_by_one(tmp_path):
+    # integer and float columns, the 17-digit floats among them
+    columns = {"i": np.arange(5), "x": np.linspace(-1.0, 1.0, 5) / 3.0,
+               "y": np.array([0.0, -0.0, 1e-300, 1.5e300, np.pi])}
+    write_csv(tmp_path / "table.csv", ["one", "two"], columns)
+    rows = [f"{i},{x:.17g},{y:.17g}\n"
+            for i, x, y in zip(*(v.tolist() for v in columns.values()))]
+    assert (tmp_path / "table.csv").read_text() == "# one\n# two\ni,x,y\n" + "".join(rows)
