@@ -289,12 +289,9 @@ def _point_set_diameter(points: np.ndarray, tree: _VertexTree) -> float:
     and carry a slack of 2^-30 times the largest centred |p|^2, which is
     far above their rounding, that of the centring, and that of a pair's
     value.  The leaf pairs left are evaluated, largest bound first, until
-    the bounds fall below the largest value found.  Up to 362 points, all
-    pairs are evaluated at once.
+    the bounds fall below the largest value found.
     """
     xyz = np.ascontiguousarray(points.T)
-    if len(points) ** 2 <= _DIAMETER_BATCH:
-        return float(np.sqrt(_squared_distances(xyz[:, :, None], xyz[:, None]).max()))
     best, i = 0.0, 0
     for _ in range(2):
         d2 = _squared_distances(xyz, xyz[:, i : i + 1])

@@ -5,7 +5,11 @@ The operator maps a piecewise-constant surface density mu to the boundary
 values of ``integral mu(p) / |p - r| dsigma(p)`` collocated at triangle
 centroids.  In this representation the normal-derivative jump of the
 potential across the surface is ``4 pi mu``; every formula downstream uses
-that convention.
+that convention.  One entry rule (:func:`_entries`) forms every matrix
+entry, in the blocks and in the regenerated residual rows alike: a far entry
+is the panel's area over the centroid distance, and a listed entry (a close
+pair, or a panel with itself) takes its value from the 3-point near rule or
+from the exact self-integral.
 
 Mirror symmetry (Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal.
 29, 534, 1992): the coordinate sign flips that map the mesh's vertex set
@@ -181,32 +185,31 @@ def _mirror_group(mesh: TriMesh) -> MirrorGroup:
 
 @dataclass
 class SingleLayerOperator:
-    """Collocation operator of the 1/|p - r| single layer, kept as the
-    near field and the mirror group; its dense blocks are assembled and
+    """Collocation operator of the 1/|p - r| single layer, kept as its
+    listed entries and the mirror group; its dense blocks are assembled and
     factorised on demand, one per character (:meth:`factorize`).
 
     Entry (i, j) of the full matrix approximates the integral of
-    ``1/|p - c_i|`` over triangle j: exact edge-decomposition formula on the
-    diagonal, a symmetric 3-point rule for close pairs, one-point quadrature
-    otherwise.  Only the representatives' rows are ever formed: the blocks
+    ``1/|p - c_i|`` over triangle j by the one entry rule (:func:`_entries`):
+    its listed value if (i, j) is listed, else ``area_j / |c_i - c_j|``.
+    Only the representatives' rows are ever formed: the blocks
     (:func:`_assemble_block`) and the residual rows, regenerated block by
     block (:func:`_row_block_products`) bit for bit as the identity group's
     block holds them.  Besides the centroids and areas they read:
 
     * ``mirrors``, the :class:`MirrorGroup` of the mesh;
-    * ``near``, the near/far split ``(rows, jj, distance)`` of the
-      representatives' rows: the close pairs (reps[rows], jj), sorted by
-      row, and, per pair, the sum of ``|q - c_i|`` over the three rule
-      nodes q on triangle jj, which :func:`distance_moment` reads;
-    * ``near_values``, the matrix entries of those pairs;
-    * ``diagonal``, the representatives' self-integrals.
+    * ``near``, the listed entries ``(rows, jj, distance)``: the close pairs
+      (reps[rows], jj) and each representative's own panel, sorted by row,
+      and per entry the sum of ``|q - c_i|`` over the three rule nodes q on
+      triangle jj (0 on the own panel), which :func:`distance_moment` reads;
+    * ``near_values``, their values: the 3-point rule's on a close pair, the
+      exact self-integral on the own panel.
     """
 
     mesh: TriMesh
     mirrors: MirrorGroup = field(repr=False)
     near: tuple = field(repr=False)
     near_values: np.ndarray = field(repr=False)
-    diagonal: np.ndarray = field(repr=False)
     _lu: dict = field(default_factory=dict, repr=False)
     _rcond: dict = field(default_factory=dict, repr=False)
 
@@ -472,12 +475,24 @@ def assemble_single_layer(mesh: TriMesh) -> SingleLayerOperator:
         )
     ii, jj, rows = ii[keep], jj[keep], rows[keep]
     inverse, distance = _near_rule_sums(mesh, ii, jj)
-    near_values = (mesh.areas[jj] / 3.0) * inverse
     diag = _triangle_self_integral(mesh)
     if np.any(diag <= 0.0):
         raise SolverError("non-positive self-integral; degenerate triangle")
-    return SingleLayerOperator(mesh, mirrors, (rows, jj, distance), near_values,
-                               diag[mirrors.reps])
+    # each representative's own panel is listed first in its row
+    at = np.searchsorted(rows, np.arange(m))
+    near = (np.insert(rows, at, np.arange(m)), np.insert(jj, at, mirrors.reps),
+            np.insert(distance, at, 0.0))
+    near_values = np.insert((mesh.areas[jj] / 3.0) * inverse, at, diag[mirrors.reps])
+    return SingleLayerOperator(mesh, mirrors, near, near_values)
+
+
+def _entries(block: np.ndarray, areas: np.ndarray, rows, cols, values) -> None:
+    """Turn a block of centroid distances into single-layer entries, in
+    place: ``areas / distance``, then the listed ``values`` at ``(rows,
+    cols)``.  The listed entries hold every zero distance."""
+    with np.errstate(divide="ignore"):
+        np.divide(areas, block, out=block)
+    block[rows, cols] = values
 
 
 def _assemble_block(operator: SingleLayerOperator, character: int) -> np.ndarray:
@@ -487,11 +502,12 @@ def _assemble_block(operator: SingleLayerOperator, character: int) -> np.ndarray
     (k, l) is ``sum chi(h) S[r_k, images[h, r_l]]`` over the distinct
     images of the representative r_l, h the first flip that reaches each.
     The columns are filled 256 at a time, flip by flip: a column block of S
-    is ``areas / dist`` from one GEMM, with its near values and its
-    diagonal entries written over it, and every flip after the identity
-    adds its block, signed, to the identity's.  With the identity group the
-    block is the full matrix, entry for entry as the rows of
-    :func:`_row_block_products`.
+    comes from one GEMM of distances and :func:`_entries`, and every flip
+    after the identity adds its block, signed, to the identity's.  A listed
+    entry is keyed to every flip that takes the column's representative
+    onto its panel; the images after the first are weighted 0.  With the
+    identity group the block is the full matrix, entry for entry as the
+    rows of :func:`_row_block_products`.
     """
     mesh, mirrors = operator.mesh, operator.mirrors
     rows = np.flatnonzero(mirrors.admissible[character])
@@ -502,17 +518,18 @@ def _assemble_block(operator: SingleLayerOperator, character: int) -> np.ndarray
     new = np.array([np.all(images[:h] != images[h], axis=0) for h in range(len(images))])
     weight = mirrors.characters[character][:, None] * new
 
-    # the near pairs of the block's rows, keyed by flip and column
+    # the listed entries of the block's rows, keyed by flip and column
     pair_rows, jj, _ = operator.near
     position = np.full(len(mirrors.reps), -1)
     position[rows] = np.arange(b)
     orbit = np.searchsorted(mirrors.reps, mirrors.images[:, jj].min(axis=0))
     row, col = position[pair_rows], position[orbit]
-    inside = (row >= 0) & (col >= 0)
-    row, col, jj = row[inside], col[inside], jj[inside]
-    key = np.argmax(images[:, col] == jj, axis=0) * b + col
+    inside = np.flatnonzero((row >= 0) & (col >= 0))
+    flip, pair = np.nonzero(images[:, col[inside]] == jj[inside])
+    pair = inside[pair]
+    key = flip * b + col[pair]
     order = np.argsort(key, kind="stable")
-    key, row, values = key[order], row[order], operator.near_values[inside][order]
+    key, row, values = key[order], row[pair[order]], operator.near_values[pair[order]]
 
     c, sq = _centred_centroids(mesh)
     minus_2c = -2.0 * c[reps]
@@ -531,14 +548,9 @@ def _assemble_block(operator: SingleLayerOperator, character: int) -> np.ndarray
             block += row_sq
             block += sq[j, None]
             np.sqrt(np.maximum(block, 0.0, out=block), out=block)
-            with np.errstate(divide="ignore"):  # the diagonal is set below
-                np.divide(mesh.areas[j, None], block, out=block)
             lo, hi = np.searchsorted(key, (h * b + l0, h * b + l1))
-            block[key[lo:hi] - (h * b + l0), row[lo:hi]] = values[lo:hi]
-            # a flip that fixes a representative meets its zero distance
-            # too: weighted 0 after the identity, but it must stay finite
-            fixed = np.flatnonzero(j == reps[l0:l1])
-            block[fixed, l0 + fixed] = operator.diagonal[rows[l0 + fixed]]
+            _entries(block.T, mesh.areas[j], row[lo:hi], key[lo:hi] - (h * b + l0),
+                     values[lo:hi])
             if h:
                 block *= weight[h, l0:l1, None]
                 matrix.T[l0:l1] += block
@@ -569,13 +581,12 @@ def _row_block_products(operator: SingleLayerOperator, columns=None, weighted=No
     one pass over the row blocks of :func:`_centroid_distances`; either may
     be None, and so is its result.
 
-    A block first meets ``weighted`` as the distance block, its near entries
-    replaced by their 3-point means: the row of a representative r meets
-    ``weighted[images[h]]`` for each flip h, which gives the moment on the
-    row images[h, r], as the operator commutes with the flips.  It then
-    becomes ``areas / dist``, with the near values and the diagonal written
-    over it, so its rows equal the identity group's block bit for bit, and
-    meets ``columns``.
+    A block first meets ``weighted`` as the distance block, its listed
+    entries replaced by their 3-point means: the row of a representative r
+    meets ``weighted[images[h]]`` for each flip h, which gives the moment on
+    the row images[h, r], as the operator commutes with the flips.  It then
+    becomes operator entries (:func:`_entries`), so its rows equal the
+    identity group's block bit for bit, and meets ``columns``.
     """
     mesh, mirrors = operator.mesh, operator.mirrors
     rows, jj, distance = operator.near
@@ -592,11 +603,7 @@ def _row_block_products(operator: SingleLayerOperator, columns=None, weighted=No
             for h, w in enumerate(flipped):
                 blas.dgemv(1.0, dist.T, w, y=moments[h, k0:k1], trans=True, overwrite_y=True)
         if columns is not None:
-            with np.errstate(divide="ignore"):  # the diagonal is set below
-                np.divide(mesh.areas, dist, out=dist)
-            dist[block_rows, cols] = operator.near_values[lo:hi]
-            k = np.arange(k1 - k0)
-            dist[k, reps[k0:k1]] = operator.diagonal[k0:k1]
+            _entries(dist, mesh.areas, block_rows, cols, operator.near_values[lo:hi])
             blas.dgemm(1.0, columns.T, dist.T, c=product.T[:, k0:k1], overwrite_c=True)
     moment = None
     if weighted is not None:
@@ -604,15 +611,6 @@ def _row_block_products(operator: SingleLayerOperator, columns=None, weighted=No
         for image, values in zip(mirrors.images, moments):
             moment[image[reps]] = values
     return product, moment
-
-
-def _boundary_data(operator: SingleLayerOperator, data) -> np.ndarray:
-    g = np.asarray(data, dtype=float)
-    if g.shape != (operator.n,):
-        raise ValueError(f"data must have shape ({operator.n},)")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("non-finite boundary data")
-    return g
 
 
 def _block_solve(operator: SingleLayerOperator, character: int, g: np.ndarray) -> np.ndarray:
@@ -624,66 +622,65 @@ def _block_solve(operator: SingleLayerOperator, character: int, g: np.ndarray) -
 
 def solve_densities(operator: SingleLayerOperator, data, moment: bool = False):
     """Solve ``S mu = g`` for each boundary data ``g`` in ``data`` on the
-    blocks of its parts (:func:`_split`), with one refinement pass per
-    solution if needed.
+    blocks of its parts (:func:`_split`), with one refinement round if
+    needed.
 
     A part is solved by the LU of its character's block and expanded to
     every panel (:func:`_expand`); a part below ``_NEGLIGIBLE_PART`` times
     the largest is left unsolved.  The residuals are taken on regenerated
-    representatives' rows (:func:`_row_block_products`), all in one pass.
-    For each solution, the magnitudes of its parts' residuals and of its
-    unsolved parts, summed per row, bound its residual on every row of that
-    row's orbit, and their max-norm relative to the data's must come out
-    below ``RESIDUAL_TOL``.  With ``moment``, that pass also gives
+    representatives' rows (:func:`_row_block_products`), one pass a round
+    for all the solutions still pending.  For each solution, the magnitudes
+    of its parts' residuals and of its unsolved parts, summed per row, bound
+    its residual on every row of that row's orbit, and their max-norm
+    relative to the data's must come out below ``RESIDUAL_TOL``; the
+    solutions that miss it are refined together, once.  With ``moment``,
+    the pass that computes the first density also gives
     ``distance_moment(operator, densities[0])``, bit for bit, and the
     densities and that moment are returned; otherwise the densities.
     """
-    gs = [_boundary_data(operator, g) for g in data]
+    gs = [np.asarray(g, dtype=float) for g in data]
     mirrors = operator.mirrors
-    columns = []  # per data: its parts [character, data, solution], unsolved magnitude
+    parts, unsolved = [], []  # per data: its parts (character, data, solution)
     for g in gs:
+        if g.shape != (operator.n,):
+            raise ValueError(f"data must have shape ({operator.n},)")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("non-finite boundary data")
         split = _split(mirrors, g)
         size = np.abs(split).max(axis=1)
         solve = size >= _NEGLIGIBLE_PART * size.max()
-        parts = [[c, split[c], _block_solve(operator, c, split[c])]
-                 for c in np.flatnonzero(solve).tolist()]
-        columns.append((parts, np.abs(split[~solve]).sum(axis=0)))
-
-    def expanded(parts):
-        return [_expand(mirrors, c, x) for c, _, x in parts]
-
-    def residual(col, product):
-        parts, unsolved = columns[col]
-        total = unsolved + sum(np.abs(g - product[:, i]) for i, (_, g, _) in enumerate(parts))
-        return float(total.max()) / (float(np.abs(gs[col]).max()) or 1.0)
-
-    fulls = [expanded(parts) for parts, _ in columns]
-    xs = [np.add.reduce(full) for full in fulls]
-    areas = operator.mesh.areas
-    product, first_moment = _row_block_products(
-        operator, np.column_stack(sum(fulls, [])), xs[0] * areas if moment else None)
-    start = 0
-    for col, (parts, _) in enumerate(columns):
-        own = product[:, start:start + len(parts)]
-        start += len(parts)
-        if residual(col, own) < RESIDUAL_TOL:
-            continue
-        for i, part in enumerate(parts):
-            part[2] = part[2] + _block_solve(operator, part[0], part[1] - own[:, i])
-        full = expanded(parts)
-        x = xs[col] = np.add.reduce(full)
-        again = moment and col == 0  # the moment of the refined first density
-        sx, refined_moment = _row_block_products(operator, np.column_stack(full),
-                                                 x * areas if again else None)
-        value = residual(col, sx)
-        if value >= RESIDUAL_TOL:
-            rcond = min(operator._rcond[c] for c, _, _ in parts)
-            raise SolverError(
-                f"solve residual {value:.3e} exceeds {RESIDUAL_TOL:g} "
-                f"(rcond {rcond:.3e})"
-            )
-        if again:
-            first_moment = refined_moment
+        parts.append([(c, split[c], _block_solve(operator, c, split[c]))
+                      for c in np.flatnonzero(solve).tolist()])
+        unsolved.append(np.abs(split[~solve]).sum(axis=0))
+    pending, xs, first_moment = list(range(len(gs))), [None] * len(gs), None
+    for refined in (False, True):
+        fulls = [[_expand(mirrors, c, x) for c, _, x in parts[i]] for i in pending]
+        for i, full in zip(pending, fulls):
+            xs[i] = np.add.reduce(full)
+        weighted = xs[0] * operator.mesh.areas if moment and pending[0] == 0 else None
+        product, taken = _row_block_products(operator, np.column_stack(sum(fulls, [])), weighted)
+        if weighted is not None:
+            first_moment = taken
+        failed, start = [], 0
+        for i in pending:
+            own = product[:, start:start + len(parts[i])]
+            start += len(parts[i])
+            total = unsolved[i] + sum(np.abs(g - own[:, k]) for k, (_, g, _) in enumerate(parts[i]))
+            value = float(total.max()) / (float(np.abs(gs[i]).max()) or 1.0)
+            if value < RESIDUAL_TOL:
+                continue
+            if refined:
+                rcond = min(operator._rcond[c] for c, _, _ in parts[i])
+                raise SolverError(
+                    f"solve residual {value:.3e} exceeds {RESIDUAL_TOL:g} "
+                    f"(rcond {rcond:.3e})"
+                )
+            parts[i] = [(c, g, x + _block_solve(operator, c, g - own[:, k]))
+                        for k, (c, g, x) in enumerate(parts[i])]
+            failed.append(i)
+        if not failed:
+            break
+        pending = failed
     densities = [SurfaceDensity(x, operator.mesh) for x in xs]
     return (densities, first_moment) if moment else densities
 

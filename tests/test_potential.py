@@ -482,6 +482,29 @@ def test_residual_check_refines_a_perturbed_density(sphere3, monkeypatch):
     assert np.array_equal(moment, distance_moment(op, refined))
 
 
+def test_residual_check_refines_two_data_in_one_pass(sphere3, monkeypatch):
+    # both first solves are off by 1e-6 and both refinements are exact: the
+    # two are refined together and checked in one more pass
+    op = assemble_single_layer(sphere3)
+    g, h = -np.ones(op.n), sphere3.centroids[:, 2]
+    exact = [solve_density(op, data).values for data in (g, h)]
+    passes = []
+    blocks = potential._centroid_distances
+
+    def counted(mesh, rows):
+        passes.append(mesh)
+        return blocks(mesh, rows)
+
+    monkeypatch.setattr(potential, "_centroid_distances", counted)
+    _offset_solves(monkeypatch, [1e-6, 1e-6, 0.0, 0.0])
+    densities, moment = potential.solve_densities(op, [g, h], moment=True)
+    assert len(passes) == 2
+    for density, want in zip(densities, exact, strict=True):
+        assert np.abs(density.values - want).max() < 1e-12
+    # the moment is that of the refined mu0
+    assert np.array_equal(moment, distance_moment(op, densities[0]))
+
+
 def test_residual_check_rejects_a_perturbed_density(sphere3, monkeypatch):
     op = assemble_single_layer(sphere3)
     _offset_solves(monkeypatch, [1e-6, 1e-6])
@@ -864,18 +887,23 @@ def test_negative_zero_matches_zero(sphere3):
     assert len(potential._mirror_group(mesh).signs) == 8
 
 
-def test_blocks_are_signed_orbit_sums_of_the_full_matrix(sphere3):
-    op = assemble_single_layer(sphere3)
-    mirrors = op.mirrors
-    matrix = dense_matrix(sphere3)
-    for c, chi in enumerate(mirrors.characters):
-        reps = mirrors.reps[mirrors.admissible[c]]
-        images = mirrors.images[:, reps]
-        want = matrix[np.ix_(reps, images[0])]
-        for h in range(1, len(images)):
-            new = np.all(images[:h] != images[h], axis=0)
-            want = want + matrix[np.ix_(reps, images[h])] * (chi[h] * new)
-        assert np.array_equal(potential._assemble_block(op, c), want)
+def test_blocks_are_signed_orbit_sums_of_the_full_matrix(sphere3, cube3):
+    # the egg has four flips, and the x or the y flip fixes some of its
+    # panels: a listed entry is keyed to every flip that reaches its panel
+    for mesh in (sphere3, egg_mesh(3), cube3):
+        op = assemble_single_layer(mesh)
+        mirrors = op.mirrors
+        fixed = (mirrors.images[1:, mirrors.reps] == mirrors.reps).any(axis=1)
+        assert len(mirrors.signs) in (4, 8) and fixed.any()
+        matrix = dense_matrix(mesh)
+        for c, chi in enumerate(mirrors.characters):
+            reps = mirrors.reps[mirrors.admissible[c]]
+            images = mirrors.images[:, reps]
+            want = matrix[np.ix_(reps, images[0])]
+            for h in range(1, len(images)):
+                new = np.all(images[:h] != images[h], axis=0)
+                want = want + matrix[np.ix_(reps, images[h])] * (chi[h] * new)
+            assert np.array_equal(potential._assemble_block(op, c), want)
 
 
 # measured at most 1.7e-14 (level 3) and 5.5e-14 (level 4) of max |mu|, and

@@ -64,7 +64,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # written from TETRAHEDRA_OFF, so that a tree that rejects the mesh as
 # degenerate still writes it; and the level-3 icosphere with the x of its
 # first vertex that has no zero coordinate moved up by one ulp, written by
-# the REV tree, which has no mirror symmetry left
+# the REV tree, which has no mirror symmetry left; and the egg of the tests
+# (the level-3 icosphere scaled by 1 + 0.3 z + 0.15 z^2, diameter 2.3),
+# written by the REV tree, whose mirror group has the four x and y flips
 MESH = "sphere3.off"
 MESH5 = "sphere5.off"
 DENTED = "dented.off"
@@ -73,7 +75,8 @@ GROOVE = "groove.off"
 FAR = "far_ellipsoid.off"
 TETRAHEDRA = "far_tetrahedra.off"
 ULP = "sphere3_ulp.off"
-MESHES = (MESH, MESH5, DENTED, EDGES, GROOVE, FAR, TETRAHEDRA, ULP)
+EGG = "egg.off"
+MESHES = (MESH, MESH5, DENTED, EDGES, GROOVE, FAR, TETRAHEDRA, ULP, EGG)
 MAKE_MESH = ("import numpy as np; "
              "from hardscatter.geometry import Ellipsoid, Sphere, TriMesh, make_body, "
              "save_mesh; "
@@ -87,7 +90,10 @@ MAKE_MESH = ("import numpy as np; "
              "s = make_body(Sphere(1.0), 3); v = s.vertices.copy(); "
              "i = np.flatnonzero(np.all(v != 0.0, axis=1))[0]; "
              "v[i, 0] = np.nextafter(v[i, 0], np.inf); "
-             f"save_mesh(TriMesh.from_arrays(v, s.triangles), {ULP!r})")
+             f"save_mesh(TriMesh.from_arrays(v, s.triangles), {ULP!r}); "
+             "z = s.vertices[:, 2]; "
+             "save_mesh(TriMesh.from_arrays(s.vertices * (1.0 + 0.3 * z + 0.15 * z**2)[:, None], "
+             f"s.triangles), {EGG!r})")
 SPLIT_CUBE_OFF = """OFF
 8 12 0
 0 0 0
@@ -201,6 +207,10 @@ GOLDEN = {
     # 2.74, so k up to 0.18 stays inside the trust region
     "lowfreq_dented": f"lowfreq --mesh {DENTED} --k-min 0.01 --k-max 0.18 "
                       "--samples 20 --out report.json",
+    # four flips (x and y, not z): listed entries whose panel is fixed by a
+    # flip, and blocks of four characters
+    "lowfreq_egg": f"lowfreq --mesh {EGG} --k-min 0.01 --k-max 0.2 "
+                   "--samples 20 --out report.json",
     "compare_sphere": "compare --body sphere:1 --level 4 --grid 256 --out compare.json",
     "mie_sphere": "mie --body sphere:1 --k-min 0.05 --k-max 20 --samples 50 --out mie.csv",
     "fig1": "fig1 --k-min 0.05 --k-max 60 --samples 100 --out fig1.csv",
