@@ -786,10 +786,10 @@ class Theorem2Report:
 def theorem2_check(radius: float, ka_values, grid: int = 1024) -> Theorem2Report:
     """Check the high-frequency limits on an ascending ka grid in [10, 300]."""
     ka_values = np.asarray(ka_values, dtype=float)
-    if np.any(ka_values < 10.0) or np.any(ka_values > 300.0):
-        raise ValueError("ka grid must lie within [10, 300]")
+    if not np.all((10.0 <= ka_values) & (ka_values <= 300.0)):  # NaN too
+        raise ValueError("ka_values must lie within [10, 300]")
     if np.any(np.diff(ka_values) <= 0):
-        raise ValueError("ka grid must be strictly ascending")
+        raise ValueError("ka_values must be strictly ascending")
     classical = trace(Sphere(radius), grid)
     rows = fig1_sweep(ka_values / radius, radius)
     sigma, sigma_t = rows["sigma"], rows["sigma_T"]

@@ -229,8 +229,6 @@ def _cmd_lowfreq(args) -> int:
         sigma, sigma_t = zip(*[lowfreq.cross_sections_lowfreq(amp, k)
                                for k in k_values.tolist()])
     _write_json(args.out, {"meta": _meta(args), **amp.report_dict()})
-    lowfreq.amplitude_to_csv(amp, lowfreq.make_quadrature(args.quad_theta, args.quad_phi),
-                             _sibling(args.out, "_f12"), _headers(args))
     if k_values is not None:
         write_csv(_sibling(args.out, "_sigma"), _headers(args),
                   {"k": k_values, "sigma": sigma, "sigma_T": sigma_t})
@@ -353,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lowfreq", help="small-k expansion report and checks")
     _add_body_options(p)
-    p.add_argument("--quad-theta", dest="quad_theta", type=_int_in(2), default=64)
-    p.add_argument("--quad-phi", dest="quad_phi", type=_int_in(4), default=128)
     _add_k_options(p)
     p.add_argument("--out", default="lowfreq.json")
     p.set_defaults(func=_cmd_lowfreq)

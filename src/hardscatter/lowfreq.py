@@ -10,10 +10,10 @@ O(k^3)`` with real coefficients built from the layer densities:
 from which ``|f|^2 = f0^2 + k^2 (f1^2 - 2 f0 f2) + O(k^4)``.  Its integrals
 over directions are closed forms in a few density moments (Kleinman 1965;
 Dassios & Kleinman 2000), held with the surface functionals and the
-Theorem-1 verdicts in one record (:func:`amplitude_expansion`).  A direction
-rule (:func:`make_quadrature`) samples f1 and f2 for the CSV, and the tests
-integrate over it as an oracle of the closed forms.  The gap is ``sigma -
-sigma_T = d2 * k^2`` with
+Theorem-1 verdicts in one record (:func:`amplitude_expansion`).  f1 and f2
+are polynomials in q, ``f1(q) = m1 - q.P0`` and ``f2(q) = m2 - q.P1 + (1/2)
+q.Q0.q``, so the record reports these 14 coefficients rather than samples.
+The gap is ``sigma - sigma_T = d2 * k^2`` with
 
     d2 = integral cos(theta) (f1^2 - 2 f0 f2) dq = (8 pi / 3) (f0 P1_z - m1 P0_z).
 
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import write_csv
 from .geometry import TriMesh, TrustRegionError, mesh_volume
 from .potential import (
     SingleLayerOperator,
@@ -44,14 +43,11 @@ from .potential import (
 __all__ = [
     "TrustRegionError",
     "check_trust_region",
-    "SphereQuadrature",
-    "make_quadrature",
     "ExpansionDensities",
     "solve_expansion_densities",
     "AmplitudeExpansion",
     "amplitude_expansion",
     "cross_sections_lowfreq",
-    "amplitude_to_csv",
 ]
 
 # k * diameter beyond which the truncated expansion is not trusted.
@@ -64,42 +60,13 @@ INEQUALITY_SLACK = 1e-3
 def check_trust_region(k: float, diameter: float) -> None:
     """Raise unless the truncated expansion is trusted at wavenumber ``k``
     on a body of this diameter (``0 <= k * diameter <= TRUST_LIMIT``)."""
-    if k < 0:
+    if not k >= 0:  # NaN too
         raise ValueError("wavenumber must be >= 0")
     if k * diameter > TRUST_LIMIT:
         raise TrustRegionError(
             f"k*diameter = {k * diameter:.3g} exceeds {TRUST_LIMIT}; "
             "the truncated expansion is not trusted there"
         )
-
-
-@dataclass(frozen=True)
-class SphereQuadrature:
-    """Product rule on the unit sphere: Gauss-Legendre in cos(theta) times
-    uniform midpoints in phi.  Weights sum to 4 pi."""
-
-    nodes: np.ndarray    # (N, 3) unit vectors
-    weights: np.ndarray  # (N,) positive
-    n_theta: int
-    n_phi: int
-
-
-def make_quadrature(n_theta: int = 64, n_phi: int = 128) -> SphereQuadrature:
-    """Build the product rule at which :func:`amplitude_to_csv` samples f1
-    and f2.  It integrates the expansion's low-degree direction polynomials
-    exactly, so the tests use it as an oracle of the closed forms."""
-    if n_theta < 2:
-        raise ValueError("n_theta must be >= 2")
-    if n_phi < 4:
-        raise ValueError("n_phi must be >= 4")
-    mu_nodes, mu_weights = np.polynomial.legendre.leggauss(n_theta)
-    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    ct = np.repeat(mu_nodes, n_phi)
-    st = np.sqrt(np.clip(1.0 - ct**2, 0.0, None))
-    ph = np.tile(phi, n_theta)
-    nodes = np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=1)
-    weights = np.repeat(mu_weights, n_phi) * (2.0 * np.pi / n_phi)
-    return SphereQuadrature(nodes, weights, n_theta, n_phi)
 
 
 @dataclass(frozen=True)
@@ -150,8 +117,8 @@ class AmplitudeExpansion:
 
     ``f0`` is constant (-capacity), ``m1`` and ``m2`` are the integrals of
     mu1 and mu2, ``P0`` and ``P1`` the first moments of mu0 and mu1, and
-    ``Q0`` the second moment of mu0.  :meth:`f1` and :meth:`f2` sample the
-    coefficients at the directions a caller passes.
+    ``Q0`` the second moment of mu0, all about the origin.  :meth:`f1` and
+    :meth:`f2` sample the amplitude at the directions a caller passes.
 
     ``k_moment`` is ``integral z mu0`` (also ``integral mu1a``),
     ``z1_moment`` is ``integral z mu1a``, and ``exterior_energy`` is the
@@ -217,7 +184,9 @@ class AmplitudeExpansion:
         return self.m2 - nodes @ self.P1 + 0.5 * np.einsum("ni,ij,nj->n", nodes, self.Q0, nodes)
 
     def report_dict(self) -> dict:
-        """JSON-ready report with the documented key set."""
+        """JSON-ready report with the documented key set.  The coefficients
+        are plain floats and nested lists, which ``json`` round-trips bit for
+        bit."""
         return {
             "capacity": self.capacity,
             "K": self.k_moment,
@@ -230,6 +199,11 @@ class AmplitudeExpansion:
             "cs_margin": self.cs_margin,
             "thm1_corrected_pass": self.corrected_pass,
             "thm1_paper_pass": self.paper_pass,
+            "m1": self.m1,
+            "P0": self.P0.tolist(),
+            "m2": self.m2,
+            "P1": self.P1.tolist(),
+            "Q0": self.Q0.tolist(),
         }
 
 
@@ -275,13 +249,3 @@ def cross_sections_lowfreq(amp: AmplitudeExpansion, k: float) -> tuple[float, fl
     f2_mean = amp.m2 + float(np.trace(amp.Q0)) / 6.0
     sigma = 4.0 * np.pi * (f0**2 + k**2 * (f1_sq_mean - 2.0 * f0 * f2_mean))
     return sigma, sigma - k**2 * amp.d2
-
-
-def amplitude_to_csv(amp: AmplitudeExpansion, quad: SphereQuadrature, path,
-                     header_lines=()) -> None:
-    """CSV of the coefficients sampled at the nodes of ``quad``: cos_theta,
-    phi, f1, f2."""
-    q = quad.nodes
-    phi = np.arctan2(q[:, 1], q[:, 0])
-    write_csv(path, header_lines,
-              {"cos_theta": q[:, 2], "phi": phi, "f1": amp.f1(q), "f2": amp.f2(q)})

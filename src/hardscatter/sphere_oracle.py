@@ -204,6 +204,14 @@ def _series_sums(delta: np.ndarray, order: np.ndarray, k: np.ndarray):
     return sigma, sigma_t, optical
 
 
+def _check_finite_positive(name: str, values) -> None:
+    """Raise ValueError, naming ``name``, unless every value is finite and
+    positive: NaN, inf and 0 would fail deep inside the recurrence."""
+    values = np.asarray(values)
+    if not np.all((0 < values) & (values < np.inf)):
+        raise ValueError(f"{name} must be finite and positive")
+
+
 def phase_shifts(radius: float, k: float) -> PhaseShiftTable:
     """Compute the phase-shift table for wavenumber k.
 
@@ -211,11 +219,10 @@ def phase_shifts(radius: float, k: float) -> PhaseShiftTable:
     shift falls below ``TRUNCATION_TOL``.  This is the one-column case of
     the sweep's recurrence: the bits of delta_l do not depend on other k.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
+    _check_finite_positive("radius", radius)
+    _check_finite_positive("k", k)
     ka = np.array([k * radius])
+    _check_finite_positive("k * radius", ka)
     reach = _reach(ka)
     delta = _phase_shift_columns(ka, reach)
     order = _truncation(delta, ka, reach)[0]
@@ -330,10 +337,14 @@ def fig1_sweep(k_values, radius: float = FIG1_RADIUS) -> dict[str, np.ndarray]:
     but the whole grid goes through the recurrence together, in chunks of k
     whose working arrays stay within ``_WORK_BYTES``.
     """
+    _check_finite_positive("radius", radius)
     k_values = np.asarray(k_values, dtype=float)
-    if np.any(k_values <= 0) or np.any(np.diff(k_values) <= 0):
-        raise ValueError("k grid must be positive and strictly ascending")
-    ka = k_values * radius
+    _check_finite_positive("k_values", k_values)
+    if np.any(np.diff(k_values) <= 0):
+        raise ValueError("k_values must be strictly ascending")
+    with np.errstate(over="ignore"):
+        ka = k_values * radius
+    _check_finite_positive("k * radius", ka)
     k = ka / radius  # as PhaseShiftTable.k
     reach = _reach(ka)
     rows = int(_miller_start(reach.max())) + 2

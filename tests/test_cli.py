@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from cli_env import cli_env
+from conftest import egg_mesh
 from hardscatter import lowfreq, potential
 from hardscatter.cli import main
-from hardscatter.geometry import Ellipsoid, Sphere, make_body, save_mesh
+from hardscatter.geometry import Ellipsoid, Sphere, load_mesh, make_body, save_mesh
 from test_classical import groove_prism
 
 
@@ -65,13 +66,31 @@ def test_lowfreq_subcommand(tmp_path, monkeypatch):
     expected_keys = {
         "meta", "capacity", "K", "Z1", "volume", "M", "d2_direct",
         "d2_formula_corrected", "d2_formula_paper", "cs_margin",
-        "thm1_corrected_pass", "thm1_paper_pass",
+        "thm1_corrected_pass", "thm1_paper_pass", "m1", "P0", "m2", "P1", "Q0",
     }
     assert set(payload) == expected_keys
     assert payload["thm1_corrected_pass"] is True
     assert payload["thm1_paper_pass"] is False
-    samples = (tmp_path / "report_f12.csv").read_text().splitlines()
-    assert samples[3] == "cos_theta,phi,f1,f2"
+    # the amplitude is its coefficients: no sampled sibling file
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_lowfreq_json_holds_the_coefficients_bit_for_bit(tmp_path):
+    # the egg has no z mirror, so P0 and P1 are not zero
+    mesh_path = tmp_path / "egg.off"
+    save_mesh(egg_mesh(3), mesh_path)
+    out = tmp_path / "report.json"
+    assert main(["lowfreq", "--mesh", str(mesh_path), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    amp = lowfreq.amplitude_expansion(
+        lowfreq.solve_expansion_densities(load_mesh(mesh_path)))
+    for key in ("m1", "P0", "m2", "P1", "Q0"):
+        assert np.array(payload[key]).tobytes() == np.array(getattr(amp, key)).tobytes(), key
+    assert payload["P0"][2] != 0.0 and payload["P1"][2] != 0.0
+    # a caller samples the amplitude from the keys as from the record
+    q = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, -0.8]])
+    f1 = payload["m1"] - q @ payload["P0"]
+    assert np.array_equal(f1, amp.f1(q))
 
 
 def test_lowfreq_sigma_table(tmp_path):
@@ -193,8 +212,9 @@ def test_config_errors(tmp_path):
     assert main(job + ["--k-min", "0.1"]) == 2
     assert main(job + ["--k-max", "0.2"]) == 2
     assert main(job + ["--k-min", "0.1", "--k-max", "0.2", "--samples", "1"]) == 2
-    assert main(job + ["--quad-theta", "1"]) == 2
-    assert main(job + ["--quad-phi", "3"]) == 2
+    # the amplitude is reported as its coefficients: no direction rule to set
+    assert main(job + ["--quad-theta", "64"]) == 2
+    assert main(job + ["--quad-phi", "128"]) == 2
     # oversized jobs: a ray grid past 4096, and series sweeps that outgrow
     # 200 samples up to ka 1e5 (in samples, or in one sample's order)
     assert main(["raytrace", "--body", "sphere:1", "--grid", "4097",
@@ -416,7 +436,7 @@ def test_thread_count_invariance(tmp_path):
     # the sphere, and an ellipsoid whose full n x n LU drifts between one
     # and two BLAS threads; both are solved on their mirror-symmetry blocks
     for body in ("sphere:1", "ellipsoid:2,1,1.5"):
-        outputs, samples = [], []
+        outputs = []
         for threads, name in ((1, "t1.json"), (2, "t2.json")):
             out = tmp_path / name
             result = run_cli(
@@ -425,19 +445,16 @@ def test_thread_count_invariance(tmp_path):
             )
             assert result.returncode == 0, result.stderr
             outputs.append(json.loads(out.read_text()))
-            f12 = (tmp_path / f"{out.stem}_f12.csv").read_text().splitlines()
-            header, *rows = [ln for ln in f12 if not ln.startswith("#")]
-            samples.append(dict(zip(header.split(","),
-                                    np.loadtxt(rows, delimiter=",", unpack=True))))
+        a, b = outputs
         for key in ("capacity", "K", "Z1", "M", "d2_direct"):
-            a, b = outputs[0][key], outputs[1][key]
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
-        # f2 changes sign, so its drift is measured against the column maximum
-        # rather than pointwise
-        a, b = samples
-        for column in ("cos_theta", "phi", "f1"):
-            assert np.array_equal(a[column], b[column])
-        assert np.max(np.abs(a["f2"] - b["f2"])) <= 1e-12 * np.max(np.abs(a["f2"]))
+            assert abs(a[key] - b[key]) <= 1e-12 * max(1.0, abs(a[key]))
+        # f1's coefficients bit for bit; f2's, some of which are 0 by
+        # symmetry, within 1e-12 of the largest of them
+        assert repr((a["m1"], a["P0"])) == repr((b["m1"], b["P0"]))
+        f2_keys = ("m2", "P1", "Q0")
+        scale = max(np.max(np.abs(a[key])) for key in f2_keys)
+        for key in f2_keys:
+            assert np.max(np.abs(np.subtract(a[key], b[key]))) <= 1e-12 * scale, key
 
 
 def test_thread_count_invariance_mesh_trace(tmp_path):

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,35 @@ from hardscatter.lowfreq import (
     TRUST_LIMIT,
     TrustRegionError,
     amplitude_expansion,
-    amplitude_to_csv,
     cross_sections_lowfreq,
-    make_quadrature,
     solve_expansion_densities,
 )
 
 D2_SPHERE = 8.0 * np.pi / 3.0  # unit sphere, from the analytic densities
+
+
+class SphereQuadrature(NamedTuple):
+    """Product rule on the unit sphere: Gauss-Legendre in cos(theta) times
+    uniform midpoints in phi.  Weights sum to 4 pi."""
+
+    nodes: np.ndarray    # (N, 3) unit vectors
+    weights: np.ndarray  # (N,) positive
+    n_theta: int
+    n_phi: int
+
+
+def make_quadrature(n_theta: int = 64, n_phi: int = 128) -> SphereQuadrature:
+    """The direction rule of the oracles below.  It integrates the
+    expansion's low-degree direction polynomials exactly from 2 x 4 nodes
+    on."""
+    mu_nodes, mu_weights = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+    ct = np.repeat(mu_nodes, n_phi)
+    st = np.sqrt(np.clip(1.0 - ct**2, 0.0, None))
+    ph = np.tile(phi, n_theta)
+    nodes = np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=1)
+    weights = np.repeat(mu_weights, n_phi) * (2.0 * np.pi / n_phi)
+    return SphereQuadrature(nodes, weights, n_theta, n_phi)
 
 
 def quadrature_d2(amp, quad):
@@ -91,13 +115,6 @@ def test_quadrature_transverse_moment_vanishes(px, py, pz):
     transverse = quad.nodes[:, 0] * px + quad.nodes[:, 1] * py
     value = quad.weights @ (transverse * quad.nodes[:, 2] ** 2)
     assert abs(value) < 1e-12
-
-
-def test_quadrature_validation():
-    with pytest.raises(ValueError):
-        make_quadrature(1, 32)
-    with pytest.raises(ValueError):
-        make_quadrature(16, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +235,9 @@ def test_trust_region_guard(sphere4_amplitude):
         cross_sections_lowfreq(sphere4_amplitude, 0.3)  # k * diam = 0.6
     with pytest.raises(ValueError):
         cross_sections_lowfreq(sphere4_amplitude, -1.0)
+    # NaN fails every comparison, so it must not slip past as "not negative"
+    with pytest.raises(ValueError):
+        cross_sections_lowfreq(sphere4_amplitude, float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +351,7 @@ def test_report_keys(sphere4_amplitude):
         "capacity", "K", "Z1", "volume", "M",
         "d2_direct", "d2_formula_corrected", "d2_formula_paper",
         "cs_margin", "thm1_corrected_pass", "thm1_paper_pass",
+        "m1", "P0", "m2", "P1", "Q0",
     ]
     assert report["thm1_paper_pass"] is False
     assert report["thm1_corrected_pass"] is True
-
-
-def test_amplitude_csv(tmp_path, sphere4_amplitude, quad):
-    path = tmp_path / "f12.csv"
-    amplitude_to_csv(sphere4_amplitude, quad, path, header_lines=["demo"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# demo"
-    assert lines[1] == "cos_theta,phi,f1,f2"
-    assert len(lines) == 2 + len(quad.nodes)

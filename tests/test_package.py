@@ -21,8 +21,8 @@ def test_export_table():
         assert not set(names) - set(public), module
     # one low-k record: the Theorem-1 functionals live on AmplitudeExpansion
     assert hardscatter._EXPORTS["lowfreq"] == (
-        "AmplitudeExpansion", "SphereQuadrature", "amplitude_expansion",
-        "cross_sections_lowfreq", "make_quadrature", "solve_expansion_densities")
+        "AmplitudeExpansion", "amplitude_expansion", "cross_sections_lowfreq",
+        "solve_expansion_densities")
 
 
 def test_demos_run(tmp_path):

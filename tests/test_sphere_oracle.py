@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardscatter import sphere_oracle
+from hardscatter.classical import theorem2_check
 from hardscatter.sphere_oracle import (
     FIG1_RADIUS,
     PhaseShiftTable,
@@ -203,6 +206,27 @@ def test_phase_shift_validation():
         phase_shifts(0.0, 1.0)
     with pytest.raises(ValueError):
         phase_shifts(1.0, 0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, args, name", [
+    pytest.param(phase_shifts, (1.0, NAN), "k", id="phase_shifts-nan_k"),
+    pytest.param(phase_shifts, (NAN, 1.0), "radius", id="phase_shifts-nan_radius"),
+    pytest.param(phase_shifts, (1.0, INF), "k", id="phase_shifts-inf_k"),
+    pytest.param(phase_shifts, (1e200, 1e200), "k * radius", id="phase_shifts-inf_ka"),
+    pytest.param(fig1_sweep, ([NAN], 1.0), "k_values", id="fig1_sweep-nan_k"),
+    pytest.param(fig1_sweep, ([1.0, 2.0], NAN), "radius", id="fig1_sweep-nan_radius"),
+    pytest.param(fig1_sweep, ([1.0, 2.0], -1.0), "radius", id="fig1_sweep-negative_radius"),
+    pytest.param(fig1_sweep, ([1.0, INF], 1.0), "k_values", id="fig1_sweep-inf_k"),
+    pytest.param(fig1_sweep, ([1.0, 2.0], 0.0), "radius", id="fig1_sweep-zero_radius"),
+    pytest.param(theorem2_check, (1.0, [NAN]), "ka_values", id="theorem2_check-nan_ka"),
+])
+def test_series_entry_points_refuse_non_finite_arguments(call, args, name):
+    # each would fail deep in the recurrence, or pass a range check, if let in
+    with pytest.raises(ValueError, match="^" + re.escape(name) + " must"):
+        call(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from hardscatter._table import write_csv
 from hardscatter.classical import histogram_to_csv, trace, trace_to_csv
 from hardscatter.geometry import Sphere
-from hardscatter.lowfreq import amplitude_expansion, amplitude_to_csv, make_quadrature
 
 
 def read_table(path):
@@ -15,14 +14,15 @@ def read_table(path):
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
 
 
-def test_csv_floats_round_trip_and_counts_print_as_integers(tmp_path, sphere4_densities):
-    amp, quad = amplitude_expansion(sphere4_densities), make_quadrature(8, 16)
-    amplitude_to_csv(amp, quad, tmp_path / "f12.csv", header_lines=["demo"])
-    names, rows = read_table(tmp_path / "f12.csv")
-    assert names == ["cos_theta", "phi", "f1", "f2"]
-    q = quad.nodes
-    columns = [q[:, 2], np.arctan2(q[:, 1], q[:, 0]), amp.f1(q), amp.f2(q)]
-    for row, values in zip(rows, zip(*columns), strict=True):
+def test_csv_floats_round_trip_and_counts_print_as_integers(tmp_path):
+    # floats of every exponent, each with a full 53-bit mantissa
+    rng = np.random.default_rng(5)
+    columns = {name: rng.standard_normal(128) * 10.0 ** rng.integers(-300, 300, 128)
+               for name in ("a", "b", "c")}
+    write_csv(tmp_path / "floats.csv", ["demo"], columns)
+    names, rows = read_table(tmp_path / "floats.csv")
+    assert names == ["a", "b", "c"]
+    for row, values in zip(rows, zip(*columns.values()), strict=True):
         assert [float(cell) for cell in row] == [float(v) for v in values]
 
     result = trace(Sphere(1.0), grid=64)

@@ -199,9 +199,6 @@ GOLDEN = {
                        "--k-max 0.2 --samples 20 --out report.json",
     "lowfreq_ellipsoid": "lowfreq --body ellipsoid:2,1,1.5 --level 4 --out report.json",
     "lowfreq_cylinder": "lowfreq --body cylinder:1,2 --level 3 --out report.json",
-    # a direction rule other than the default reaches the f1/f2 CSV unchanged
-    "lowfreq_quad": "lowfreq --body ellipsoid:2,1,1.5 --level 3 --quad-theta 8 "
-                    "--quad-phi 16 --out report.json",
     # no z-mirror symmetry (K != 0), so d2_direct and d2_formula_corrected
     # differ by -(8 pi / 3) K (integral mu1a - K); the body's diameter is
     # 2.74, so k up to 0.18 stays inside the trust region
@@ -259,7 +256,6 @@ ERRORS = {
     "err_level": "capacity --body sphere:1 --level 9",
     "err_grid": "raytrace --body sphere:1 --grid 10",
     "err_compare_mesh": f"compare --mesh {MESH}",
-    "err_quad_theta": "lowfreq --body sphere:1 --quad-theta 1",
     "err_samples": "mie --body sphere:1 --samples 1",
     "err_threads": "--threads 0 capacity --body sphere:1",
     "err_mie_cylinder": "mie --body cylinder:1,2",
