@@ -10,6 +10,7 @@ lengths; the incident direction used everywhere else in the package is the
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -452,56 +453,36 @@ def _unit_icosphere(level: int):
     return v, f
 
 
-def _disc_triangulation(n_phi: int, n_r: int):
-    """Structured unit-disc mesh, counterclockwise in the plane.
-
-    Concentric rings with the angular count halved whenever panels would
-    get thin toward the center; the rim ring (radius 1, ``n_phi`` points at
-    angles 2 pi j / n_phi) occupies the first ``n_phi`` point slots so a
-    caller can splice it onto existing rim vertices.
-    """
-    counts = [n_phi]
-    for m in range(1, n_r):
-        c = counts[-1]
-        r = (n_r - m) / n_r
-        if c % 2 == 0 and c >= 16 and 2.0 * np.pi * r / c < 0.55 / n_r:
-            c //= 2
-        counts.append(c)
-    points: list[np.ndarray] = []
-    rings = []
-    for m, c in enumerate(counts):
-        r = (n_r - m) / n_r
-        ang = 2.0 * np.pi * np.arange(c) / c
-        rings.append(len(points) + np.arange(c, dtype=np.int64))
-        points.extend(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
-    center = len(points)
-    points.append(np.zeros(2))
-    tris: list[list[int]] = []
-    for m in range(n_r - 1):
-        outer, inner = rings[m], rings[m + 1]
-        co, ci = counts[m], counts[m + 1]
-        if co == ci:
-            for j in range(co):
-                jn = (j + 1) % co
-                tris.append([outer[j], outer[jn], inner[jn]])
-                tris.append([outer[j], inner[jn], inner[j]])
-        else:  # ci == co // 2, aligned every other point
-            for k in range(ci):
-                f0, f1 = outer[2 * k], outer[2 * k + 1]
-                f2 = outer[(2 * k + 2) % co]
-                c0, c1 = inner[k], inner[(k + 1) % ci]
-                tris.append([f0, f1, c0])
-                tris.append([f1, c1, c0])
-                tris.append([f1, f2, c1])
-    innermost = rings[-1]
-    for j in range(counts[-1]):
-        tris.append([center, innermost[j], innermost[(j + 1) % counts[-1]]])
-    return np.asarray(points), np.asarray(tris, dtype=np.int64)
+def _strip(outer, inner):
+    """Triangles between two rows of an octant's points, wound outward when
+    the rows run counterclockwise about +z and ``inner`` is the next row up
+    the side or in across the cap: a row of as many points, a row of half
+    as many segments (aligned every other point) or the cap's centre.  The
+    strip is its own mirror image across the plane x = y."""
+    if len(inner) == 1:
+        return np.column_stack([outer[:-1], outer[1:], np.repeat(inner, len(outer) - 1)])
+    if len(inner) == len(outer):
+        a, b, c, d = outer[:-1], outer[1:], inner[1:], inner[:-1]
+        # each quad's diagonal runs toward the octant's middle
+        lo = np.arange(len(a)) < len(a) // 2
+        return np.concatenate([np.column_stack([a, b, np.where(lo, c, d)]),
+                               np.column_stack([np.where(lo, a, b), c, d])])
+    f0, f1, f2, c0, c1 = outer[:-2:2], outer[1::2], outer[2::2], inner[:-1], inner[1:]
+    return np.stack([f0, f1, c0, f1, c1, c0, f1, f2, c1], axis=1).reshape(-1, 3)
 
 
 def _cylinder_mesh(radius: float, height: float, level: int):
+    """One octant (x, y, z >= 0) of side bands and cap rings, and its images
+    under the eight coordinate sign flips, so the mesh is mirror-exact.
+
+    The side has ``n_phi`` points a ring and ``n_z`` bands; the cap has
+    ``n_r`` rings, their point count halved toward the centre wherever
+    panels would get thin.  An odd flip reverses the winding, and points on
+    a mirror plane, whose coordinates there are exactly 0, are merged.  The
+    octant is also its own mirror image across x = y.
+    """
     n_phi = 8 * 2 ** max(level - 1, 0)
-    # even band count keeps the triangulation mirror-symmetric in z
+    # an even band count: the octant holds half of them
     n_z = 2 * max(1, round(n_phi * height / (4.0 * np.pi * radius)))
     if 2 * n_phi * n_z > _MAX_SIDE_TRIANGLES:
         raise MeshError(
@@ -510,47 +491,37 @@ def _cylinder_mesh(radius: float, height: float, level: int):
             f"{_MAX_SIDE_TRIANGLES}"
         )
     n_r = max(1, round(n_phi / (2.0 * np.pi)))
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    zs = -height / 2.0 + height * np.arange(n_z + 1) / n_z
-
-    verts: list[np.ndarray] = []
-    side = np.empty((n_z + 1, n_phi), dtype=np.int64)
-    for i, z in enumerate(zs):
-        side[i] = len(verts) + np.arange(n_phi, dtype=np.int64)
-        verts.extend(
-            np.column_stack(
-                [radius * np.cos(phi), radius * np.sin(phi), np.full(n_phi, z)]
-            )
-        )
-
-    faces: list[list[int]] = []
-    for i in range(n_z):
-        for j in range(n_phi):
-            jn = (j + 1) % n_phi
-            a, b = side[i, j], side[i, jn]
-            c, d = side[i + 1, jn], side[i + 1, j]
-            if i < n_z // 2:
-                faces.append([a, b, c])
-                faces.append([a, c, d])
-            else:  # mirrored diagonal in the upper half
-                faces.append([a, b, d])
-                faces.append([b, c, d])
-
-    disc_points, disc_tris = _disc_triangulation(n_phi, n_r)
-    for sign, z_cap, rim in ((-1, zs[0], side[0]), (1, zs[-1], side[-1])):
-        index_map = np.empty(len(disc_points), dtype=np.int64)
-        index_map[:n_phi] = rim
-        for p in range(n_phi, len(disc_points)):
-            index_map[p] = len(verts)
-            verts.append(
-                np.array([radius * disc_points[p, 0], radius * disc_points[p, 1], z_cap])
-            )
-        for a, b, c in disc_tris:
-            if sign > 0:
-                faces.append([index_map[a], index_map[b], index_map[c]])
-            else:
-                faces.append([index_map[a], index_map[c], index_map[b]])
-    return np.asarray(verts), np.asarray(faces, dtype=np.int64)
+    counts = [n_phi]
+    for m in range(1, n_r):
+        c, r = counts[-1], (n_r - m) / n_r
+        if c % 2 == 0 and c >= 16 and 2.0 * np.pi * r / c < 0.55 / n_r:
+            c //= 2
+        counts.append(c)
+    # the octant's rows, from the equator up the side and in across the cap:
+    # radius, height and quarter-turn segments of each
+    bands = n_z // 2
+    rows = ([(radius, 0.5 * height * (i / bands), n_phi // 4) for i in range(bands + 1)]
+            + [(radius * ((n_r - m) / n_r), 0.5 * height, counts[m] // 4)
+               for m in range(1, n_r)]
+            + [(0.0, 0.5 * height, 0)])
+    points, faces, last = [], [], None
+    for r, z, q in rows:
+        # cos t as sin(pi/2 - t), so the points on an axis are exactly 0
+        s = np.sin(0.5 * np.pi * np.arange(q + 1) / max(q, 1))
+        row = sum(map(len, points)) + np.arange(q + 1)
+        points.append(np.column_stack([r * s[::-1], r * s, np.full(q + 1, z)]))
+        if last is not None:
+            faces.append(_strip(last, row))
+        last = row
+    v, t = np.concatenate(points), np.concatenate(faces)
+    flips = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    # + 0.0 turns a flipped 0.0 into 0.0, not -0.0, before the merge
+    vertices, index = np.unique((flips[:, None] * v + 0.0).reshape(-1, 3),
+                                axis=0, return_inverse=True)
+    odd = np.prod(flips, axis=1) < 0.0
+    images = np.where(odd[:, None, None], t[:, [0, 2, 1]], t)
+    images += len(v) * np.arange(8)[:, None, None]
+    return vertices, index.reshape(-1)[images.reshape(-1, 3)]
 
 
 def make_body(body: Sphere | Ellipsoid | CappedCylinder, level: int) -> TriMesh:
@@ -558,9 +529,12 @@ def make_body(body: Sphere | Ellipsoid | CappedCylinder, level: int) -> TriMesh:
 
     Sphere and ellipsoid meshes are subdivided icosahedra with
     ``20 * 4**(level-1)`` faces (level <= 1 gives the base solid); the
-    capped cylinder uses ring bands plus fan caps, roughly quadrupling
+    capped cylinder is one octant of side bands and cap rings and its
+    eight mirror images (:func:`_cylinder_mesh`), roughly quadrupling
     faces per level; one whose side would need more than
     ``_MAX_SIDE_TRIANGLES`` raises :class:`MeshError` before it is built.
+    Every generated mesh maps onto itself under the eight coordinate
+    sign flips, exactly.
     """
     if level < 0:
         raise ValueError("refinement level must be >= 0")

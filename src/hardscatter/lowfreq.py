@@ -209,7 +209,18 @@ class AmplitudeExpansion:
 
 def amplitude_expansion(densities: ExpansionDensities) -> AmplitudeExpansion:
     """The moments of the densities against 1, p and p p^T, and the surface
-    functionals of Theorem 1."""
+    functionals of Theorem 1.
+
+    The mesh's flips that keep the incidence direction +z are symmetries of
+    the problem, so P0, P1 and Q0 are their averages of ``s * P`` and ``s
+    s^T * Q0`` over those flips.  Over a group the average of a sign is 1
+    where every flip has +1 and 0 elsewhere: the odd entries are exactly 0
+    and the others keep their bits.
+    """
+    signs = densities.operator.mirrors.signs
+    signs = signs[signs[:, 2] > 0.0]
+    even = np.all(signs > 0.0, axis=0)
+    even2 = np.all(signs[:, :, None] * signs[:, None, :] > 0.0, axis=0)
     mesh = densities.mesh
     cent = mesh.centroids
     areas = mesh.areas
@@ -225,7 +236,8 @@ def amplitude_expansion(densities: ExpansionDensities) -> AmplitudeExpansion:
     base = cap * z1_moment + k_moment**2
     return AmplitudeExpansion(
         f0=f0, m1=float(np.sum(w1)), m2=densities.mu2.integral(),
-        P0=w0 @ cent, P1=w1 @ cent, Q0=cent.T @ (cent * w0[:, None]),
+        P0=np.where(even, w0 @ cent, 0.0), P1=np.where(even, w1 @ cent, 0.0),
+        Q0=np.where(even2, cent.T @ (cent * w0[:, None]), 0.0),
         diameter=mesh.diameter, k_moment=k_moment, z1_moment=z1_moment,
         volume=volume, exterior_energy=energy,
         d2_formula_corrected=-(8.0 * np.pi / 3.0) * base,

@@ -262,11 +262,15 @@ def test_long_cylinder_is_refused_before_it_is_built(monkeypatch):
     # the side's triangle count follows from height / radius and the level
     # alone: h / r = 1e5 at level 2 would need 8.1 million, and the diameter
     # search over their 4 million vertices would ask for 31 GiB.  The
-    # refusal comes before any ring of vertices is built.
+    # refusal comes before the generator builds its first row of vertices,
+    # with np.column_stack, which the probe below catches on a cylinder
+    # that the guard lets through.
     def no_vertices(*args, **kwargs):
         raise AssertionError("cylinder vertices built")
 
     monkeypatch.setattr(np, "column_stack", no_vertices)
+    with pytest.raises(AssertionError, match="cylinder vertices built"):
+        make_body(CappedCylinder(1.0, 2.0), 0)
     for radius, height, level in ((1.0, 1e5, 2), (1e-50, 1e50, 0), (1.0, 600.0, 4)):
         with pytest.raises(MeshError, match="side triangles"):
             make_body(CappedCylinder(radius, height), level)

@@ -312,6 +312,21 @@ def test_capacity_is_the_densities_capacity_bit_for_bit(body_densities):
     assert amplitude_expansion(body_densities).capacity == body_densities.capacity
 
 
+def test_entries_odd_under_a_flip_keeping_z_are_exact_zeros(body_densities):
+    # every body here maps onto itself under the x and y flips, which keep
+    # the incidence direction: the x and y parts of P0 and P1 and the
+    # off-diagonal entries of Q0 are exactly 0, and the other entries keep
+    # the bits of the panel sums (compared by repr, so a signed zero counts)
+    amp = amplitude_expansion(body_densities)
+    mesh = body_densities.mesh
+    cent = mesh.centroids
+    w0, w1 = (d.values * mesh.areas for d in (body_densities.mu0, body_densities.mu1))
+    for got, raw in ((amp.P0, w0 @ cent), (amp.P1, w1 @ cent)):
+        assert repr(got.tolist()) == repr([0.0, 0.0, raw[2].item()])
+    q0 = cent.T @ (cent * w0[:, None])
+    assert repr(amp.Q0.tolist()) == repr(np.diag(np.diag(q0)).tolist())
+
+
 def test_d2_keys_differ_by_the_k_moment_term(body_densities):
     # d2 - d2_formula_corrected = -(8 pi / 3) K (integral mu1a - K): zero in
     # the continuum, where integral mu1a = K, and on bodies with K = 0

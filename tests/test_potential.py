@@ -15,6 +15,7 @@ from hardscatter import potential
 from hardscatter.geometry import (
     CappedCylinder,
     Ellipsoid,
+    MeshError,
     Sphere,
     TriMesh,
     loads_mesh,
@@ -837,6 +838,33 @@ def test_generated_bodies_have_all_eight_flips(body, level):
     assert sum(orbit_sizes) == mesh.n_triangles
 
 
+# faces of make_body(CappedCylinder(radius, height), level) at levels 0-6,
+# None where the side guard refuses the level
+CYLINDER_FACES = {
+    (1.0, 2.0): [48, 48, 320, 1056, 4192, 16608, 68576],
+    (1.0, 0.1): [48, 48, 192, 544, 1888, 6880, 28640],
+    (1.0, 0.01): [48, 48, 192, 544, 1888, 6880, 27616],
+    (0.5, 3.0): [144, 144, 640, 2336, 9568, 37600, None],
+    (1.0, 60.0): [1232, 1232, 4992, 20000, 79968, None, None],
+    (2.0, 1.0): [48, 48, 192, 544, 2400, 8928, 36832],
+    (1e-3, 5e-3): [112, 112, 512, 2080, 8032, 32480, None],
+    (1e3, 1.0): [48, 48, 192, 544, 1888, 6880, 27616],
+}
+
+
+@pytest.mark.parametrize("dims", sorted(CYLINDER_FACES), ids=lambda d: f"{d[0]:g}x{d[1]:g}")
+def test_generated_cylinders_have_all_eight_flips(dims):
+    for level, faces in enumerate(CYLINDER_FACES[dims]):
+        if faces is None:
+            with pytest.raises(MeshError, match="side triangles"):
+                make_body(CappedCylinder(*dims), level)
+            continue
+        mesh = make_body(CappedCylinder(*dims), level)
+        # a closed surface of genus 0 has faces / 2 + 2 vertices
+        assert (mesh.n_triangles, len(mesh.vertices)) == (faces, faces // 2 + 2)
+        assert np.array_equal(potential._mirror_group(mesh).signs, ALL_FLIPS), level
+
+
 def test_mirror_group_matches_the_set_oracle(cube3):
     meshes = {
         "sphere3": make_body(Sphere(1.0), 3),
@@ -850,9 +878,8 @@ def test_mirror_group_matches_the_set_oracle(cube3):
     for name, mesh in meshes.items():
         found[name] = [tuple(s) for s in potential._mirror_group(mesh).signs]
         assert found[name] == face_set_flips(mesh), name
-    # the capped cylinder's vertex set has no flip: cos(pi - t) is not
-    # -cos(t), and its rings' z values are not mirror images, to rounding
-    assert found["cylinder3"] == [(1.0, 1.0, 1.0)]
+    # the capped cylinder is one octant and its mirror images: all eight flips
+    assert len(found["cylinder3"]) == 8
     # the split cube's vertex set has all eight flips, its diagonals none
     cube = meshes["split_cube"].vertices
     assert all(set(map(tuple, cube * s)) == set(map(tuple, cube)) for s in ALL_FLIPS)

@@ -184,6 +184,8 @@ TETRAHEDRA_OFF = """OFF
 GOLDEN = {
     "capacity_sphere": "capacity --body sphere:1 --level 4 --out cap.json",
     "capacity_cylinder": "capacity --body cylinder:1,2 --level 4 --out cap.json",
+    # 1888 panels, 1632 of them on the caps: the (1, 2) cylinder has most on its side
+    "capacity_cylinder_flat": "capacity --body cylinder:1,0.1 --level 4 --out cap.json",
     # 1280 panels far from the origin for their size
     "capacity_far": f"capacity --mesh {FAR} --out cap.json",
     # parts of diameter 1 in a mesh of diameter 1e6: each triangle's area
