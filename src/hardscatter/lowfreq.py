@@ -120,11 +120,11 @@ class AmplitudeExpansion:
     ``Q0`` the second moment of mu0, all about the origin.  :meth:`f1` and
     :meth:`f2` sample the amplitude at the directions a caller passes.
 
-    ``k_moment`` is ``integral z mu0`` (also ``integral mu1a``),
-    ``z1_moment`` is ``integral z mu1a``, and ``exterior_energy`` is the
-    Dirichlet energy of the exterior field with boundary value -z, namely
-    ``-4 pi z1_moment - volume``.  ``d2_formula_corrected = -(8 pi / 3) (C
-    Z1 + K^2)``, equal to :attr:`d2` only when K = 0 (see the module
+    ``k_moment`` is ``integral z mu0``, read as ``P0[2]`` (also ``integral
+    mu1a``), ``z1_moment`` is ``integral z mu1a``, and ``exterior_energy``
+    is the Dirichlet energy of the exterior field with boundary value -z,
+    namely ``-4 pi z1_moment - volume``.  ``d2_formula_corrected = -(8 pi /
+    3) (C Z1 + K^2)``, equal to :attr:`d2` only when K = 0 (see the module
     docstring), and ``d2_formula_paper = -(4 pi / 3) (C Z1 + K^2)``
     (reported only) are kept for comparison.
 
@@ -211,15 +211,17 @@ def amplitude_expansion(densities: ExpansionDensities) -> AmplitudeExpansion:
     """The moments of the densities against 1, p and p p^T, and the surface
     functionals of Theorem 1.
 
-    The mesh's flips that keep the incidence direction +z are symmetries of
-    the problem, so P0, P1 and Q0 are their averages of ``s * P`` and ``s
-    s^T * Q0`` over those flips.  Over a group the average of a sign is 1
-    where every flip has +1 and 0 elsewhere: the odd entries are exactly 0
-    and the others keep their bits.
+    The data of mu0, -1, is even under every flip of the mesh, so P0 and Q0
+    are their averages of ``s * P`` and ``s s^T * Q0`` over all the flips,
+    and K is P0_z.  The data of mu1 is even only under the flips that keep
+    the incidence direction +z, so P1 is its average of ``s * P`` over
+    those.  Over a group the average of a sign is 1 where every flip has +1
+    and 0 elsewhere: the odd entries are exactly 0 and the others keep their
+    bits.
     """
     signs = densities.operator.mirrors.signs
-    signs = signs[signs[:, 2] > 0.0]
-    even = np.all(signs > 0.0, axis=0)
+    even0 = np.all(signs > 0.0, axis=0)
+    even1 = np.all(signs[signs[:, 2] > 0.0] > 0.0, axis=0)
     even2 = np.all(signs[:, :, None] * signs[:, None, :] > 0.0, axis=0)
     mesh = densities.mesh
     cent = mesh.centroids
@@ -228,15 +230,15 @@ def amplitude_expansion(densities: ExpansionDensities) -> AmplitudeExpansion:
     w1 = densities.mu1.values * areas
     f0 = float(np.sum(w0))
     cap = -f0
-    z = cent[:, 2]
-    k_moment = densities.mu0.moment(z)
-    z1_moment = densities.mu1a.moment(z)
+    P0 = np.where(even0, w0 @ cent, 0.0)
+    k_moment = float(P0[2])
+    z1_moment = densities.mu1a.moment(cent[:, 2])
     volume = mesh_volume(mesh)
     energy = -4.0 * np.pi * z1_moment - volume
     base = cap * z1_moment + k_moment**2
     return AmplitudeExpansion(
         f0=f0, m1=float(np.sum(w1)), m2=densities.mu2.integral(),
-        P0=np.where(even, w0 @ cent, 0.0), P1=np.where(even, w1 @ cent, 0.0),
+        P0=P0, P1=np.where(even1, w1 @ cent, 0.0),
         Q0=np.where(even2, cent.T @ (cent * w0[:, None]), 0.0),
         diameter=mesh.diameter, k_moment=k_moment, z1_moment=z1_moment,
         volume=volume, exterior_energy=energy,

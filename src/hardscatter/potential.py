@@ -94,8 +94,9 @@ class SurfaceDensity:
     mesh: TriMesh
 
     def __post_init__(self):
-        if len(self.values) != self.mesh.n_triangles:
-            raise ValueError("density length does not match triangle count")
+        # a column (n, 1) would broadcast against the areas in integral()
+        if np.shape(self.values) != (self.mesh.n_triangles,):
+            raise ValueError(f"density must have shape ({self.mesh.n_triangles},)")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite density values")
 
@@ -271,8 +272,6 @@ def _triangle_self_integral(mesh: TriMesh) -> np.ndarray:
 # the rounding of a cell index (a few 2^-53 times the at most 2 n + 1 cells
 # along an axis) and of a squared distance.
 _CELL_SLACK = 1.0 + 2.0**-20
-# The 13 neighbour cells of the half stencil, and the cell itself.
-_HALF_STENCIL = [d for d in itertools.product((-1, 0, 1), repeat=3) if d >= (0, 0, 0)]
 
 
 def _axis_cells(x: np.ndarray, width: float) -> tuple[np.ndarray, int]:
@@ -299,19 +298,20 @@ def _axis_cells(x: np.ndarray, width: float) -> tuple[np.ndarray, int]:
     return cells, int(base[-1] + span[-1])
 
 
-def _near_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered index pairs (i, j), i != j, with ``|c_i - c_j| <= 2
-    max(diam_i, diam_j)`` for the centroids c and the triangle diameters;
-    both orders included, sorted by i, then j.
+def _near_pairs(mesh: TriMesh, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (k, j) with ``j != rows[k]`` and ``|c_i - c_j| <= 2
+    max(diam_i, diam_j)``, i = rows[k], for the centroids c and the triangle
+    diameters; sorted by k, then j.
 
     The centroids are binned on a cell list (Hockney & Eastwood 1981) of
     cubes a hair wider than the search radius ``2 max diam``
-    (:func:`_axis_cells`), and each cell meets its 13 neighbours of a half
-    stencil and itself, one offset at a time.  A squared-distance prefilter
-    with slack keeps the candidates within the radius; the square roots of
-    their :func:`~hardscatter.geometry._squared_distances` equal
-    ``np.linalg.norm``'s distances bit for bit, and the exact rule above
-    decides.
+    (:func:`_axis_cells`), and the cell of each panel of ``rows`` meets the
+    27 cells of the stencil around it, one offset at a time.  A
+    squared-distance prefilter with slack keeps the candidates within the
+    radius, and the exact rule above decides.  The square roots of
+    :func:`~hardscatter.geometry._squared_distances` equal
+    ``np.linalg.norm``'s distances bit for bit, and are the same for (i, j)
+    as for (j, i): ``p - q`` is exactly ``-(q - p)``.
     """
     diam = mesh.triangle_diameters()
     cent = mesh.centroids
@@ -327,44 +327,33 @@ def _near_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
         stride = stride * size
         stride[axis] = 1
     order = np.argsort(key)
-    key = key[order]
+    sorted_key = key[order]
     xyz = np.ascontiguousarray(cent[order].T)
     first = np.ones(n, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
+    first[1:] = sorted_key[1:] != sorted_key[:-1]
     start = np.flatnonzero(first)
-    cell_key, count = key[start], np.diff(np.append(start, n))
-    cell = np.cumsum(first) - 1             # of each point, in sorted order
+    cell_key, count = sorted_key[start], np.diff(np.append(start, n))
+    query, query_key = np.ascontiguousarray(cent[rows].T), key[rows]
 
     bound = radius * radius * _CELL_SLACK
-    found_i, found_j, found_d2 = [], [], []
-    for offset in _HALF_STENCIL:
-        step = int((stride * offset).sum())
-        if step == 0:
-            # the points after each one in its own cell
-            points = np.arange(n)
-            lo = points + 1
-            width = start[cell] + count[cell] - lo
-        else:
-            target = cell_key + step
-            # a target past the last key wraps round to the first: no match
-            other = np.searchsorted(cell_key, target) % len(cell_key)
-            points = np.flatnonzero((cell_key[other] == target)[cell])
-            lo = start[other[cell[points]]]
-            width = count[other[cell[points]]]
-        i = np.repeat(points, width)
-        j = _ranges(lo, width)
-        d2 = _squared_distances(xyz.take(i, axis=1), xyz.take(j, axis=1))
+    found = []
+    for offset in itertools.product((-1, 0, 1), repeat=3):
+        target = query_key + int((stride * offset).sum())
+        # a target past the last key wraps round to the first: no match
+        other = np.searchsorted(cell_key, target) % len(cell_key)
+        points = np.flatnonzero(cell_key[other] == target)
+        width = count[other[points]]
+        k = np.repeat(points, width)
+        j = _ranges(start[other[points]], width)
+        d2 = _squared_distances(query.take(k, axis=1), xyz.take(j, axis=1))
         keep = d2 <= bound
-        found_i.append(i[keep])
-        found_j.append(j[keep])
-        found_d2.append(d2[keep])
-    i = order[np.concatenate(found_i)]
-    j = order[np.concatenate(found_j)]
-    keep = np.sqrt(np.concatenate(found_d2)) <= 2.0 * np.maximum(diam[i], diam[j])
-    i, j = i[keep], j[keep]
-    pair = np.sort(np.concatenate([i * n + j, j * n + i]))
-    ii = pair // n
-    return ii, pair - ii * n
+        k, j, d2 = k[keep], order[j[keep]], d2[keep]
+        i = rows[k]
+        keep = (j != i) & (np.sqrt(d2) <= 2.0 * np.maximum(diam[i], diam[j]))
+        found.append(k[keep] * n + j[keep])
+    pair = np.sort(np.concatenate(found))
+    k = pair // n
+    return k, pair - k * n
 
 
 def _centred_centroids(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -419,22 +408,20 @@ def _near_rule_sums(mesh: TriMesh, ii: np.ndarray, jj: np.ndarray):
     return inverse, distance
 
 
-def _dense_solve_bytes(n: int, reps: int, near_pairs: int, rep_pairs: int) -> int:
+def _dense_solve_bytes(n: int, reps: int, pairs: int) -> int:
     """Bytes of the dense chain at n panels in ``reps`` orbits, with
-    ``near_pairs`` ordered near pairs of which ``rep_pairs`` lie in the
-    representatives' rows.
+    ``pairs`` near pairs in the representatives' rows.
 
     The blocks, factorised in place, add up to at most ``reps * n`` entries
     (an orbit of k panels is a row in k of them, and no block has more than
     ``reps`` rows); one block of regenerated rows has ``min(256, reps) * n``.
-    Every pair counts the near-pair search's 8 words, and a representative's
-    pair 16 words: the working set of :func:`_near_rule_sums` and of the
-    block assembly, of which the operator keeps four words a pair (``near``
-    and ``near_values``).  With the identity group (``reps = n``) this is
-    the full matrix, one row block and 16 words a pair.
+    Every pair counts 16 words: the working set of the near-pair search, of
+    :func:`_near_rule_sums` and of the block assembly, of which the operator
+    keeps four words a pair (``near`` and ``near_values``).  With the
+    identity group (``reps = n``) this is the full matrix, one row block and
+    16 words a pair.
     """
-    return (8 * (reps * n + min(_ASSEMBLY_BLOCK, reps) * n)
-            + 128 * rep_pairs + 64 * (near_pairs - rep_pairs))
+    return 8 * (reps * n + min(_ASSEMBLY_BLOCK, reps) * n) + 128 * pairs
 
 
 def _available_bytes() -> int:
@@ -452,29 +439,25 @@ def _available_bytes() -> int:
 
 def assemble_single_layer(mesh: TriMesh) -> SingleLayerOperator:
     """Find the mesh's mirror group and the near field of its
-    representatives' rows; the blocks follow on demand
+    representatives' rows, searched from those rows only
+    (:func:`_near_pairs`); the blocks follow on demand
     (:meth:`SingleLayerOperator.factorize`).
 
-    Raises SolverError, before the near rule runs, when the dense chain
-    would not fit in the available memory.
+    Raises SolverError, after the search and before the near rule runs,
+    when the dense chain would not fit in the available memory.
     """
     n = mesh.n_triangles
     mirrors = _mirror_group(mesh)
     m = len(mirrors.reps)
-    ii, jj = _near_pairs(mesh)
-    position = np.full(n, -1)
-    position[mirrors.reps] = np.arange(m)
-    rows = position[ii]
-    keep = rows >= 0
-    need = _dense_solve_bytes(n, m, len(ii), int(np.count_nonzero(keep)))
+    rows, jj = _near_pairs(mesh, mirrors.reps)
+    need = _dense_solve_bytes(n, m, len(rows))
     have = _available_bytes()
     if need > have:
         raise SolverError(
             f"job does not fit in memory: {n} panels need about "
             f"{need / 2**20:.1f} MiB, {have / 2**20:.1f} MiB available"
         )
-    ii, jj, rows = ii[keep], jj[keep], rows[keep]
-    inverse, distance = _near_rule_sums(mesh, ii, jj)
+    inverse, distance = _near_rule_sums(mesh, mirrors.reps[rows], jj)
     diag = _triangle_self_integral(mesh)
     if np.any(diag <= 0.0):
         raise SolverError("non-positive self-integral; degenerate triangle")

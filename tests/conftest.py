@@ -57,10 +57,11 @@ def pinwheel_cube(level: int = 0, edge: float = 1.0) -> TriMesh:
     return TriMesh.from_arrays(v, t)
 
 
-def egg_mesh(level: int = 3) -> TriMesh:
-    """Smooth convex body with no z-reflection symmetry."""
+def egg_mesh(level: int = 3, axis: int = 2) -> TriMesh:
+    """Smooth convex body along ``axis`` (z by default), with no reflection
+    symmetry across the plane normal to it."""
     sphere = make_body(Sphere(1.0), level)
-    z = sphere.vertices[:, 2]
+    z = sphere.vertices[:, axis]
     radial = 1.0 + 0.3 * z + 0.15 * z**2
     return TriMesh.from_arrays(sphere.vertices * radial[:, None], sphere.triangles)
 

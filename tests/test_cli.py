@@ -397,20 +397,19 @@ def test_trust_region_exit_code(tmp_path, monkeypatch):
 
 
 def test_job_too_large_for_memory_exits_4(tmp_path, monkeypatch, capsys):
-    # level 3 has 320 panels in 46 orbits, about 1.0 MiB of dense work
-    monkeypatch.setattr(potential, "_available_bytes", lambda: 2**19)
+    # level 3 has 320 panels in 46 orbits, about 0.42 MiB of dense work
+    monkeypatch.setattr(potential, "_available_bytes", lambda: int(0.3 * 2**20))
     mesh = make_body(Sphere(1.0), 3)
     reps = potential._mirror_group(mesh).reps
-    ii, _ = potential._near_pairs(mesh)
-    need = potential._dense_solve_bytes(mesh.n_triangles, len(reps), len(ii),
-                                        int(np.count_nonzero(np.isin(ii, reps)))) / 2**20
+    rows, _ = potential._near_pairs(mesh, reps)
+    need = potential._dense_solve_bytes(mesh.n_triangles, len(reps), len(rows)) / 2**20
     for command in ("capacity", "lowfreq"):
         code = main([command, "--body", "sphere:1", "--level", "3",
                      "--out", str(tmp_path / f"{command}.json")])
         assert code == 4
         err = capsys.readouterr().err
         assert "does not fit in memory" in err
-        assert f"{need:.1f} MiB" in err and "0.5 MiB available" in err
+        assert f"{need:.1f} MiB" in err and "0.3 MiB available" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -316,15 +316,32 @@ def test_entries_odd_under_a_flip_keeping_z_are_exact_zeros(body_densities):
     # every body here maps onto itself under the x and y flips, which keep
     # the incidence direction: the x and y parts of P0 and P1 and the
     # off-diagonal entries of Q0 are exactly 0, and the other entries keep
-    # the bits of the panel sums (compared by repr, so a signed zero counts)
+    # the bits of the panel sums (compared by repr, so a signed zero counts).
+    # mu0 is even under the z flip too: on the sphere, the ellipsoid and the
+    # cylinder P0 is [0, 0, 0]
     amp = amplitude_expansion(body_densities)
     mesh = body_densities.mesh
     cent = mesh.centroids
     w0, w1 = (d.values * mesh.areas for d in (body_densities.mu0, body_densities.mu1))
-    for got, raw in ((amp.P0, w0 @ cent), (amp.P1, w1 @ cent)):
-        assert repr(got.tolist()) == repr([0.0, 0.0, raw[2].item()])
+    z_flip = bool(np.any(body_densities.operator.mirrors.signs[:, 2] < 0.0))
+    p0_z = 0.0 if z_flip else (w0 @ cent)[2].item()
+    assert repr(amp.P0.tolist()) == repr([0.0, 0.0, p0_z])
+    assert repr(amp.P1.tolist()) == repr([0.0, 0.0, (w1 @ cent)[2].item()])
     q0 = cent.T @ (cent * w0[:, None])
     assert repr(amp.Q0.tolist()) == repr(np.diag(np.diag(q0)).tolist())
+
+
+def test_egg_along_x_has_exact_zeros_of_mu0_across_both_flips():
+    # the egg turned to lie along x maps onto itself under the y and z flips
+    # only: mu0's moments are even under both, mu1's under the y flip only
+    densities = solve_expansion_densities(egg_mesh(3, axis=0))
+    signs = densities.operator.mirrors.signs
+    assert len(signs) == 4 and np.all(signs[:, 0] > 0.0)
+    amp = amplitude_expansion(densities)
+    assert amp.P0[0] != 0.0 and amp.P0[1:].tolist() == [0.0, 0.0]
+    assert amp.k_moment == 0.0
+    assert np.all(amp.Q0[~np.eye(3, dtype=bool)] == 0.0)
+    assert amp.P1[0] != 0.0 and amp.P1[1] == 0.0 and amp.P1[2] != 0.0
 
 
 def test_d2_keys_differ_by_the_k_moment_term(body_densities):

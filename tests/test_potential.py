@@ -220,7 +220,7 @@ def test_far_entries_are_areas_over_centroid_distances(sphere3, monkeypatch):
     dist = np.vstack([d.copy() for _, _, d in _centroid_distances(sphere3, rows)])
     matrix = dense_matrix(sphere3)
     far = np.ones_like(matrix, dtype=bool)
-    ii, jj = potential._near_pairs(sphere3)
+    ii, jj = potential._near_pairs(sphere3, rows)
     far[ii, jj] = False
     np.fill_diagonal(far, False)
     expected = np.broadcast_to(sphere3.areas, matrix.shape)[far] / dist[far]
@@ -312,42 +312,57 @@ def test_near_pairs_found_once_per_expansion(sphere3, monkeypatch):
     calls = []
     find = potential._near_pairs
 
-    def counted(mesh):
+    def counted(mesh, rows):
         calls.append(mesh)
-        return find(mesh)
+        return find(mesh, rows)
 
     monkeypatch.setattr(potential, "_near_pairs", counted)
     solve_expansion_densities(sphere3)
     assert len(calls) == 1
 
 
-def sorted_pairs(n, i, j):
-    """Both orders of the pairs (i, j), sorted by row, then column."""
+def sorted_pairs(n, i, j, rows):
+    """Both orders of the pairs (i, j) in the rows ``rows`` (ascending) as
+    (k, j), k the position of the row in ``rows``, sorted by k, then j."""
     ii, jj = np.concatenate([i, j]), np.concatenate([j, i])
+    keep = np.isin(ii, rows)
+    ii, jj = ii[keep], jj[keep]
     order = np.argsort(ii * n + jj)
-    return ii[order], jj[order]
+    return np.searchsorted(rows, ii[order]), jj[order]
 
 
-def kdtree_near_pairs(mesh):
-    """The near pairs as the package found them with scipy's cKDTree: the
-    tree's pairs within twice the largest triangle diameter, then the rule
-    ``|c_i - c_j| <= 2 max(diam_i, diam_j)``."""
+def kdtree_near_pairs(mesh, rows):
+    """The near pairs in the rows ``rows`` as the package found them with
+    scipy's cKDTree: the tree's pairs within twice the largest triangle
+    diameter, then the rule ``|c_i - c_j| <= 2 max(diam_i, diam_j)``."""
     diam = mesh.triangle_diameters()
     tree = cKDTree(mesh.centroids)
     pairs = tree.query_pairs(2.0 * float(diam.max()), output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
     dist = np.linalg.norm(mesh.centroids[i] - mesh.centroids[j], axis=1)
     keep = dist <= 2.0 * np.maximum(diam[i], diam[j])
-    return sorted_pairs(mesh.n_triangles, i[keep], j[keep])
+    return sorted_pairs(mesh.n_triangles, i[keep], j[keep], rows)
 
 
-def brute_force_near_pairs(mesh):
+def brute_force_near_pairs(mesh, rows):
     """The rule of :func:`kdtree_near_pairs` on every pair of triangles."""
     diam = mesh.triangle_diameters()
     i, j = np.triu_indices(mesh.n_triangles, 1)
     dist = np.linalg.norm(mesh.centroids[i] - mesh.centroids[j], axis=1)
     keep = dist <= 2.0 * np.maximum(diam[i], diam[j])
-    return sorted_pairs(mesh.n_triangles, i[keep], j[keep])
+    return sorted_pairs(mesh.n_triangles, i[keep], j[keep], rows)
+
+
+def query_rows(mesh, which, seed=0):
+    """All panels, the mirror group's representatives, or a random subset
+    of the panels, ascending."""
+    n = mesh.n_triangles
+    if which == "all":
+        return np.arange(n)
+    if which == "reps":
+        return potential._mirror_group(mesh).reps
+    rng = np.random.default_rng(seed)
+    return np.flatnonzero(rng.random(n) < rng.uniform(0.05, 0.95))
 
 
 def assert_same_pairs(got, want):
@@ -358,14 +373,17 @@ def assert_same_pairs(got, want):
 @settings(max_examples=40, deadline=None)
 @given(body=st.sampled_from(sorted(ORACLE_BODIES)), seed=st.integers(0, 2**32 - 1),
        exponent=st.floats(-3.0, 3.0),
-       offset=st.tuples(*[st.floats(-1e4, 1e4)] * 3))
-def test_near_pairs_equal_the_kdtree_and_brute_force_pairs(body, seed, exponent, offset):
+       offset=st.tuples(*[st.floats(-1e4, 1e4)] * 3),
+       which=st.sampled_from(["all", "reps", "subset"]))
+def test_near_pairs_equal_the_kdtree_and_brute_force_pairs(body, seed, exponent, offset, which):
     # the cell list replaced a cKDTree query: the near rule values and the
-    # distance moment read these pairs, so they must be the same bit for bit
+    # distance moment read these pairs, so they must be the same bit for bit.
+    # The representatives are those of the body before it was turned
     mesh = moved(oracle_body(body), seed, exponent, offset)
-    got = potential._near_pairs(mesh)
-    assert_same_pairs(got, kdtree_near_pairs(mesh))
-    assert_same_pairs(got, brute_force_near_pairs(mesh))
+    rows = query_rows(oracle_body(body), which, seed)
+    got = potential._near_pairs(mesh, rows)
+    assert_same_pairs(got, kdtree_near_pairs(mesh, rows))
+    assert_same_pairs(got, brute_force_near_pairs(mesh, rows))
 
 
 @pytest.mark.parametrize("separation", [3.0, 100.0, 1e5, 1e6, 1e8])
@@ -373,7 +391,9 @@ def test_near_pairs_of_parts_far_apart(separation):
     # far-apart parts fall into runs of cells of their own, so the cells
     # along an axis are at most two per centroid whatever the separation
     mesh = two_far_tetrahedra(separation)
-    assert_same_pairs(potential._near_pairs(mesh), brute_force_near_pairs(mesh))
+    for which in ("all", "reps", "subset"):
+        rows = query_rows(mesh, which)
+        assert_same_pairs(potential._near_pairs(mesh, rows), brute_force_near_pairs(mesh, rows))
     width = 2.0 * float(mesh.triangle_diameters().max())
     for axis in range(3):
         cells, size = potential._axis_cells(mesh.centroids[:, axis], width)
@@ -385,9 +405,10 @@ def test_near_pair_search_peak_per_pair():
     # search and the rule sums; the cell list's arrays are numpy's, which
     # tracemalloc sees (cKDTree's C allocations it did not)
     mesh = make_body(Sphere(1.0), 5)
+    reps = potential._mirror_group(mesh).reps
     tracemalloc.start()
     try:
-        ii, _ = potential._near_pairs(mesh)
+        ii, _ = potential._near_pairs(mesh, reps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -432,6 +453,17 @@ def test_solve_rejects_bad_data(sphere3):
         solve_density(op, np.ones(3))
     with pytest.raises(ValueError):
         solve_density(op, np.full(op.n, np.nan))
+
+
+def test_surface_density_rejects_a_column_of_values():
+    # a column of ones broadcast against the (n,) areas to an (n, n) sum:
+    # 933.3 for the integral where the right value, the area, is 11.67
+    mesh = make_body(Sphere(1.0), 2)
+    values = np.ones(mesh.n_triangles)
+    assert SurfaceDensity(values, mesh).integral() == pytest.approx(11.67, abs=0.01)
+    for bad in (values[:, None], values[None, :], values[:-1], np.float64(1.0)):
+        with pytest.raises(ValueError, match="shape"):
+            SurfaceDensity(bad, mesh)
 
 
 def test_singular_system_reports_condition(sphere3, monkeypatch):
@@ -594,29 +626,28 @@ def test_capacity_of_parts_far_apart():
 def _preflight(mesh):
     """The preflight's estimate for ``mesh``, as assembly takes it."""
     reps = potential._mirror_group(mesh).reps
-    ii, _ = potential._near_pairs(mesh)
-    rep_pairs = int(np.count_nonzero(np.isin(ii, reps)))
-    return _dense_solve_bytes(mesh.n_triangles, len(reps), len(ii), rep_pairs)
+    rows, _ = potential._near_pairs(mesh, reps)
+    return _dense_solve_bytes(mesh.n_triangles, len(reps), len(rows))
 
 
 def test_dense_solve_estimate_covers_the_matrix(sphere3):
     # the identity group's one block is the full matrix, and its count is
     # the full chain's: the matrix, one row block and 16 words a pair
     for n in (1, 320, 2048, 5120, 20480):
-        assert _dense_solve_bytes(n, n, 0, 0) >= 8 * n * n
-        assert _dense_solve_bytes(n, n, 7 * n, 7 * n) == (
+        assert _dense_solve_bytes(n, n, 0) >= 8 * n * n
+        assert _dense_solve_bytes(n, n, 7 * n) == (
             8 * (n * n + min(256, n) * n) + 128 * 7 * n)
     # the blocks of every character of the eight flips at once
     mirrors = potential._mirror_group(sphere3)
     sizes = np.count_nonzero(mirrors.admissible, axis=1)
     assert sizes.sum() == sphere3.n_triangles
-    assert _dense_solve_bytes(sphere3.n_triangles, len(mirrors.reps), 0, 0) >= 8 * np.sum(
+    assert _dense_solve_bytes(sphere3.n_triangles, len(mirrors.reps), 0) >= 8 * np.sum(
         sizes**2)
 
 
 def test_level_6_sphere_preflight_below_half_a_gib():
     # the blocks are factorised in place, and each has at most 2608 of the
-    # 20480 panels' rows: 495 MiB where the full matrix needed 3.25 GiB
+    # 20480 panels' rows: 458 MiB where the full matrix needed 3.25 GiB
     assert _preflight(make_body(Sphere(1.0), 6)) <= 0.5 * 2**30
 
 

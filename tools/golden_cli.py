@@ -66,7 +66,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # first vertex that has no zero coordinate moved up by one ulp, written by
 # the REV tree, which has no mirror symmetry left; and the egg of the tests
 # (the level-3 icosphere scaled by 1 + 0.3 z + 0.15 z^2, diameter 2.3),
-# written by the REV tree, whose mirror group has the four x and y flips
+# written by the REV tree, whose mirror group has the four x and y flips;
+# and the same egg along x (scaled by 1 + 0.3 x + 0.15 x^2), written by the
+# REV tree, whose mirror group has the four y and z flips
 MESH = "sphere3.off"
 MESH5 = "sphere5.off"
 DENTED = "dented.off"
@@ -76,7 +78,8 @@ FAR = "far_ellipsoid.off"
 TETRAHEDRA = "far_tetrahedra.off"
 ULP = "sphere3_ulp.off"
 EGG = "egg.off"
-MESHES = (MESH, MESH5, DENTED, EDGES, GROOVE, FAR, TETRAHEDRA, ULP, EGG)
+EGG_X = "egg_x.off"
+MESHES = (MESH, MESH5, DENTED, EDGES, GROOVE, FAR, TETRAHEDRA, ULP, EGG, EGG_X)
 MAKE_MESH = ("import numpy as np; "
              "from hardscatter.geometry import Ellipsoid, Sphere, TriMesh, make_body, "
              "save_mesh; "
@@ -93,7 +96,10 @@ MAKE_MESH = ("import numpy as np; "
              f"save_mesh(TriMesh.from_arrays(v, s.triangles), {ULP!r}); "
              "z = s.vertices[:, 2]; "
              "save_mesh(TriMesh.from_arrays(s.vertices * (1.0 + 0.3 * z + 0.15 * z**2)[:, None], "
-             f"s.triangles), {EGG!r})")
+             f"s.triangles), {EGG!r}); "
+             "x = s.vertices[:, 0]; "
+             "save_mesh(TriMesh.from_arrays(s.vertices * (1.0 + 0.3 * x + 0.15 * x**2)[:, None], "
+             f"s.triangles), {EGG_X!r})")
 SPLIT_CUBE_OFF = """OFF
 8 12 0
 0 0 0
@@ -210,6 +216,11 @@ GOLDEN = {
     # flip, and blocks of four characters
     "lowfreq_egg": f"lowfreq --mesh {EGG} --k-min 0.01 --k-max 0.2 "
                    "--samples 20 --out report.json",
+    # four flips (y and z, not x): the near pairs searched from the rows of a
+    # four-flip group's representatives, and mu0's moments averaged over a z
+    # flip (K, P0_y, P0_z and the off-diagonal entries of Q0 exactly 0)
+    "lowfreq_egg_x": f"lowfreq --mesh {EGG_X} --k-min 0.01 --k-max 0.2 "
+                     "--samples 20 --out report.json",
     "compare_sphere": "compare --body sphere:1 --level 4 --grid 256 --out compare.json",
     "mie_sphere": "mie --body sphere:1 --k-min 0.05 --k-max 20 --samples 50 --out mie.csv",
     "fig1": "fig1 --k-min 0.05 --k-max 60 --samples 100 --out fig1.csv",
